@@ -171,43 +171,40 @@ def exact_mixed_moment(module: RelationModule, m: int, n: int) -> int:
 # Sato-Tate and compact-group trace laws
 
 
-def sato_tate_samples(count: int, seed: int) -> SampleBatch:
-    """Draws of 2*cos(theta) with density (2/pi) sin^2(theta) on [0, pi].
+def _sato_tate(count: int, seed: int, index: int = 0) -> np.ndarray:
+    """Exact Sato-Tate draws from the stream (seed, "sato-tate", index).
 
-    Inverse CDF by bisection on F(theta) = (theta - sin(theta)cos(theta))/pi
-    to 1e-12, so a draw is a deterministic function of the uniform stream.
+    A Sato-Tate variable is the trace of a Haar element of SU(2), and Haar
+    on SU(2) is the uniform law on S^3; for a standard Gaussian x in R^4,
+    x/|x| is uniform on S^3 and the trace is 2*x_0/|x|.
     """
     if count < 1:
         raise OutOfRangeParameter("count must be >= 1")
-    u = philox_generator(seed, "sato-tate").random(count)
-    lo = np.zeros(count)
-    hi = np.full(count, np.pi)
-    for _ in range(52):  # pi * 2^-52 < 1e-12
-        mid = 0.5 * (lo + hi)
-        f = (mid - np.sin(mid) * np.cos(mid)) / np.pi
-        takes = f < u
-        lo = np.where(takes, mid, lo)
-        hi = np.where(takes, hi, mid)
-    theta = 0.5 * (lo + hi)
-    return SampleBatch(2.0 * np.cos(theta), seed, "sato-tate")
+    x = philox_generator(seed, "sato-tate", index).standard_normal((4, count))
+    return 2.0 * x[0] / np.linalg.norm(x, axis=0)
+
+
+def sato_tate_samples(count: int, seed: int) -> SampleBatch:
+    """Draws of 2*cos(theta) with density (2/pi) sin^2(theta) on [0, pi].
+
+    Each draw is the trace 2*x_0/|x| of a uniform point of S^3 = SU(2),
+    x standard Gaussian in R^4: exact, and a deterministic function of the
+    seeded stream.
+    """
+    return SampleBatch(_sato_tate(count, seed), seed, "sato-tate")
 
 
 def sato_tate_sum_samples(terms: int, count: int, seed: int) -> SampleBatch:
-    """Draws of the sum of `terms` independent Sato-Tate variables."""
+    """Draws of the sum of `terms` independent Sato-Tate variables.
+
+    Term i is drawn as in sato_tate_samples from its own stream
+    (seed, "sato-tate", i), so terms=1 reproduces sato_tate_samples.
+    """
     if terms < 1:
         raise OutOfRangeParameter("terms must be >= 1")
-    acc = np.zeros(count)
-    for i in range(terms):
-        u = philox_generator(seed, "sato-tate", i).random(count)
-        lo = np.zeros(count)
-        hi = np.full(count, np.pi)
-        for _ in range(52):
-            mid = 0.5 * (lo + hi)
-            f = (mid - np.sin(mid) * np.cos(mid)) / np.pi
-            takes = f < u
-            lo = np.where(takes, mid, lo)
-            hi = np.where(takes, hi, mid)
-        acc += 2.0 * np.cos(0.5 * (lo + hi))
+    acc = _sato_tate(count, seed)
+    for i in range(1, terms):
+        acc += _sato_tate(count, seed, i)
     return SampleBatch(acc, seed, f"sato-tate-sum[{terms}]")
 
 

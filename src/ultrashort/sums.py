@@ -246,82 +246,67 @@ def mult_char_sum_grid(g: IntPoly, q: int, v: LaurentPoly | None = None) -> SumG
 # Kloosterman sums
 
 
-def _inverse_table(q: int) -> np.ndarray:
-    """inv[x] = x^-1 mod q for x in 1..q-1 (inv[0] unused), O(q)."""
-    inv = np.zeros(q, dtype=np.int64)
-    inv[1] = 1
-    for x in range(2, q):
-        inv[x] = (q - (q // x) * inv[q % x] % q) % q
-    return inv
-
-
 _KL_TABLES: dict[tuple[int, int], np.ndarray] = {}
 
 
-def kloosterman_table(r: int, q: int) -> np.ndarray:
-    """Kl_r(b; q) for every b in [0, q), one O(r*q^2) precomputation.
+def _generator_powers(gen: int, q: int) -> np.ndarray:
+    """gen^i mod q for i in [0, q-1), filled in doubling blocks.
 
-    Built by iterated multiplicative convolution of the sequence e(x/q):
-    S_1(b) = e(b/q) and S_(k+1)(b) = sum_x e(x/q) S_k(b/x); then
-    Kl_r = q^(-(r-1)/2) S_r on F_q^*.  The entry at b = 0 is the value
+    Block [n, 2n) is block [0, n) times gen^n; for q <= 2^26 every product
+    is below 2^52 and fits in int64.
+    """
+    powers = np.empty(q - 1, dtype=np.int64)
+    powers[0] = 1
+    n = 1
+    while n < q - 1:
+        m = min(n, q - 1 - n)
+        powers[n : n + m] = powers[:m] * pow(gen, n, q) % q
+        n += m
+    return powers
+
+
+def kloosterman_table(r: int, q: int) -> np.ndarray:
+    """Kl_r(b; q) for every b in [0, q), by FFT over discrete logarithms.
+
+    On F_q^* the unnormalised sum S_r(b) = sum over x_1*...*x_r = b of
+    e((x_1 + ... + x_r)/q) is an r-fold multiplicative convolution.  Indexing
+    F_q^* by discrete log to the smallest primitive root gen (Rader's
+    re-indexing) makes it cyclic: with w[i] = e(gen^i/q),
+    S_r(gen^k) = ifft(fft(w)^r)[k], and Kl_r = q^(-(r-1)/2) S_r.  Cost
+    O(q log q) per (r, q).  The entry at b = 0 is the value
     (-1)^(r-1) q^(-(r-1)/2) of the free-variable form (non-lisse point;
-    grids exclude it).
+    grids exclude it).  Tables are memoised per (r, q) and read-only.
     """
     if r < 2:
         raise OutOfRangeParameter("rank r must be >= 2")
+    if q > PARAM_SPACE_CAP:
+        raise OutOfRangeParameter(f"q = {q} exceeds 2^26")
     if not is_prime(q):
         raise OutOfRangeParameter(f"{q} is not prime")
     key = (r, q)
     if key in _KL_TABLES:
         return _KL_TABLES[key]
-    omega = _exp_of_residues(np.arange(q, dtype=np.int64), q)
-    inv = _inverse_table(q)
-    table = omega.copy()  # S_1
-    ex = omega[1:q]  # e(x/q) for x = 1..q-1
-    for _ in range(r - 1):
-        nxt = np.zeros(q, dtype=np.complex128)
-        for s in range(0, q, 512):
-            e = min(s + 512, q)
-            b = np.arange(s, e, dtype=np.int64)
-            idx = (b[:, None] * inv[None, 1:q]) % q
-            nxt[s:e] = (table[idx] * ex[None, :]).sum(axis=1)
-        table = nxt
-    table *= q ** (-(r - 1) / 2)
-    table[0] = (-1) ** (r - 1) * q ** (-(r - 1) / 2)
+    powers = _generator_powers(multiplicative_generator(q), q)
+    spectrum = np.fft.fft(_exp_of_residues(powers, q))
+    scale = q ** (-(r - 1) / 2)
+    table = np.empty(q, dtype=np.complex128)
+    table[powers] = np.fft.ifft(spectrum**r) * scale
+    table[0] = (-1) ** (r - 1) * scale
+    table.flags.writeable = False
     _KL_TABLES[key] = table
     return table
 
 
 def hyper_kloosterman(r: int, a: int, q: int) -> complex:
-    """Normalized hyper-Kloosterman sum Kl_r(a; q).
+    """Normalized hyper-Kloosterman sum Kl_r(a; q), read from the table.
 
     Kl_r(a;q) = q^(-(r-1)/2) * sum over x_1..x_(r-1) in F_q^* of
-    e((x_1 + ... + x_(r-1) + a/(x_1...x_(r-1)))/q).  Direct summation for
-    r <= 3; larger ranks reuse the all-b convolution table.
+    e((x_1 + ... + x_(r-1) + a/(x_1...x_(r-1)))/q); the value is entry a of
+    kloosterman_table(r, q), which validates r and q.
     """
-    if not is_prime(q):
-        raise OutOfRangeParameter(f"{q} is not prime")
-    if r < 2:
-        raise OutOfRangeParameter("rank r must be >= 2")
     if not 1 <= a <= q - 1:
         raise OutOfRangeParameter("need 1 <= a <= q-1")
-    if r == 2:
-        x = np.arange(1, q, dtype=np.int64)
-        inv = _inverse_table(q)[1:]
-        ks = (x + a * inv) % q
-        return complex(_exp_of_residues(ks, q).sum() / math.sqrt(q))
-    if r == 3:
-        inv = _inverse_table(q)
-        omega = _exp_of_residues(np.arange(q, dtype=np.int64), q)
-        total = 0.0 + 0.0j
-        ys = np.arange(1, q, dtype=np.int64)
-        inv_ys = inv[1:]
-        for x in range(1, q):
-            c = a * inv[x] % q
-            ks = (x + ys + c * inv_ys) % q
-            total += omega[ks].sum()
-        return complex(total / q)
-    return complex(kloosterman_table(r, q)[a % q])
+    return complex(kloosterman_table(r, q)[a])
 
 
 def trace_sum_grid(g: IntPoly, q: int, r: int = 2, mode: str = "dilate") -> SumGrid:

@@ -204,6 +204,11 @@ def test_domain_error_exit_code(capsys):
     assert "NotSplit" in capsys.readouterr().err
 
 
+def test_limit_st_sum_bad_count_is_domain_error(capsys):
+    assert main(["limit", "--law", "st-sum:3", "--count", "-5"]) == 1
+    assert "OutOfRangeParameter" in capsys.readouterr().err
+
+
 def test_usage_error_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])

@@ -223,6 +223,18 @@ def test_sato_tate_sum_components_independent():
     assert abs((s**2).mean() - 3.0) < 0.05  # variance adds across terms
 
 
+def test_sato_tate_sum_single_term_is_sato_tate():
+    a = sato_tate_sum_samples(1, 1000, 11).samples
+    b = sato_tate_samples(1000, 11).samples
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("count", [0, -5])
+def test_sato_tate_sum_rejects_bad_count(count):
+    with pytest.raises(OutOfRangeParameter):
+        sato_tate_sum_samples(3, count, 1)
+
+
 # ---------------------------------------------------------------------------
 # Haar traces
 

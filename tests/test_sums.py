@@ -1,6 +1,7 @@
 """Sum families: grids, Kloosterman sums, condition sets, Weyl sums."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -173,6 +174,44 @@ def test_kl_table_matches_single_values():
     table3 = kloosterman_table(3, 101)
     for a in (1, 17, 50):
         assert abs(table3[a] - hyper_kloosterman(3, a, 101)) < 1e-10
+
+
+def _kl_brute_force(r, a, q):
+    """Kl_r(a; q) summed straight from the definition."""
+    total = 0j
+    for xs in itertools.product(range(1, q), repeat=r - 1):
+        total += cmath.exp(2j * cmath.pi * ((sum(xs) + a * pow(math.prod(xs), -1, q)) % q) / q)
+    return total / q ** ((r - 1) / 2)
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_kl_table_matches_brute_force_oracle(r, q):
+    table = kloosterman_table(r, q)
+    for a in range(1, q):
+        want = _kl_brute_force(r, a, q)
+        assert abs(table[a] - want) < 1e-12
+        assert abs(hyper_kloosterman(r, a, q) - want) < 1e-12
+
+
+def test_kl_table_is_read_only():
+    table = kloosterman_table(2, 101)
+    before = complex(table[5])
+    with pytest.raises(ValueError):
+        table[5] = 99
+    assert kloosterman_table(2, 101)[5] == before
+    assert hyper_kloosterman(2, 5, 101) == before
+
+
+def test_kl_table_rejects_q_above_grid_cap():
+    q = 67108879  # the first prime above 2^26
+    for call in (
+        lambda: kloosterman_table(2, q),
+        lambda: hyper_kloosterman(2, 1, q),
+        lambda: trace_sum_grid(IntPoly.parse("X-1"), q),
+    ):
+        with pytest.raises(OutOfRangeParameter):
+            call()
 
 
 def test_kl3_conjugation_symmetry():
