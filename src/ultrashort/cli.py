@@ -141,50 +141,42 @@ def cmd_roots(args) -> int:
     return 0
 
 
-def _compute_relations(args):
-    g = _poly(args)
-    kind = args.kind
-    v = _laurent(args.v) if args.v else None
-    exponents = tuple(int(t) for t in args.exponents.split(",")) if args.exponents else None
-    kwargs = {"coeff_cap": args.coeff_cap}
-    if args.degree_bound:
-        kwargs["degree_bound"] = args.degree_bound
-    if kind == "additive":
-        return g, relations.additive_relations(g, **kwargs)
-    if kind == "value":
-        if v is None:
-            raise UsageError("--v is required for kind=value")
-        return g, relations.value_relations(g, v, **kwargs)
-    if kind == "joint":
-        if exponents is None:
-            raise UsageError("--exponents is required for kind=joint")
-        return g, relations.joint_power_relations(g, exponents, **kwargs)
-    return g, relations.multiplicative_relations(g, v or LaurentPoly.x(), **kwargs)
+def _module(args, g: IntPoly, kind: str = "additive"):
+    """The relation module of g that the flags name, through the disk cache."""
+    v = _laurent(args.v) if getattr(args, "v", None) else None
+    text = getattr(args, "exponents", None)
+    exponents = tuple(int(t) for t in text.split(",")) if text else None
+    if kind == "value" and v is None:
+        raise UsageError("--v is required for kind=value")
+    if kind == "joint" and exponents is None:
+        raise UsageError("--exponents is required for kind=joint")
+    key = _cache_key(g, kind, v, exponents, args.coeff_cap, args.degree_bound)
+    directory = _cache_dir(args)
+    module = None if args.no_cache else cache_get(directory, key)
+    if module is None:
+        cap, bound = args.coeff_cap, args.degree_bound or None
+        if kind == "additive":
+            module = relations.additive_relations(g, cap, bound)
+        elif kind == "value":
+            module = relations.value_relations(g, v, cap, bound)
+        elif kind == "joint":
+            module = relations.joint_power_relations(g, exponents, cap, bound)
+        else:
+            module = relations.multiplicative_relations(g, v or LaurentPoly.x(), cap, bound)
+        if not args.no_cache:
+            cache_put(directory, key, module)
+    return module
 
 
 def cmd_relations(args) -> int:
-    g = _poly(args)
-    v = _laurent(args.v) if args.v else None
-    exponents = tuple(int(t) for t in args.exponents.split(",")) if args.exponents else None
-    key = _cache_key(g, args.kind, v, exponents, args.coeff_cap, args.degree_bound)
-    directory = _cache_dir(args)
-    module = None
-    if not args.no_cache:
-        module = cache_get(directory, key)
-    if module is None:
-        _, module = _compute_relations(args)
-        if not args.no_cache:
-            cache_put(directory, key, module)
-    _emit(module.to_json_dict(), args.out)
+    _emit(_module(args, _poly(args), args.kind).to_json_dict(), args.out)
     return 0
 
 
 def cmd_index(args) -> int:
     g = _poly(args)
-    kwargs = {"coeff_cap": args.coeff_cap}
-    if args.degree_bound:
-        kwargs["degree_bound"] = args.degree_bound
-    _emit({"poly": str(g), "ind": relations.index_ind(g, **kwargs)}, args.out)
+    ind = relations.index_ind(g, args.coeff_cap, args.degree_bound or None)
+    _emit({"poly": str(g), "ind": ind}, args.out)
     return 0
 
 
@@ -229,7 +221,7 @@ def cmd_limit(args) -> int:
         if not args.poly:
             raise UsageError("--poly is required for --law sigma")
         g = _poly(args)
-        module = relations.additive_relations(g, coeff_cap=args.coeff_cap)
+        module = _module(args, g)
         h = limitlaw.torus_subgroup(module)
         batch = limitlaw.sigma_samples(h, args.count, args.seed)
     elif law == "st":
@@ -261,7 +253,7 @@ def cmd_limit(args) -> int:
 def cmd_moments(args) -> int:
     g = _poly(args)
     grid = sums.additive_sum_grid(g, args.prime, args.power, threads=args.threads)
-    module = relations.additive_relations(g, coeff_cap=args.coeff_cap)
+    module = _module(args, g)
     empirical = stats.moment_table(grid, args.max_order)
     exact = {
         (m, n): limitlaw.exact_mixed_moment(module, m, n)
@@ -288,7 +280,7 @@ def cmd_weylcheck(args) -> int:
         lo, hi, count = (int(t) for t in args.prime_range.split(":"))
         qs = find_split_primes(g, lo, hi)[:count]
     alphas = _alpha_list(args.alpha)
-    module = relations.additive_relations(g, coeff_cap=args.coeff_cap)
+    module = _module(args, g)
     report = stats.stationarity_report(g, qs, alphas, module)
     _emit(report, args.out)
     return 0
@@ -298,7 +290,7 @@ def cmd_condition(args) -> int:
     g = _poly(args)
     A = sums.make_condition_set(args.prime, args.power, args.descriptor)
     alphas = _alpha_list(args.alpha)
-    module = relations.additive_relations(g, coeff_cap=args.coeff_cap)
+    module = _module(args, g)
     report = stats.conditioning_experiment(g, args.prime, args.power, A, alphas, module)
     _emit(report, args.out)
     return 0
@@ -448,13 +440,14 @@ def build_parser() -> argparse.ArgumentParser:
         if poly:
             p.add_argument("--poly", help='"X^3+X+3" or "3,1,0,1"')
         p.add_argument("--out", help="output file (default: stdout)")
+
+    def bounds(p, cache=True):
         p.add_argument("--coeff-cap", type=int, default=relations.DEFAULT_COEFF_CAP)
         p.add_argument("--degree-bound", type=int, default=0,
                        help="user-asserted [K_g:Q] bound (default: d!)")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--cache-dir", default=None)
-        p.add_argument("--no-cache", action="store_true")
+        if cache:
+            p.add_argument("--cache-dir", default=None)
+            p.add_argument("--no-cache", action="store_true")
 
     p = sub.add_parser("primes", help="totally split primes in a range")
     common(p)
@@ -470,6 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("relations", help="certified relation module")
     common(p)
+    bounds(p)
     p.add_argument("--kind", default="additive",
                    choices=["additive", "value", "joint", "multiplicative"])
     p.add_argument("--v", help="Laurent polynomial, e.g. X+X^-1")
@@ -478,10 +472,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("index", help="ind(g)")
     common(p)
+    bounds(p, cache=False)
     p.set_defaults(_required=["poly"])
 
     p = sub.add_parser("sums", help="full additive-character grid")
     common(p)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--prime", type=int)
     p.add_argument("--power", type=int, default=1)
     p.add_argument("--v", help="Laurent polynomial (default X)")
@@ -502,6 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limit", help="sample a limit law")
     common(p, poly=False)
+    bounds(p)
+    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--poly", help="needed for --law sigma")
     p.add_argument("--law", default="sigma",
                    help="sigma | st | st-sum:K | su:R | usp:R | inv:R")
@@ -510,6 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments", help="empirical vs exact mixed moments")
     common(p)
+    bounds(p)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--prime", type=int)
     p.add_argument("--power", type=int, default=1)
     p.add_argument("--max-order", type=int, default=4)
@@ -517,6 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weylcheck", help="exact Weyl stationarity report")
     common(p)
+    bounds(p)
     p.add_argument("--alpha", help='vectors "1,1,1;1,0,0"')
     p.add_argument("--primes", help="comma list of primes")
     p.add_argument("--prime-range", help='"lo:hi:count" split primes')
@@ -524,6 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("condition", help="conditioning experiment")
     common(p)
+    bounds(p)
     p.add_argument("--prime", type=int)
     p.add_argument("--power", type=int, default=1)
     p.add_argument("--descriptor",

@@ -52,7 +52,8 @@ def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
     work = [row for row in work[:r] if any(row)]
     # reduce entries above each pivot into [0, pivot)
     pivots = [next(k for k, v in enumerate(row) if v != 0) for row in work]
-    for i in range(len(work) - 1, -1, -1):
+    # top-down: row i is zero left of its pivot, so earlier reductions stay
+    for i in range(len(work)):
         p = pivots[i]
         for k in range(i):
             q = work[k][p] // work[i][p]

@@ -1,6 +1,12 @@
 """Certified complex roots of g and the lattices of relations among them.
 
-The pipeline for every relation kind is the same:
+The additive, value and ind(g) lattices are one object, the kernel of
+alpha -> sum alpha_i y_i for algebraic integers y_i, computed by one engine
+(`_linear_relations`) from a ball factory enclosing the y_i: the sorted
+roots x_i (`_sorted_root_balls`), the values v(x_i) scaled to algebraic
+integers (`_integral_value_balls`), or the sorted roots with 1 appended
+(`index_ind`).  The engine, like the multiplicative variant with its
+log/arg columns and winding row, runs:
 
   1. detect candidate integer vectors with LLL on rows (e_i | scaled value
      columns) at an escalating scaling 2^B;
@@ -28,8 +34,6 @@ from functools import lru_cache
 
 import mpmath
 from mpmath import mpf, workprec
-from sympy import ZZ
-from sympy.polys.matrices import DomainMatrix
 
 from . import lattice
 from .arith import IntPoly, LaurentPoly
@@ -40,10 +44,8 @@ from .errors import (
     ZeroRoot,
     ZeroRootWithNegativeExponent,
 )
-from .lattice import SnfDecomposition
-from .lattice import smith_normal_form as _snf_rows
+from .lattice import smith_normal_form  # noqa: F401  (re-exported)
 
-LLL_DELTA = 0.99
 DEFAULT_COEFF_CAP = 64
 PRECISION_CAP_BITS = 1 << 20
 _DETECTION_START_BITS = 96
@@ -291,6 +293,17 @@ def certified_complex_roots(g: IntPoly, precision_bits: int) -> CertifiedBoxList
     return CertifiedBoxList(g, precision_bits, tuple(boxes[i] for i in order))
 
 
+def _sorted_root_balls(g: IntPoly):
+    """Ball factory for the roots of g in sorted order, radii <= 2^-bits."""
+    order = _order_map(g)
+
+    def mk(bits):
+        boxes = _boxes_at(g, bits)
+        return [boxes[i].ball() for i in order]
+
+    return mk
+
+
 # ---------------------------------------------------------------------------
 # certified zero tests
 
@@ -338,13 +351,7 @@ def gamma_is_zero(
         raise ValueError("alpha must have one entry per root")
     if degree_bound is None:
         degree_bound = default_degree_bound(g.degree)
-    order = _order_map(g)
-
-    def mk(bits):
-        boxes = _boxes_at(g, bits)
-        return [boxes[i].ball() for i in order]
-
-    return _linear_zero_test(alpha, mk, _house_of, degree_bound)
+    return _linear_zero_test(alpha, _sorted_root_balls(g), _house_of, degree_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +395,52 @@ class RelationModule:
 
 
 def _lll_rows(rows: list[list[int]]) -> list[list[int]]:
-    m = DomainMatrix(
-        [[ZZ(int(x)) for x in row] for row in rows], (len(rows), len(rows[0])), ZZ
-    )
-    return [[int(x) for x in r] for r in m.lll(delta=LLL_DELTA).to_list()]
+    """All-integer LLL, delta = 99/100 (Cohen, Alg. 2.6.7), of independent rows.
+
+    d[i] is the Gram determinant of the first i rows and lam[k][j] =
+    d[j+1] * mu_kj; both are integers, so every division is exact.
+    """
+    b = [[int(x) for x in row] for row in rows]
+    n = len(b)
+    d = [1, sum(x * x for x in b[0])] + [0] * (n - 1)
+    lam = [[0] * n for _ in range(n)]
+
+    def reduce(k, l):
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            for j in range(k + 1):
+                u = sum(x * y for x, y in zip(b[k], b[j]))
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                lam[k][j] = u
+            d[k + 1] = lam[k][k]
+        reduce(k, k - 1)
+        lk = lam[k][k - 1]
+        if 100 * (d[k + 1] * d[k - 1] + lk * lk) < 99 * d[k] * d[k]:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            for j in range(k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            big = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+            for i in range(k + 1, kmax + 1):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+                lam[i][k - 1] = (big * t + lk * lam[i][k]) // d[k + 1]
+            d[k] = big
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return b
 
 
 def _round_scaled(x, scale_bits: int) -> int:
@@ -453,6 +502,33 @@ def _ident(k, n):
     return [1 if t == k else 0 for t in range(n)]
 
 
+def _linear_relations(g, mk, dim, kind, coeff_cap, degree_bound) -> RelationModule:
+    """HNF basis of {alpha in Z^dim : sum alpha_i y_i = 0}, certified.
+
+    mk(bits) encloses algebraic integers y_1..y_dim whose list is permuted by
+    the Galois action of g's splitting field, so the largest |y_i| bounds
+    every conjugate; degree_bound defaults to d! with d = deg g.
+    """
+    if degree_bound is None:
+        degree_bound = default_degree_bound(g.degree)
+
+    def build(bits):
+        with workprec(4 * bits + 128):
+            return [
+                _ident(k, dim)
+                + [_round_scaled(b.center.real, bits), _round_scaled(b.center.imag, bits)]
+                for k, b in enumerate(mk(2 * bits + 32))
+            ]
+
+    def certify(alpha):
+        return _linear_zero_test(alpha, mk, _house_of, degree_bound)
+
+    basis, bits, capped = _detect_module(dim, build, certify, coeff_cap)
+    return RelationModule(
+        dim, basis, kind, _certificate(bits, degree_bound, coeff_cap, capped)
+    )
+
+
 @lru_cache(maxsize=None)
 def additive_relations(
     g: IntPoly,
@@ -460,30 +536,8 @@ def additive_relations(
     degree_bound: int | None = None,
 ) -> RelationModule:
     """HNF basis of {alpha in Z^d : sum alpha_i x_i = 0}, roots in box order."""
-    d = g.degree
-    if degree_bound is None:
-        degree_bound = default_degree_bound(d)
-    order = _order_map(g)
-    roots = certified_complex_roots(g, 128)
-
-    def build(bits):
-        boxes = _boxes_at(g, 2 * bits + 32)
-        with workprec(4 * bits + 128):
-            rows = []
-            for k, i in enumerate(order):
-                c = boxes[i].center
-                rows.append(
-                    _ident(k, d)
-                    + [_round_scaled(c.real, bits), _round_scaled(c.imag, bits)]
-                )
-        return rows
-
-    def certify(alpha):
-        return gamma_is_zero(alpha, roots, degree_bound)
-
-    basis, bits, capped = _detect_module(d, build, certify, coeff_cap)
-    return RelationModule(
-        d, basis, "additive", _certificate(bits, degree_bound, coeff_cap, capped)
+    return _linear_relations(
+        g, _sorted_root_balls(g), g.degree, "additive", coeff_cap, degree_bound
     )
 
 
@@ -517,31 +571,8 @@ def value_relations(
         raise ZeroRootWithNegativeExponent(
             "v has negative exponents but 0 is a root of g"
         )
-    d = g.degree
-    if degree_bound is None:
-        degree_bound = default_degree_bound(d)
-    mk = _integral_value_balls(g, v)
-
-    def build(bits):
-        with workprec(4 * bits + 128):
-            balls = mk(2 * bits + 32)
-            rows = []
-            for k, b in enumerate(balls):
-                rows.append(
-                    _ident(k, d)
-                    + [
-                        _round_scaled(b.center.real, bits),
-                        _round_scaled(b.center.imag, bits),
-                    ]
-                )
-        return rows
-
-    def certify(alpha):
-        return _linear_zero_test(alpha, mk, _house_of, degree_bound)
-
-    basis, bits, capped = _detect_module(d, build, certify, coeff_cap)
-    return RelationModule(
-        d, basis, "value", _certificate(bits, degree_bound, coeff_cap, capped)
+    return _linear_relations(
+        g, _integral_value_balls(g, v), g.degree, "value", coeff_cap, degree_bound
     )
 
 
@@ -703,35 +734,12 @@ def index_ind(
     sum alpha_i x_i + c = 0 exhibits -c as an attained integer, and the set
     of attained integers is the gcd ideal of the basis' last coordinates.
     """
-    d = g.degree
-    if degree_bound is None:
-        degree_bound = default_degree_bound(d)
-    order = _order_map(g)
-    dim = d + 1
-
-    def mk(bits):
-        boxes = _boxes_at(g, bits)
-        return [boxes[i].ball() for i in order] + [Ball.exact_int(1)]
-
-    def build(bits):
-        with workprec(4 * bits + 128):
-            balls = mk(2 * bits + 32)
-            rows = []
-            for k, b in enumerate(balls):
-                rows.append(
-                    _ident(k, dim)
-                    + [
-                        _round_scaled(b.center.real, bits),
-                        _round_scaled(b.center.imag, bits),
-                    ]
-                )
-        return rows
-
-    def certify(alpha):
-        return _linear_zero_test(alpha, mk, _house_of, degree_bound)
-
-    basis, _, _ = _detect_module(dim, build, certify, coeff_cap)
-    consts = [abs(row[-1]) for row in basis if row[-1] != 0]
+    roots = _sorted_root_balls(g)
+    module = _linear_relations(
+        g, lambda bits: roots(bits) + [Ball.exact_int(1)], g.degree + 1, "index",
+        coeff_cap, degree_bound,
+    )
+    consts = [abs(row[-1]) for row in module.basis if row[-1] != 0]
     return math.gcd(*consts) if consts else 0
 
 
@@ -850,8 +858,3 @@ def negation_pairing(g: IntPoly, degree_bound: int | None = None):
             return pairs, unpaired
         bits *= 2
     raise PrecisionExhausted("negation pairing undecided")
-
-
-def smith_normal_form(rows) -> SnfDecomposition:
-    """Exact Smith normal form U*A*V = S of an integer matrix."""
-    return _snf_rows([list(r) for r in rows])

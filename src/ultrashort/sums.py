@@ -36,7 +36,6 @@ from .errors import (
 )
 
 PARAM_SPACE_CAP = 1 << 26
-_DFT_DIRECT_LIMIT = 4096
 _CHUNK = 2048
 
 
@@ -471,26 +470,11 @@ def restricted_sum_values(
     return acc
 
 
-def _dft_direct(x: np.ndarray) -> np.ndarray:
-    n = len(x)
-    out = np.empty(n, dtype=np.complex128)
-    omega = np.exp(-2j * np.pi * np.arange(n) / n)
-    support = np.nonzero(x)[0]
-    weights = x[support]
-    for s in range(0, n, 256):
-        e = min(s + 256, n)
-        h = np.arange(s, e, dtype=np.int64)
-        idx = (h[:, None] * support[None, :]) % n
-        out[s:e] = (omega[idx] * weights[None, :]).sum(axis=1)
-    return out
-
-
 def uniformity_metric(A: ConditionSet) -> float:
     """max over h != 0 of |sum_{a in A} e(a*h/q^n)| / |A|.
 
-    Exact DFT of the indicator: direct O(N^2) summation for N <= 4096,
-    numpy's pocketfft above (its Bluestein chirp transform handles prime N
-    in O(N log N)).
+    DFT of the indicator by numpy's pocketfft for every N (its Bluestein
+    chirp transform handles prime N in O(N log N)).
     """
     if len(A.members) < 1:
         raise OutOfRangeParameter("condition set must be nonempty")
@@ -499,7 +483,6 @@ def uniformity_metric(A: ConditionSet) -> float:
         raise OutOfRangeParameter("parameter space exceeds 2^26")
     x = np.zeros(n, dtype=np.float64)
     x[A.members] = 1.0
-    spectrum = _dft_direct(x) if n <= _DFT_DIRECT_LIMIT else np.fft.fft(x)
-    mags = np.abs(spectrum)
+    mags = np.abs(np.fft.fft(x))
     mags[0] = 0.0
     return float(mags.max() / len(A.members))

@@ -6,7 +6,13 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from ultrashort.cli import main
+from ultrashort.cli import CACHE_ENV, main
+
+
+@pytest.fixture(autouse=True)
+def _cache_in_tmp(tmp_path, monkeypatch):
+    """Commands that resolve a relation module must not write into the checkout."""
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "default-cache"))
 
 
 def run(args, capsys=None):
@@ -62,6 +68,22 @@ def test_relations_cache_key_depends_on_caps(tmp_path):
     base = ["relations", "--poly", "X^3+X+3", "--cache-dir", str(cache)]
     assert main(base) == 0
     assert main(base + ["--coeff-cap", "32"]) == 0
+    assert len(list(cache.glob("*.json"))) == 2
+
+
+def test_module_commands_share_the_cache(tmp_path):
+    cache = tmp_path / "cache"
+    weyl = ["weylcheck", "--poly", "X^3+X+3", "--alpha", "1,1,1", "--primes", "30223",
+            "--cache-dir", str(cache), "--out", str(tmp_path / "w.json")]
+    assert main(weyl + ["--degree-bound", "6"]) == 0
+    entries = list(cache.glob("*.json"))
+    assert len(entries) == 1
+    # the same module through `relations` is a cache hit: no new entry
+    assert main(["relations", "--poly", "X^3+X+3", "--degree-bound", "6",
+                 "--cache-dir", str(cache), "--out", str(tmp_path / "r.json")]) == 0
+    assert list(cache.glob("*.json")) == entries
+    # a different degree bound is a different module
+    assert main(weyl + ["--degree-bound", "12"]) == 0
     assert len(list(cache.glob("*.json"))) == 2
 
 
@@ -216,6 +238,9 @@ def test_usage_error_exit_codes(capsys):
     assert main(["roots", "--poly", "X^2-2"]) == 2  # missing --prime
     assert main(["limit", "--law", "sigma"]) == 2  # sigma needs --poly
     assert main(["weylcheck", "--poly", "X^5-1", "--alpha", "1,1,1,1,1"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["klsums", "--poly", "X^2-2", "--prime", "7", "--threads", "2"])
+    assert exc.value.code == 2  # --threads only applies to sums and moments
 
 
 def test_threads_flag_same_output(tmp_path):

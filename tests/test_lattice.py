@@ -21,9 +21,14 @@ def test_hnf_is_canonical_under_generator_changes():
     # swap, negate, and mix generators: same lattice, same HNF
     h2 = hnf_rows([[0, -4, 2], [2, 3, 1], [2, 7, -1]])
     assert h1 == h2
-    for row in h1:
-        pivot = next(x for x in row if x != 0)
-        assert pivot > 0
+    # a later pivot's reduction must survive the earlier pivots' reductions
+    h3 = hnf_rows([[1, 1, 5], [0, 1, 3], [0, 0, 4]])
+    assert h3 == hnf_rows([[1, 0, 2], [0, 1, 3], [0, 0, 4]]) == [[1, 0, 2], [0, 1, 3], [0, 0, 4]]
+    for h in (h1, h3):
+        for i, row in enumerate(h):
+            p = next(k for k, x in enumerate(row) if x != 0)
+            assert row[p] > 0
+            assert all(0 <= above[p] < row[p] for above in h[:i])
 
 
 def test_hnf_drops_zero_rows():

@@ -121,6 +121,19 @@ def test_cyclotomic_rank_identity():
         assert mod.rank == d - phi(d), f"d={d}"
 
 
+def test_lll_reduces_the_x3_minus_1_detection_matrix():
+    # the 96-bit detection rows of X^3-1: (e_i | round(2^96 Re x_i), round(2^96 Im x_i))
+    from ultrashort.relations import _lll_rows
+
+    re, im = 39614081257132168796771975168, 68613601432514898801242805944
+    rows = [
+        [1, 0, 0, -re, -im],
+        [0, 1, 0, -re, im],
+        [0, 0, 1, 2 * re, 0],
+    ]
+    assert _lll_rows(rows)[0] == [1, 1, 1, 0, 0]
+
+
 def test_additive_relations_stable_under_higher_start_precision():
     import ultrashort.relations as R
 
