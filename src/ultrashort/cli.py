@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -95,23 +96,31 @@ def _cache_key(g: IntPoly, kind: str, v, exponents, coeff_cap, degree_bound) -> 
 
 
 def cache_get(directory: str, key: str):
+    """The cached module, or None on a miss; a malformed entry is a miss."""
     path = os.path.join(directory, key + ".json")
     if not os.path.exists(path):
         return None
     try:
         with open(path) as fh:
             return relations.RelationModule.from_json_dict(json.load(fh))
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"warning: ignoring corrupt cache entry {path}: {exc}", file=sys.stderr)
         return None
 
 
 def cache_put(directory: str, key: str, module) -> None:
+    """Write through a temp file in the same directory, then rename it into
+    place, so a reader never sees a half-written entry."""
     os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, key + ".json")
-    with open(path, "w") as fh:
-        json.dump(module.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=key + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(module.to_json_dict(), fh, indent=2)
+            fh.write("\n")
+        os.replace(tmp, os.path.join(directory, key + ".json"))
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------

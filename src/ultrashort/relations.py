@@ -13,7 +13,9 @@ log/arg columns and winding row, runs:
   2. certify each candidate exactly: ball arithmetic gives an enclosure of
      the candidate value, and a nonzero value is an algebraic integer whose
      conjugates are explicitly bounded, so its norm being a nonzero rational
-     integer forces it away from 0 by a computable amount;
+     integer forces it away from 0 by a computable amount; the norm has at
+     most min(degree_bound, orbit(alpha)) factors, because every conjugate
+     is the same expression in a rearrangement of alpha (`_orbit_size`);
   3. saturate the certified sublattice (kernels of maps into torsion-free
      groups are saturated, so saturation never leaves the true module),
      re-certify the basis rows and reduce to row Hermite normal form;
@@ -27,6 +29,7 @@ certificate attached to each module records all of this.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass, field
@@ -39,6 +42,7 @@ from . import lattice
 from .arith import IntPoly, LaurentPoly
 from .balls import Ball, ball_sum, eval_laurent_ball, eval_poly_ball
 from .errors import (
+    OutOfRangeParameter,
     PrecisionExhausted,
     VanishingValue,
     ZeroRoot,
@@ -56,6 +60,27 @@ _STABLE_DOUBLINGS = 2
 def default_degree_bound(d: int) -> int:
     """d! is always a valid upper bound for [K_g : Q]."""
     return math.factorial(d)
+
+
+def _degree_bound(g: IntPoly, degree_bound: int | None) -> int:
+    """The user-asserted bound on [K_g : Q], or d! when it is None.
+
+    A bound below 1 would turn the norm bound into a lower bound >= 1 and
+    certify small nonzero values as 0, so it is rejected.
+    """
+    if degree_bound is None:
+        return default_degree_bound(g.degree)
+    if degree_bound < 1:
+        raise OutOfRangeParameter(f"degree_bound must be >= 1, got {degree_bound}")
+    return int(degree_bound)
+
+
+def _orbit_size(alpha) -> int:
+    """Number of distinct rearrangements of alpha: len! / prod (multiplicity)!."""
+    n = math.factorial(len(alpha))
+    for mult in collections.Counter(int(a) for a in alpha).values():
+        n //= math.factorial(mult)
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -309,17 +334,27 @@ def _sorted_root_balls(g: IntPoly):
 
 
 def _linear_zero_test(alpha, make_balls, house_bound, degree_bound) -> bool:
-    """Certified test of sum(alpha_i * y_i) = 0 for algebraic integers y_i.
+    """Certified test of gamma = sum(alpha_i * y_i) = 0 for algebraic integers y_i.
 
     make_balls(bits) returns enclosing balls that shrink as bits grow;
-    house_bound(balls) bounds |y| over all conjugates of all the y_i.  A
-    nonzero sum is an algebraic integer with at most degree_bound conjugates,
-    each of absolute value <= ||alpha||_1 * M, so a nonzero rational integer
-    norm forces |sum| >= (||alpha||_1 * M)^-(degree_bound - 1).
+    house_bound(balls) bounds |y| over all conjugates of all the y_i.  The
+    y_i are permuted by the Galois group of g's splitting field, except that
+    an entry may be fixed (the constant 1 of `index_ind`): sigma(y_i) =
+    y_{s(i)} for a permutation s fixing such entries.  Then sigma(gamma) =
+    sum_j alpha_{s^-1(j)} y_j, so each conjugate of gamma is gamma's
+    expression in a rearrangement of alpha, and gamma has at most
+    D = min(degree_bound, orbit(alpha)) conjugates.  A nonzero gamma is an
+    algebraic integer whose norm is a nonzero rational integer and a product
+    of at most D conjugates, each of absolute value <= ||alpha||_1 * M, so
+    |gamma| >= (||alpha||_1 * M)^-(D - 1).  For the all-ones vector D = 1:
+    gamma is a rational integer and |gamma| < 1 proves it is 0.  D only sets
+    where refinement may stop; an enclosure excluding 0 decides False as
+    before.
     """
     a1 = sum(abs(int(a)) for a in alpha)
     if a1 == 0:
         return True
+    degree_bound = min(degree_bound, _orbit_size(alpha))
     bits = 192
     while bits <= PRECISION_CAP_BITS:
         with workprec(2 * bits + 64):
@@ -349,8 +384,7 @@ def gamma_is_zero(
     g = roots.poly
     if len(alpha) != g.degree:
         raise ValueError("alpha must have one entry per root")
-    if degree_bound is None:
-        degree_bound = default_degree_bound(g.degree)
+    degree_bound = _degree_bound(g, degree_bound)
     return _linear_zero_test(alpha, _sorted_root_balls(g), _house_of, degree_bound)
 
 
@@ -386,9 +420,13 @@ class RelationModule:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RelationModule":
+        d = int(data["d"])
+        basis = tuple(tuple(int(x) for x in row) for row in data["basis"])
+        if any(len(row) != d for row in basis):
+            raise ValueError("basis row has the wrong length")
         return cls(
-            ambient_rank=int(data["d"]),
-            basis=tuple(tuple(int(x) for x in row) for row in data["basis"]),
+            ambient_rank=d,
+            basis=basis,
             kind=str(data["kind"]),
             certificate={"precision_bits": int(data.get("precision_bits", 0))},
         )
@@ -494,7 +532,7 @@ def _certificate(bits, degree_bound, coeff_cap, capped) -> dict:
         "coeff_cap": coeff_cap,
         "stable_doublings": _STABLE_DOUBLINGS,
         "cap_reached": capped,
-        "lower_bound": "norm bound (||alpha||_1 * M)^-(degree_bound-1)",
+        "lower_bound": "norm bound (||alpha||_1 * M)^-(min(degree_bound, orbit(alpha)) - 1)",
     }
 
 
@@ -509,8 +547,7 @@ def _linear_relations(g, mk, dim, kind, coeff_cap, degree_bound) -> RelationModu
     the Galois action of g's splitting field, so the largest |y_i| bounds
     every conjugate; degree_bound defaults to d! with d = deg g.
     """
-    if degree_bound is None:
-        degree_bound = default_degree_bound(g.degree)
+    degree_bound = _degree_bound(g, degree_bound)
 
     def build(bits):
         with workprec(4 * bits + 128):
@@ -591,6 +628,7 @@ def joint_power_relations(
         raise ValueError("exponents must be distinct")
     if any(m < 0 for m in exponents) and g.coeffs[0] == 0:
         raise ZeroRootWithNegativeExponent("negative exponent but 0 is a root of g")
+    bound = _degree_bound(g, degree_bound)
     d = g.degree
     basis = None
     bits_used = 0
@@ -603,12 +641,11 @@ def joint_power_relations(
             part = [list(r) for r in mod.basis]
             bits_used = max(bits_used, mod.certificate.get("precision_bits", 0))
         basis = part if basis is None else lattice.intersect_rows(basis, part)
-    dbound = degree_bound or default_degree_bound(d)
     return RelationModule(
         d,
         tuple(tuple(r) for r in basis),
         "joint",
-        _certificate(bits_used, dbound, coeff_cap, False),
+        _certificate(bits_used, bound, coeff_cap, False),
     )
 
 
@@ -626,8 +663,7 @@ def multiplicative_relations(
     part of the reported vectors.
     """
     d = g.degree
-    if degree_bound is None:
-        degree_bound = default_degree_bound(d)
+    degree_bound = _degree_bound(g, degree_bound)
     if v.min_exp < 0 and g.coeffs[0] == 0:
         raise ZeroRootWithNegativeExponent(
             "v has negative exponents but 0 is a root of g"
@@ -680,12 +716,17 @@ def _certified_product_is_one(g, v, order, alpha, e_shift, degree_bound) -> bool
     M = max_i max(|u_i|, |u_i|^-1, |t_i|, |t_i|^-1, 1) over all conjugates
     (the Galois action permutes the u's and the t's), so a nonzero rational
     integer norm forces
-        |beta - 1| >= (M^C * (1 + M^C))^-(degree_bound-1) * M^-C.
+        |beta - 1| >= (M^C * (1 + M^C))^-(D-1) * M^-C
+    with D = min(degree_bound, orbit(alpha)): a Galois element sigma moves
+    u_i to u_{s(i)} and t_i to t_{s(i)} by one permutation s, so
+    sigma(P*(beta-1)) is the same expression in the rearrangement
+    alpha_{s^-1(j)}, and P*(beta-1) has at most orbit(alpha) conjugates.
     For polynomial v (e = 0) this is the plain bound with M = M_v.
     """
     a1 = sum(abs(int(a)) for a in alpha)
     if a1 == 0:
         return True
+    degree_bound = min(degree_bound, _orbit_size(alpha))
     cc = a1 * (1 + e_shift)
     _, vt = v.integralized()
     bits = 192
@@ -753,8 +794,7 @@ def dominant_root_holds(g: IntPoly, degree_bound: int | None = None) -> bool:
     d = g.degree
     if d < 2:
         raise ValueError("dominant root criterion needs degree >= 2")
-    if degree_bound is None:
-        degree_bound = default_degree_bound(d)
+    degree_bound = _degree_bound(g, degree_bound)
     bits = 128
     while bits <= PRECISION_CAP_BITS:
         boxes = _boxes_at(g, bits)
@@ -830,8 +870,7 @@ def _negation_partners(g, boxes, degree_bound):
 
 def negation_pairing(g: IntPoly, degree_bound: int | None = None):
     """(pairs, unpaired) of sorted-root indices under x -> -x, certified."""
-    if degree_bound is None:
-        degree_bound = default_degree_bound(g.degree)
+    degree_bound = _degree_bound(g, degree_bound)
     order = _order_map(g)
     bits = 128
     while bits <= PRECISION_CAP_BITS:

@@ -63,6 +63,48 @@ def test_relations_cache_corruption_recovers(tmp_path, capsys):
     assert json.loads(entry.read_text())["basis"] == [[1, 1, 1]]
 
 
+@pytest.mark.parametrize("entry", [[], {"d": 3, "basis": 5, "kind": "additive"},
+                                   {"d": 3, "basis": [[1, 1]], "kind": "additive"}])
+def test_relations_cache_malformed_entry_is_a_miss(tmp_path, capsys, entry):
+    cache = tmp_path / "cache"
+    args = ["relations", "--poly", "X^3+X+3", "--cache-dir", str(cache)]
+    assert main(args) == 0
+    path = next(cache.glob("*.json"))
+    path.write_text(json.dumps(entry))
+    capsys.readouterr()
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert "corrupt cache" in captured.err
+    assert json.loads(captured.out)["basis"] == [[1, 1, 1]]
+    assert json.loads(path.read_text())["basis"] == [[1, 1, 1]]
+
+
+def test_cache_put_leaves_no_temp_file(tmp_path):
+    from ultrashort.cli import cache_put
+
+    class Module:
+        def __init__(self, payload):
+            self.payload = payload
+
+        def to_json_dict(self):
+            return self.payload
+
+    cache = tmp_path / "cache"
+    cache_put(str(cache), "k", Module({"d": 1, "basis": [], "kind": "additive"}))
+    assert [p.name for p in cache.iterdir()] == ["k.json"]
+    # a write that fails half way leaves the old entry and no temp file
+    with pytest.raises(TypeError):
+        cache_put(str(cache), "k", Module({"d": 1, "basis": object()}))
+    assert [p.name for p in cache.iterdir()] == ["k.json"]
+    assert json.loads((cache / "k.json").read_text())["kind"] == "additive"
+
+
+def test_degree_bound_below_one_is_domain_error(capsys):
+    assert main(["relations", "--poly", "X^3+X+3", "--degree-bound", "-2",
+                 "--no-cache"]) == 1
+    assert "OutOfRangeParameter" in capsys.readouterr().err
+
+
 def test_relations_cache_key_depends_on_caps(tmp_path):
     cache = tmp_path / "cache"
     base = ["relations", "--poly", "X^3+X+3", "--cache-dir", str(cache)]

@@ -1,12 +1,15 @@
 """Certified roots, relation lattices, ind(g), dominant-root criterion."""
 
+import itertools
 import math
+import random
 
 import pytest
 from mpmath import mpf
 
 from ultrashort.arith import IntPoly, LaurentPoly, find_split_primes, roots_mod_prime
 from ultrashort.errors import (
+    OutOfRangeParameter,
     PrecisionExhausted,
     VanishingValue,
     ZeroRootWithNegativeExponent,
@@ -84,6 +87,78 @@ def test_gamma_is_zero_examples():
     assert not gamma_is_zero([2, 1, 1], roots)
 
 
+def test_orbit_size_counts_distinct_rearrangements():
+    from ultrashort.relations import _orbit_size
+
+    def brute(alpha):
+        return len(set(itertools.permutations(alpha)))
+
+    vectors = [list(a) for n in range(1, 6) for a in itertools.product((-1, 0, 2), repeat=n)]
+    vectors += [[1] * 6, [1, 1, 1, 1, 1, 0], [3, -3, 3, -3, 0, 0], [1, 2, 3, 4, 5, 6]]
+    for alpha in vectors:
+        assert _orbit_size(alpha) == brute(alpha), alpha
+    # index_ind's vectors: roots plus a fixed 1.  Galois moves only the first
+    # d entries, a subset of the rearrangements of the whole vector.
+    for alpha in vectors:
+        for c in (-1, 0, 1):
+            full = alpha + [c]
+            fixed_last = {p + (c,) for p in itertools.permutations(alpha)}
+            assert _orbit_size(full) == brute(full)
+            assert len(fixed_last) <= _orbit_size(full)
+
+
+def test_all_ones_zero_test_decides_at_the_first_level(monkeypatch):
+    # gamma = x_1 + ... + x_7 is a rational integer (orbit 1), so the first
+    # 192-bit enclosure of |gamma| < 1 already certifies it, whatever the
+    # degree bound (d! = 5040 here)
+    import ultrashort.relations as R
+
+    g = IntPoly.parse("X^7-1")
+    roots = certified_complex_roots(g, 128)
+    levels = []
+    real = R._sorted_root_balls
+
+    def spy(poly):
+        mk = real(poly)
+
+        def make_balls(bits):
+            levels.append(bits)
+            return mk(bits)
+
+        return make_balls
+
+    monkeypatch.setattr(R, "_sorted_root_balls", spy)
+    assert gamma_is_zero([1] * 7, roots)
+    assert levels == [192]
+
+
+def test_seeded_non_relations_test_false():
+    rng = random.Random(7)
+    for text in ["X^7-1", "X^7-X-1"]:
+        roots = certified_complex_roots(IntPoly.parse(text), 128)
+        assert gamma_is_zero([1] * 7, roots)
+        # small orbits (one entry off) and random vectors, never constant
+        samples = [[1] * 6 + [0], [0] * 6 + [1], [2] * 3 + [1] * 4]
+        while len(samples) < 12:
+            alpha = [rng.randint(-3, 3) for _ in range(7)]
+            if len(set(alpha)) > 1:
+                samples.append(alpha)
+        for alpha in samples:
+            assert not gamma_is_zero(alpha, roots), (text, alpha)
+
+
+def test_degree_bound_below_one_is_rejected():
+    g = IntPoly.parse("X^3+X+3")
+    roots = certified_complex_roots(g, 128)
+    for bound in (0, -2):
+        with pytest.raises(OutOfRangeParameter):
+            additive_relations(g, degree_bound=bound)
+        with pytest.raises(OutOfRangeParameter):
+            gamma_is_zero([1, 1, 1], roots, degree_bound=bound)
+        with pytest.raises(OutOfRangeParameter):
+            joint_power_relations(g, (0,), degree_bound=bound)
+
+
 # ---------------------------------------------------------------------------
 # additive relations
 
@@ -119,6 +194,15 @@ def test_cyclotomic_rank_identity():
     for d in range(2, 13):
         mod = additive_relations(IntPoly.parse(f"X^{d}-1"), degree_bound=phi(d))
         assert mod.rank == d - phi(d), f"d={d}"
+
+
+def test_orbit_bound_matches_the_true_field_degree():
+    # the only certified vectors of X^7-1 are multiples of the all-ones row,
+    # whose orbit is 1, so the default d! and the field degree 6 agree
+    g = IntPoly.parse("X^7-1")
+    default, exact = additive_relations(g), additive_relations(g, degree_bound=6)
+    assert default.basis == exact.basis
+    assert default.certificate["precision_bits"] == exact.certificate["precision_bits"]
 
 
 def test_lll_reduces_the_x3_minus_1_detection_matrix():
