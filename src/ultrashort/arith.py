@@ -15,14 +15,13 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import NonPrimeModulus, OutOfRangeParameter, RamifiedPrime
 
 MODULUS_LIMIT = 1 << 63  # deterministic Miller-Rabin witness set is valid below this
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-BRUTE_FORCE_ROOT_LIMIT = 10_000  # below this, enumerate F_q instead of Cantor-Zassenhaus
 
 
 def is_prime(n: int) -> bool:
@@ -136,8 +135,10 @@ class IntPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
+    @cached_property
     def discriminant(self) -> int:
+        """Computed once per polynomial; it is not a field, so eq and hash
+        still compare only the coefficients."""
         d = self.degree
         if d == 1:
             return 1
@@ -471,18 +472,16 @@ def _derived_seed(g: IntPoly, q: int) -> int:
 def roots_mod_prime(g: IntPoly, q: int) -> RootList:
     """All roots of g modulo a prime q not dividing disc(g), sorted.
 
-    Cantor-Zassenhaus equal-degree splitting above BRUTE_FORCE_ROOT_LIMIT,
-    brute force below; the internal PRNG is reseeded from (g, q) so the
-    output is reproducible.
+    One path for every prime: gcd(X^q - X, g) is the product of the linear
+    factors, which Cantor-Zassenhaus equal-degree splitting separates (q = 2
+    checks its two residues instead).  The internal PRNG is reseeded from
+    (g, q), so the output is reproducible.
     """
     if not is_prime(q):
         raise NonPrimeModulus(f"{q} is not prime")
     if g.discriminant % q == 0:
         raise RamifiedPrime(f"{q} divides disc(g) = {g.discriminant}")
     mod = PrimePowerModulus(q, 1)
-    if q < BRUTE_FORCE_ROOT_LIMIT:
-        roots = [x for x in range(q) if g.eval_mod(x, q) == 0]
-        return RootList(mod, tuple(roots))
     gq = _poly_trim([c % q for c in g.coeffs])
     # product of the distinct linear factors: gcd(X^q - X, g)
     xq = _poly_powmod([0, 1], q, gq, q)

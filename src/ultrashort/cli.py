@@ -159,11 +159,17 @@ def _module(args, g: IntPoly, kind: str = "additive"):
         raise UsageError("--v is required for kind=value")
     if kind == "joint" and exponents is None:
         raise UsageError("--exponents is required for kind=joint")
-    key = _cache_key(g, kind, v, exponents, args.coeff_cap, args.degree_bound)
+    # every zero test uses min(bound, orbit(alpha)) and orbit(alpha) <= d!
+    # for the length-d vectors of all four kinds, so any bound >= d! acts as d!
+    bound = min(
+        relations._degree_bound(g, args.degree_bound or None),
+        relations.default_degree_bound(g.degree),
+    )
+    key = _cache_key(g, kind, v, exponents, args.coeff_cap, bound)
     directory = _cache_dir(args)
     module = None if args.no_cache else cache_get(directory, key)
     if module is None:
-        cap, bound = args.coeff_cap, args.degree_bound or None
+        cap = args.coeff_cap
         if kind == "additive":
             module = relations.additive_relations(g, cap, bound)
         elif kind == "value":

@@ -14,7 +14,15 @@ import numpy as np
 
 from .arith import IntPoly
 from .relations import RelationModule, additive_relations
-from .sums import ConditionSet, SumGrid, restricted_sum_values, uniformity_metric, weyl_sum
+from .sums import (
+    ConditionSet,
+    SumGrid,
+    _split_roots,
+    _weyl_phase,
+    restricted_sum_values,
+    uniformity_metric,
+    weyl_sum,
+)
 
 
 def empirical_mixed_moment(grid: SumGrid, m: int, n: int) -> float:
@@ -30,12 +38,28 @@ def empirical_mixed_moment(grid: SumGrid, m: int, n: int) -> float:
 
 
 def moment_table(grid: SumGrid, max_order: int) -> dict:
-    """All empirical mixed moments with m + n <= max_order."""
-    table = {}
-    for m in range(max_order + 1):
-        for n in range(max_order + 1 - m):
-            table[(m, n)] = empirical_mixed_moment(grid, m, n)
-    return table
+    """All empirical mixed moments with m + n <= max_order.
+
+    Each entry equals empirical_mixed_moment bit for bit.  Every power
+    vals**m is computed once, and only pairs with n <= m are multiplied: conj
+    commutes exactly with complex multiplication, so S^n * conj(S)^m is the
+    conjugate of S^m * conj(S)^n and their means have the same real part.
+    """
+    vals = grid.values
+    powers = [vals**m for m in range(max_order + 1)]
+    conj = np.conj(vals)
+    product = np.empty_like(vals)
+    lower = {}
+    for n in range(max_order // 2 + 1):
+        conj_power = conj**n
+        for m in range(n, max_order + 1 - n):
+            np.multiply(powers[m], conj_power, out=product)
+            lower[m, n] = float(product.mean().real)
+    return {
+        (m, n): lower[max(m, n), min(m, n)]
+        for m in range(max_order + 1)
+        for n in range(max_order + 1 - m)
+    }
 
 
 def stationarity_report(
@@ -46,21 +70,20 @@ def stationarity_report(
 ) -> dict:
     """Exact full-grid Weyl values vs lattice membership, per (q, alpha).
 
+    The full-grid Weyl value is 1 if sum alpha_i r_i = 0 mod q and 0
+    otherwise, decided exactly from the split roots, found once per prime.
     Entries disagree only when q divides the norm of a conjugate sum, which
     happens for finitely many q; the report lists any such prime explicitly.
     """
     if module is None:
         module = additive_relations(g)
-    from .sums import make_condition_set
-
+    alphas = [[int(a) for a in alpha] for alpha in test_alphas]
     entries = []
     disagreements = []
     for q in primes:
-        full = make_condition_set(q, 1, "full")
-        for alpha in test_alphas:
-            alpha = [int(a) for a in alpha]
-            value = weyl_sum(g, q, 1, alpha, full)
-            w = int(value.real)
+        roots = _split_roots(g, q)
+        for alpha in alphas:
+            w = int(_weyl_phase(roots, alpha, q) == 0)
             in_rg = module.contains(alpha)
             if (w == 1) != in_rg:
                 disagreements.append({"q": q, "alpha": alpha})

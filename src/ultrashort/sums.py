@@ -12,6 +12,7 @@ character orthogonality reduces them to an exact congruence.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -36,7 +37,7 @@ from .errors import (
 )
 
 PARAM_SPACE_CAP = 1 << 26
-_CHUNK = 2048
+_CHUNK = 16384
 
 
 @dataclass
@@ -95,17 +96,25 @@ def _exp_of_residues(ks: np.ndarray, modulus: int) -> np.ndarray:
 
 
 def _parallel_fill(total: int, compute_chunk, threads: int) -> np.ndarray:
-    """Fill a complex array chunk by chunk; results independent of threads."""
+    """Fill a complex array chunk by chunk; results independent of threads.
+
+    Each chunk is written into the output in place, so no second copy of
+    the array is held.  The pool has min(threads, chunks, cores) workers.
+    """
     out = np.empty(total, dtype=np.complex128)
+
+    def fill(s, e):
+        out[s:e] = compute_chunk(s, e)
+
     spans = [(s, min(s + _CHUNK, total)) for s in range(0, total, _CHUNK)]
-    if threads <= 1 or len(spans) <= 1:
+    workers = min(threads, len(spans), os.cpu_count() or 1)
+    if workers <= 1:
         for s, e in spans:
-            out[s:e] = compute_chunk(s, e)
+            fill(s, e)
         return out
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {pool.submit(compute_chunk, s, e): (s, e) for s, e in spans}
-        for fut, (s, e) in futures.items():
-            out[s:e] = fut.result()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for fut in [pool.submit(fill, s, e) for s, e in spans]:
+            fut.result()
     return out
 
 
@@ -116,7 +125,12 @@ def additive_sum_grid(
     v: LaurentPoly | None = None,
     threads: int = 1,
 ) -> SumGrid:
-    """values[a] = sum over roots r mod q^n of e(a*v(r)/q^n), for all a."""
+    """values[a] = sum over roots r mod q^n of e(a*v(r)/q^n), for all a.
+
+    threads (>= 1) fills the grid in parallel; the values do not depend on it.
+    """
+    if threads < 1:
+        raise OutOfRangeParameter(f"threads must be >= 1, got {threads}")
     if v is None:
         v = LaurentPoly.x()
     mod = PrimePowerModulus(q, n)
@@ -429,37 +443,48 @@ def _monic_coeffs(text: str) -> list[int]:
     return coeffs
 
 
+def _check_set_modulus(A: ConditionSet, mod: PrimePowerModulus) -> None:
+    if A.modulus != mod:
+        raise OutOfRangeParameter(
+            f"condition set is mod {A.modulus.modulus}, the sum is mod {mod.modulus}"
+        )
+
+
+def _weyl_phase(roots, alpha, qn: int) -> int:
+    """c = sum alpha_i r_i mod q^n, exactly; the full-set Weyl sum is [c == 0]."""
+    if len(alpha) != len(roots):
+        raise OutOfRangeParameter("alpha must have one entry per root")
+    return sum(int(a) * r for a, r in zip(alpha, roots)) % qn
+
+
 def weyl_sum(g: IntPoly, q: int, n: int, alpha, A: ConditionSet) -> complex:
     """(1/|A|) sum_{a in A} e(a*c/q^n) with c = sum alpha_i r_i mod q^n.
 
     Over the full set this is decided exactly in integer arithmetic
-    (character orthogonality): 1 if c = 0 mod q^n, else 0.
+    (character orthogonality): 1 if c = 0 mod q^n, else 0.  A must be a
+    subset of Z/q^nZ for this q and n.
     """
+    mod = PrimePowerModulus(q, n)
+    _check_set_modulus(A, mod)
     roots = _split_roots(g, q, n)
-    if len(alpha) != len(roots):
-        raise OutOfRangeParameter("alpha must have one entry per root")
-    qn = PrimePowerModulus(q, n).modulus
-    c = sum(int(a) * r for a, r in zip(alpha, roots)) % qn
+    c = _weyl_phase(roots, alpha, mod.modulus)
     if A.descriptor == "full":
         return complex(1.0 if c == 0 else 0.0)
-    members = A.members
-    if qn < (1 << 31):
-        ks = (members * c) % qn
-    else:
-        ks = np.array([(int(a) * c) % qn for a in members], dtype=object).astype(
-            np.float64
-        )
-        return complex(np.exp((2j * np.pi / qn) * ks).mean())
-    return complex(_exp_of_residues(ks, qn).mean())
+    # members and c are below q^n <= 2^26, so the product fits in int64
+    ks = (A.members * c) % mod.modulus
+    return complex(_exp_of_residues(ks, mod.modulus).mean())
 
 
 def restricted_sum_values(
     g: IntPoly, q: int, n: int, A: ConditionSet, v: LaurentPoly | None = None
 ) -> np.ndarray:
-    """S(a) = sum_r e(a*v(r)/q^n) for a running over the condition set."""
+    """S(a) = sum_r e(a*v(r)/q^n) for a running over the condition set,
+    which must be a subset of Z/q^nZ for this q and n."""
     if v is None:
         v = LaurentPoly.x()
-    qn = PrimePowerModulus(q, n).modulus
+    mod = PrimePowerModulus(q, n)
+    _check_set_modulus(A, mod)
+    qn = mod.modulus
     roots = _split_roots(g, q, n)
     if v.min_exp < 0 and any(r % q == 0 for r in roots):
         raise NonInvertibleRoot("a root is divisible by q but v has negative exponents")

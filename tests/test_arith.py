@@ -1,7 +1,5 @@
 """Exact arithmetic: discriminants, split primes, root finding, lifting."""
 
-import doctest
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,11 +17,6 @@ from ultrashort.arith import (
     roots_mod_prime,
 )
 from ultrashort.errors import NonPrimeModulus, OutOfRangeParameter, RamifiedPrime
-
-
-def test_doctests():
-    failures, _ = doctest.testmod(arith)
-    assert failures == 0
 
 
 @pytest.mark.parametrize(
@@ -116,12 +109,36 @@ def test_random_cubics_match_brute_force():
         checked += 1
 
 
-def test_cantor_zassenhaus_path_matches_brute_force(monkeypatch):
-    # force the equal-degree-splitting path even at small primes
-    monkeypatch.setattr(arith, "BRUTE_FORCE_ROOT_LIMIT", 0)
+def test_cantor_zassenhaus_path_matches_brute_force():
+    # small primes take the equal-degree-splitting path too
     for text, q in [("X^3-1", 7), ("X^5-1", 11), ("X^3+X+3", 101), ("X^2-2", 7)]:
         g = IntPoly.parse(text)
         assert roots_mod_prime(g, q).roots == _brute_roots(g, q)
+
+
+@pytest.mark.parametrize("text", ["X^3-1", "X^5-1", "X^3+X+3", "X^2-2", "X^2+1"])
+def test_roots_match_brute_force_at_every_small_prime(text):
+    g = IntPoly.parse(text)
+    for q in (p for p in range(2, 300) if is_prime(p)):
+        if g.discriminant % q == 0:
+            with pytest.raises(RamifiedPrime):
+                roots_mod_prime(g, q)
+        else:
+            assert roots_mod_prime(g, q).roots == _brute_roots(g, q), q
+
+
+def test_split_prime_search_reuses_the_discriminant(monkeypatch):
+    g = IntPoly.parse("X^3+X+3")
+    calls = []
+    real = arith.resultant
+
+    def spy(f, h):
+        calls.append((f, h))
+        return real(f, h)
+
+    monkeypatch.setattr(arith, "resultant", spy)
+    assert find_split_primes(g, 10_000, 12_000)
+    assert calls == []
 
 
 def test_cantor_zassenhaus_large_prime():

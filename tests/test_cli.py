@@ -105,6 +105,17 @@ def test_degree_bound_below_one_is_domain_error(capsys):
     assert "OutOfRangeParameter" in capsys.readouterr().err
 
 
+def test_equivalent_degree_bounds_share_one_cache_entry(tmp_path, capsys):
+    # 0 is unset (d! = 6); 7 is above d!, so it acts as 6 in every zero test
+    cache = tmp_path / "cache"
+    base = ["relations", "--poly", "X^3+X+3", "--cache-dir", str(cache)]
+    for bound in ("0", "6", "7"):
+        assert main(base + ["--degree-bound", bound]) == 0
+    assert len(list(cache.glob("*.json"))) == 1
+    assert main(base + ["--degree-bound", "-2"]) == 1
+    assert "OutOfRangeParameter" in capsys.readouterr().err
+
+
 def test_relations_cache_key_depends_on_caps(tmp_path):
     cache = tmp_path / "cache"
     base = ["relations", "--poly", "X^3+X+3", "--cache-dir", str(cache)]
@@ -124,8 +135,8 @@ def test_module_commands_share_the_cache(tmp_path):
     assert main(["relations", "--poly", "X^3+X+3", "--degree-bound", "6",
                  "--cache-dir", str(cache), "--out", str(tmp_path / "r.json")]) == 0
     assert list(cache.glob("*.json")) == entries
-    # a different degree bound is a different module
-    assert main(weyl + ["--degree-bound", "12"]) == 0
+    # a different effective degree bound (below d! = 6) is a different module
+    assert main(weyl + ["--degree-bound", "3"]) == 0
     assert len(list(cache.glob("*.json"))) == 2
 
 
@@ -283,6 +294,11 @@ def test_usage_error_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["klsums", "--poly", "X^2-2", "--prime", "7", "--threads", "2"])
     assert exc.value.code == 2  # --threads only applies to sums and moments
+
+
+def test_sums_zero_threads_is_domain_error(capsys):
+    assert main(["sums", "--poly", "X^3+X+3", "--prime", "30223", "--threads", "0"]) == 1
+    assert "OutOfRangeParameter" in capsys.readouterr().err
 
 
 def test_threads_flag_same_output(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 import scipy.stats
 
 from ultrashort.arith import IntPoly, find_split_primes
+from ultrashort.errors import OutOfRangeParameter
 from ultrashort.limitlaw import exact_mixed_moment, philox_generator
 from ultrashort.relations import additive_relations
 from ultrashort.stats import (
@@ -18,7 +19,7 @@ from ultrashort.stats import (
     moment_table,
     stationarity_report,
 )
-from ultrashort.sums import additive_sum_grid, make_condition_set
+from ultrashort.sums import additive_sum_grid, make_condition_set, weyl_sum
 
 
 def test_empirical_moment_is_integer_times_q_on_full_grids():
@@ -39,6 +40,36 @@ def test_empirical_moments_match_exact_oracle():
     table = moment_table(grid, 4)
     for (m, n), emp in table.items():
         assert abs(emp - exact_mixed_moment(module, m, n)) < 1e-3, (m, n)
+
+
+@pytest.mark.parametrize("max_order", range(7))
+def test_moment_table_equals_each_empirical_moment(max_order):
+    g = IntPoly.parse("X^3+X+3")
+    grid = additive_sum_grid(g, find_split_primes(g, 5000, 9000)[0])
+    assert grid.complete
+    table = moment_table(grid, max_order)
+    keys = [(m, n) for m in range(max_order + 1) for n in range(max_order + 1 - m)]
+    assert list(table) == keys
+    for (m, n), value in table.items():
+        assert value == empirical_mixed_moment(grid, m, n), (m, n)
+
+
+def test_stationarity_entries_equal_full_set_weyl_sums():
+    g = IntPoly.parse("X^5-1")
+    alphas = [[1, 1, 1, 1, 1], [1, 0, 0, 0, 0], [2, -1, 0, 3, 1], [0, 0, 0, 0, 0]]
+    primes = [11, 31, 41, 61]
+    rep = stationarity_report(g, primes, alphas)
+    assert len(rep["entries"]) == len(primes) * len(alphas)
+    for entry in rep["entries"]:
+        q = entry["q"]
+        want = weyl_sum(g, q, 1, entry["alpha"], make_condition_set(q, 1, "full"))
+        assert entry["weyl"] == int(want.real) and want.imag == 0
+
+
+def test_stationarity_report_rejects_wrong_length_alpha():
+    g = IntPoly.parse("X^5-1")
+    with pytest.raises(OutOfRangeParameter):
+        stationarity_report(g, [11], [[1, 1, 1]], additive_relations(g))
 
 
 def test_stationarity_report_fixture():

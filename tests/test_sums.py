@@ -3,10 +3,12 @@
 import cmath
 import itertools
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+import ultrashort.sums as sums
 from ultrashort.arith import IntPoly, find_split_primes
 from ultrashort.errors import (
     InvalidDescriptor,
@@ -22,6 +24,7 @@ from ultrashort.sums import (
     make_condition_set,
     mult_char_sum_grid,
     multi_param_sum_samples,
+    restricted_sum_values,
     trace_sum_grid,
     uniformity_metric,
     weyl_sum,
@@ -67,6 +70,59 @@ def test_additive_grid_threads_deterministic():
     a = additive_sum_grid(g, 30223, threads=1)
     b = additive_sum_grid(g, 30223, threads=4)
     assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("lo", [1000, 40_000])
+def test_additive_grid_one_and_two_threads_bitwise_equal(lo):
+    # one grid smaller than a chunk, one of several chunks plus a remainder
+    g = IntPoly.parse("X^3+X+3")
+    q = find_split_primes(g, lo, lo + 2000)[0]
+    assert q % sums._CHUNK != 0
+    a = additive_sum_grid(g, q, threads=1)
+    b = additive_sum_grid(g, q, threads=2)
+    assert a.values.tobytes() == b.values.tobytes()
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_additive_grid_rejects_fewer_than_one_thread(threads):
+    with pytest.raises(OutOfRangeParameter):
+        additive_sum_grid(IntPoly.parse("X^3+X+3"), 30223, threads=threads)
+
+
+class _InlinePool:
+    """Stands in for ThreadPoolExecutor: records max_workers and runs each
+    task in the calling thread, so no thread is started."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+@pytest.mark.parametrize(
+    "threads,cores,want",
+    [(10**6, 64, 4), (10**6, 3, 3), (2, 64, 2), (10**6, 1, None)],
+)
+def test_thread_pool_is_capped_by_chunks_and_cores(monkeypatch, threads, cores, want):
+    g = IntPoly.parse("X^3+X+3")
+    q = find_split_primes(g, 3 * sums._CHUNK + 1, 4 * sums._CHUNK)[0]  # four chunks
+    sizes = []
+    monkeypatch.setattr(
+        sums, "ThreadPoolExecutor", lambda max_workers: _InlinePool(sizes, max_workers)
+    )
+    monkeypatch.setattr(sums.os, "cpu_count", lambda: cores)
+    grid = additive_sum_grid(g, q, threads=threads)
+    assert sizes == ([] if want is None else [want])
+    assert np.array_equal(grid.values, additive_sum_grid(g, q).values)
 
 
 def test_additive_grid_not_split():
@@ -302,6 +358,22 @@ def test_weyl_sum_full_is_exact():
     full = make_condition_set(11, 1, "full")
     assert weyl_sum(g, 11, 1, [1, 1, 1, 1, 1], full) == 1
     assert weyl_sum(g, 11, 1, [1, 0, 0, 0, 0], full) == 0
+
+
+def test_weyl_sum_rejects_a_set_for_another_modulus():
+    g = IntPoly.parse("X^2+1")
+    with pytest.raises(OutOfRangeParameter):
+        weyl_sum(g, 13, 1, [1, 0], make_condition_set(5, 1, "full"))
+    with pytest.raises(OutOfRangeParameter):
+        weyl_sum(g, 13, 2, [1, 0], make_condition_set(13, 1, "interval:0.5"))
+
+
+def test_restricted_sum_values_rejects_a_set_for_another_modulus():
+    g = IntPoly.parse("X^2+1")
+    with pytest.raises(OutOfRangeParameter):
+        restricted_sum_values(g, 13, 1, make_condition_set(5, 1, "full"))
+    with pytest.raises(OutOfRangeParameter):
+        restricted_sum_values(g, 13, 2, make_condition_set(13, 1, "image:X^2"))
 
 
 def test_weyl_sum_interval_riemann_value():
