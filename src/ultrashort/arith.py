@@ -13,6 +13,7 @@ integer residues.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -540,6 +541,68 @@ def find_split_primes(g: IntPoly, lo: int, hi: int) -> list[int]:
     return [q for q in primes_in_range(lo, hi) if is_split(g, q)]
 
 
+_TRIAL_DIVISION_CAP = 1000
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of the odd composite n, by Brent's variant of Pollard
+    rho (Cohen, GTM 138, Alg. 8.5.2): x -> x^2 + c from x = 2, gcds taken in
+    batches of products, c = 1, 2, ... until one gives a proper factor."""
+    batch = 128
+    c = 0
+    while True:
+        c += 1
+        y, r, prod, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(batch, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * abs(x - y) % n
+                g = math.gcd(prod, n)
+                k += batch
+            r *= 2
+        if g == n:
+            # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _prime_factors(n: int) -> list[int]:
+    """Prime factors of 1 <= n < 2^63 with multiplicity, ascending.
+
+    Trial division below a small cap, then Pollard-Brent rho on what is
+    left, with is_prime deciding when a part is finished.
+
+    >>> _prime_factors(2**61 - 2)
+    [2, 3, 3, 5, 5, 7, 11, 13, 31, 41, 61, 151, 331, 1321]
+    """
+    out = []
+    for p in range(2, _TRIAL_DIVISION_CAP):
+        if p * p > n:
+            break
+        while n % p == 0:
+            out.append(p)
+            n //= p
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if is_prime(m):
+            out.append(m)
+        else:
+            f = _pollard_brent(m)
+            parts += [f, m // f]
+    return sorted(out)
+
+
 def multiplicative_generator(q: int) -> int:
     """Smallest positive primitive root mod q.
 
@@ -550,9 +613,7 @@ def multiplicative_generator(q: int) -> int:
         raise NonPrimeModulus(f"{q} is not prime")
     if q == 2:
         return 1
-    from sympy import factorint
-
-    prime_factors = list(factorint(q - 1))
+    prime_factors = set(_prime_factors(q - 1))
     for candidate in range(2, q):
         if all(pow(candidate, (q - 1) // p, q) != 1 for p in prime_factors):
             return candidate

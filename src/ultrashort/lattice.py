@@ -2,18 +2,16 @@
 intersections and saturation.
 
 Row convention throughout: a lattice is the set of integer combinations of
-the rows of its basis matrix. The Smith decomposition satisfies U*A*V = S
-with U, V unimodular; it is delegated to sympy and re-canonicalized so the
-diagonal is nonnegative with a divisibility chain.
+the rows of its basis matrix. Kernels and saturations are read off row
+Hermite normal forms, so their bases are canonical. The Smith decomposition
+U*A*V = S (U, V unimodular, nonnegative diagonal with a divisibility chain)
+is a small elimination (Cohen, GTM 138, Alg. 2.4.14) that only the torus
+sampler needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from sympy import ZZ, Matrix
-from sympy.polys.matrices import DomainMatrix
-from sympy.polys.matrices.normalforms import smith_normal_decomp
 
 
 def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
@@ -96,44 +94,116 @@ class SnfDecomposition:
         return tuple(out)
 
 
-def _to_int_rows(m) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(x) for x in row) for row in m.to_list())
+def _gcdext(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x*a + y*b = g = gcd(a, b) > 0, for nonzero a and b.
+
+    Euclid on |a| and |b| with the signs put back on x and y afterwards;
+    this fixes which unimodular steps the Smith elimination takes.
+    """
+    sa, sb = (-1 if a < 0 else 1), (-1 if b < 0 else 1)
+    a, b = abs(a), abs(b)
+    x, r, y, s = 1, 0, 0, 1
+    while b:
+        q, c = divmod(a, b)
+        a, b = b, c
+        x, r = r, x - q * r
+        y, s = s, y - q * s
+    return a, x * sa, y * sb
+
+
+def _identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def smith_normal_form(rows: list[list[int]]) -> SnfDecomposition:
-    """Exact Smith decomposition of an integer matrix (any shape)."""
+    """Exact Smith decomposition of an integer matrix (any shape).
+
+    At each diagonal position k a nonzero pivot is swapped to (k, k) (from
+    column k, else row k, else anywhere in the remaining block); column k
+    is then cleared by row operations and row k by column operations, in
+    turn, until both are zero, and the pivot is made positive. Gcd steps on
+    the diagonal finally restore the divisibility chain.
+    """
     if not rows or not rows[0]:
         raise ValueError("matrix must be nonempty")
-    m = DomainMatrix(
-        [[ZZ(int(x)) for x in row] for row in rows], (len(rows), len(rows[0])), ZZ
+    a = [[int(x) for x in row] for row in rows]
+    m, n = len(a), len(a[0])
+    u, v = _identity(m), _identity(n)
+
+    def row_op(i, j, x, y, z, w, mats=(a, u)):
+        # (row i, row j) <- (x*row i + y*row j, z*row i + w*row j)
+        for mat in mats:
+            ri, rj = mat[i], mat[j]
+            mat[i] = [x * p + y * q for p, q in zip(ri, rj)]
+            mat[j] = [z * p + w * q for p, q in zip(ri, rj)]
+
+    def col_op(i, j, x, y, z, w, mats=(a, v)):
+        # (col i, col j) <- (x*col i + y*col j, z*col i + w*col j)
+        for mat in mats:
+            for row in mat:
+                p, q = row[i], row[j]
+                row[i], row[j] = x * p + y * q, z * p + w * q
+
+    def eliminate(k, op, entry, count):
+        # zero entry(j) for j > k with op on (k, j); the pivot is entry(k)
+        for j in range(k + 1, count):
+            e, p = entry(j), entry(k)
+            if e == 0:
+                continue
+            if e % p == 0:
+                op(k, j, 1, 0, -(e // p), 1)
+            else:
+                g, x, y = _gcdext(p, e)
+                op(k, j, x, y, e // g, -(p // g))
+
+    diag = []
+    for k in range(min(m, n)):
+        block = [(i, j) for i in range(k, m) for j in range(k, n) if a[i][j]]
+        if not block:
+            break
+        # a pivot from column k, else from row k, else the first one left
+        i, j = min(block, key=lambda ij: (ij[1] != k, ij[0] != k, ij))
+        a[k], a[i], u[k], u[i] = a[i], a[k], u[i], u[k]
+        col_op(k, j, 0, 1, 1, 0)
+        while any(a[k][j] for j in range(k + 1, n)) or any(a[i][k] for i in range(k + 1, m)):
+            eliminate(k, row_op, lambda i: a[i][k], m)
+            eliminate(k, col_op, lambda j: a[k][j], n)
+        if a[k][k] < 0:
+            a[k], u[k] = [-x for x in a[k]], [-x for x in u[k]]
+        diag.append(a[k][k])
+    # divisibility chain: (s_i, s_j) -> (gcd, lcm) until s_i divides every s_j
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            s_i, s_j = diag[i], diag[j]
+            if s_j % s_i == 0:
+                continue
+            g, x, y = _gcdext(s_i, s_j)
+            row_op(i, j, 1, 0, x, 1, mats=(u,))
+            col_op(i, j, 1, y, 0, 1, mats=(v,))
+            row_op(i, j, 1, -(s_i // g), 0, 1, mats=(u,))
+            col_op(i, j, 1, 0, -(s_j // g), 1, mats=(v,))
+            row_op(i, j, 0, 1, -1, 0, mats=(u,))
+            diag[i], diag[j] = g, s_j * (s_i // g)
+    s = [[0] * n for _ in range(m)]
+    for k, x in enumerate(diag):
+        s[k][k] = x
+    return SnfDecomposition(
+        tuple(map(tuple, u)), tuple(map(tuple, s)), tuple(map(tuple, v))
     )
-    s, u, v = smith_normal_decomp(m)
-    S = [list(map(int, row)) for row in s.to_list()]
-    U = [list(map(int, row)) for row in u.to_list()]
-    # normalize: nonnegative diagonal (flip the matching U row)
-    for i in range(min(len(S), len(S[0]))):
-        if S[i][i] < 0:
-            S[i][i] = -S[i][i]
-            U[i] = [-x for x in U[i]]
-    snf = SnfDecomposition(
-        tuple(tuple(r) for r in U),
-        tuple(tuple(r) for r in S),
-        _to_int_rows(v),
-    )
-    factors = snf.invariant_factors
-    for a, b in zip(factors, factors[1:]):
-        assert b % a == 0, "sympy SNF lost the divisibility chain"
-    return snf
 
 
 def kernel_rows(rows: list[list[int]]) -> list[list[int]]:
-    """Basis (row HNF) of {u in Z^m : u * A = 0} for the m x d matrix A."""
+    """Basis (row HNF) of {u in Z^m : u * A = 0} for the m x d matrix A.
+
+    The row HNF of [A | I] is an echelon basis of {(uA, u)}, so its rows
+    with zero A-part carry an HNF basis of the kernel in their I-part
+    (Cohen, GTM 138, Sec. 2.4.3).
+    """
     if not rows:
         return []
-    snf = smith_normal_form(rows)
-    r = snf.rank
-    ker = [list(row) for row in snf.U[r:]]
-    return hnf_rows(ker)
+    d, m = len(rows[0]), len(rows)
+    aug = [[int(x) for x in row] + e for row, e in zip(rows, _identity(m))]
+    return [row[d:] for row in hnf_rows(aug) if not any(row[:d])]
 
 
 def intersect_rows(b1: list[list[int]], b2: list[list[int]]) -> list[list[int]]:
@@ -154,12 +224,16 @@ def intersect_rows(b1: list[list[int]], b2: list[list[int]]) -> list[list[int]]:
 
 
 def saturate_rows(rows: list[list[int]]) -> list[list[int]]:
-    """Row-HNF basis of the saturation (Q-span intersected with Z^d)."""
+    """Row-HNF basis of the saturation (Q-span intersected with Z^d).
+
+    sat(L) = {y : y * K = 0}, where the columns of K span the right kernel
+    of L; with no right kernel (L of rank d) it is all of Z^d.
+    """
     rows = hnf_rows(rows)
     if not rows:
         return []
-    snf = smith_normal_form(rows)
-    r = snf.rank
-    v_inv = Matrix([list(row) for row in snf.V]).inv()
-    sat = [[int(v_inv[i, j]) for j in range(v_inv.cols)] for i in range(r)]
-    return hnf_rows(sat)
+    d = len(rows[0])
+    right = kernel_rows([list(col) for col in zip(*rows)])
+    if not right:
+        return _identity(d)
+    return kernel_rows([list(col) for col in zip(*right)])

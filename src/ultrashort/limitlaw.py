@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidPairing, OutOfRangeParameter, TooLarge
-from .lattice import SnfDecomposition
 from .lattice import smith_normal_form as _snf
 from .relations import RelationModule
 
@@ -82,7 +81,6 @@ class TorusSubgroup:
 
     d: int
     relations: RelationModule
-    snf: SnfDecomposition | None
     v_matrix: np.ndarray
     invariant_factors: tuple[int, ...]
 
@@ -110,10 +108,10 @@ def torus_subgroup(module: RelationModule) -> TorusSubgroup:
     """The support H = R^perp of the limit law, with its Haar sampler."""
     d = module.ambient_rank
     if module.rank == 0:
-        return TorusSubgroup(d, module, None, np.eye(d), ())
+        return TorusSubgroup(d, module, np.eye(d), ())
     snf = _snf([list(r) for r in module.basis])
     v = np.array(snf.V, dtype=np.float64)
-    return TorusSubgroup(d, module, snf, v, snf.invariant_factors)
+    return TorusSubgroup(d, module, v, snf.invariant_factors)
 
 
 def sigma_samples(h: TorusSubgroup, count: int, seed: int) -> SampleBatch:

@@ -44,20 +44,25 @@ _CHUNK = 16384
 class SumGrid:
     """A family a -> S(a) of complex sums over a residue parameter space.
 
-    `params` lists the included parameters (ascending); `excluded` the
-    non-lisse points left out; ambient_size is the size of the full space.
+    ambient_size is the size of the full space [0, ambient_size); `excluded`
+    lists the non-lisse points left out, and `values` holds S(a) for the
+    remaining parameters in ascending order.
     """
 
     modulus: PrimePowerModulus
     ambient_size: int
-    params: np.ndarray
     values: np.ndarray
     excluded: tuple[int, ...]
     meta: dict = field(default_factory=dict)
 
     @property
+    def params(self) -> np.ndarray:
+        """The included parameters, ascending: [0, ambient_size) minus `excluded`."""
+        return np.delete(np.arange(self.ambient_size, dtype=np.int64), list(self.excluded))
+
+    @property
     def complete(self) -> bool:
-        return not self.excluded and len(self.params) == self.ambient_size
+        return not self.excluded
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -153,7 +158,6 @@ def additive_sum_grid(
     return SumGrid(
         modulus=mod,
         ambient_size=qn,
-        params=np.arange(qn, dtype=np.int64),
         values=values,
         excluded=(),
         meta={"family": "additive", "g": str(g), "d": g.degree, "q": q, "n": n, "v": str(v)},
@@ -207,29 +211,15 @@ def multi_param_sum_samples(
     return acc
 
 
-def _dlog_table_free(q: int, gen: int, x: int) -> int:
-    """Discrete log base gen of x mod q, baby-step giant-step."""
-    m = math.isqrt(q - 1) + 1
-    baby = {}
-    y = 1
-    for j in range(m):
-        baby.setdefault(y, j)
-        y = y * gen % q
-    giant = pow(gen, -m, q)
-    y = x % q
-    for i in range(m + 1):
-        if y in baby:
-            return (i * m + baby[y]) % (q - 1)
-        y = y * giant % q
-    raise ArithmeticError("dlog of a non-unit")
-
-
 def mult_char_sum_grid(g: IntPoly, q: int, v: LaurentPoly | None = None) -> SumGrid:
     """values[t] = sum_r chi_t(v(r)) over the q-1 characters chi_t of F_q^*.
 
     chi_t(gen^s) = e(s*t/(q-1)) for the smallest primitive root gen, so
-    values[t] = sum_r e(t*dlog(v(r))/(q-1)); logs via baby-step giant-step.
+    values[t] = sum_r e(t*dlog(v(r))/(q-1)); the logs are read from the
+    inverse of the table of powers gen^i.  q is capped at 2^26.
     """
+    if q > PARAM_SPACE_CAP:
+        raise OutOfRangeParameter(f"q = {q} exceeds 2^26")
     if v is None:
         v = LaurentPoly.x()
     roots = _split_roots(g, q, 1)
@@ -238,17 +228,17 @@ def mult_char_sum_grid(g: IntPoly, q: int, v: LaurentPoly | None = None) -> SumG
     vals = [v.eval_mod(r, q) for r in roots]
     if any(w % q == 0 for w in vals):
         raise VanishingValue("v(r) = 0 mod q at a root")
-    gen = multiplicative_generator(q)
-    logs = [_dlog_table_free(q, gen, w) for w in vals]
     size = q - 1
     t = np.arange(size, dtype=np.int64)
+    dlog = np.empty(q, dtype=np.int64)
+    dlog[_generator_powers(multiplicative_generator(q), q)] = t
+    logs = [int(dlog[w]) for w in vals]
     values = np.zeros(size, dtype=np.complex128)
     for s in logs:
         values += _exp_of_residues((t * s) % size, size)
     return SumGrid(
         modulus=PrimePowerModulus(q, 1),
         ambient_size=size,
-        params=t,
         values=values,
         excluded=(),
         meta={"family": "multiplicative", "g": str(g), "d": g.degree, "q": q, "n": 1, "v": str(v)},
@@ -353,7 +343,6 @@ def trace_sum_grid(g: IntPoly, q: int, r: int = 2, mode: str = "dilate") -> SumG
     return SumGrid(
         modulus=PrimePowerModulus(q, 1),
         ambient_size=q,
-        params=params,
         values=values,
         excluded=excluded,
         meta={

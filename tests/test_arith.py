@@ -1,5 +1,7 @@
 """Exact arithmetic: discriminants, split primes, root finding, lifting."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -195,6 +197,51 @@ def test_hensel_tower_consistency(text, q):
 @pytest.mark.parametrize("q,expected", [(7, 3), (2, 1), (13, 2)])
 def test_multiplicative_generator_examples(q, expected):
     assert multiplicative_generator(q) == expected
+
+
+def _order(x, q):
+    k, y = 1, x
+    while y != 1:
+        y = y * x % q
+        k += 1
+    return k
+
+
+def test_multiplicative_generator_equals_brute_force_below_3000():
+    for q in arith.primes_in_range(3, 3000):
+        want = next(x for x in range(2, q) if _order(x, q) == q - 1)
+        assert multiplicative_generator(q) == want, q
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        1,
+        2,
+        997 * 997,  # a square of the largest trial divisor
+        1009**3,  # a prime cube above the trial-division cap
+        2147483629 * 2147483647,  # two primes near 2^31
+        2**61 - 2,  # q - 1 for the Mersenne prime q = 2^61 - 1
+        2**62,
+        (1 << 63) - 25,  # the largest prime below 2^63
+        600851475143,
+    ],
+)
+def test_prime_factors_multiply_back_to_primes(n):
+    factors = arith._prime_factors(n)
+    assert math.prod(factors) == n
+    assert all(is_prime(p) for p in factors)
+    assert factors == sorted(factors)
+
+
+def test_multiplicative_generator_above_the_grid_cap():
+    # a public entry point: q far above the 2^26 grid cap must still work
+    q = 2**61 - 1
+    gen = multiplicative_generator(q)
+    assert gen == 37
+    primes = set(arith._prime_factors(q - 1))
+    assert all(pow(gen, (q - 1) // p, q) != 1 for p in primes)
+    assert all(any(pow(x, (q - 1) // p, q) == 1 for p in primes) for x in range(2, gen))
 
 
 def test_multiplicative_generator_has_full_order():

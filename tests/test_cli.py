@@ -1,11 +1,15 @@
 """CLI driver: commands, cache, config precedence, figures, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import ultrashort
 from ultrashort.cli import CACHE_ENV, main
 
 
@@ -308,3 +312,19 @@ def test_threads_flag_same_output(tmp_path):
     main(["sums", "--poly", "X^3+X+3", "--prime", "30223", "--threads", "4",
           "--out", str(b)])
     assert a.read_text() == b.read_text()
+
+
+def test_cli_import_loads_only_numpy_and_mpmath():
+    """A fresh interpreter imports the CLI with no third-party package but
+    the two runtime dependencies."""
+    src = os.path.dirname(os.path.dirname(ultrashort.__file__))
+    code = (
+        "import sys; before = set(sys.modules); import ultrashort.cli; "
+        "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+        " - set(sys.stdlib_module_names) - {'ultrashort'}))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "['mpmath', 'numpy']"

@@ -1,10 +1,12 @@
 """Exact integer lattice utilities: HNF, SNF, kernels, intersections."""
 
+import itertools
+import math
 import random
 
 import pytest
-from sympy import Matrix
 
+from ultrashort.arith import _bareiss_det
 from ultrashort.lattice import (
     hnf_rows,
     in_lattice,
@@ -62,20 +64,77 @@ def test_snf_examples(rows, diag):
     assert list(snf.invariant_factors) == diag
 
 
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _determinantal_divisors(rows):
+    """[d_1, d_2, ...]: d_k is the gcd of all k x k minors, up to the rank."""
+    out = []
+    for k in range(1, min(len(rows), len(rows[0])) + 1):
+        d_k = 0
+        for ri in itertools.combinations(range(len(rows)), k):
+            for ci in itertools.combinations(range(len(rows[0])), k):
+                d_k = math.gcd(d_k, _bareiss_det([[rows[i][j] for j in ci] for i in ri]))
+        if d_k == 0:
+            break
+        out.append(d_k)
+    return out
+
+
 def test_snf_reconstruction_on_random_matrices():
     rng = random.Random(777)
     for _ in range(200):
         rows = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(4)]
         snf = smith_normal_form(rows)
-        u, s, v = (Matrix([list(r) for r in m]) for m in (snf.U, snf.S, snf.V))
-        a = Matrix(rows)
-        assert u * a * v == s
-        assert abs(u.det()) == 1 and abs(v.det()) == 1
-        # A = U^-1 S V^-1 exactly
-        assert u.inv() * s * v.inv() == a
+        u, s, v = ([list(r) for r in m] for m in (snf.U, snf.S, snf.V))
+        assert _matmul(_matmul(u, rows), v) == s
+        assert abs(_bareiss_det(u)) == 1 and abs(_bareiss_det(v)) == 1
+        assert all(s[i][j] == 0 for i in range(4) for j in range(6) if i != j)
         factors = snf.invariant_factors
         assert all(b % c == 0 for c, b in zip(factors, factors[1:]))
         assert all(f > 0 for f in factors)
+        # s_k = d_k / d_(k-1), with d_k the gcd of the k x k minors
+        divisors = _determinantal_divisors(rows)
+        assert list(factors) == [d // p for p, d in zip([1] + divisors, divisors)]
+
+
+def _random_matrix(rng, max_rows=5, max_cols=5, entry=3):
+    m, d = rng.randint(1, max_rows), rng.randint(1, max_cols)
+    rows = [[rng.randint(-entry, entry) for _ in range(d)] for _ in range(m)]
+    if m > 1 and rng.random() < 0.3:
+        rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1])]  # force a dependency
+    return rows
+
+
+def test_kernel_rows_on_random_matrices():
+    rng = random.Random(4242)
+    for _ in range(300):
+        rows = _random_matrix(rng)
+        ker = kernel_rows(rows)
+        for u in ker:
+            assert _matmul([u], rows) == [[0] * len(rows[0])]
+        assert len(ker) == len(rows) - len(_determinantal_divisors(rows))
+        assert hnf_rows(ker) == ker
+        assert saturate_rows(ker) == ker
+
+
+def test_saturate_rows_matches_a_brute_force_window():
+    rng = random.Random(99)
+    for _ in range(30):
+        rows = _random_matrix(rng, max_rows=3, max_cols=3, entry=4)
+        basis = hnf_rows(rows)
+        if not basis:
+            continue
+        sat = saturate_rows(rows)
+        assert all(in_lattice(sat, r) for r in basis)
+        # x in sat(L) iff k*x in L for some k; the least such k divides the
+        # largest invariant factor, so k up to that factor is enough
+        divisors = _determinantal_divisors(basis)
+        top = divisors[-1] // (divisors[-2] if len(divisors) > 1 else 1)
+        for x in itertools.product(range(-3, 4), repeat=len(basis[0])):
+            in_window = any(in_lattice(basis, [k * c for c in x]) for k in range(1, top + 1))
+            assert in_lattice(sat, list(x)) == in_window
 
 
 def test_kernel_rows():

@@ -34,6 +34,44 @@ def _module(d, rows):
 # torus subgroup
 
 
+@pytest.mark.parametrize(
+    "d,rows,v",
+    [
+        # X^3+X+3
+        (3, [[1, 1, 1]], [[1, -1, -1], [0, 1, 0], [0, 0, 1]]),
+        # X^5-1
+        (
+            5,
+            [[1, 1, 1, 1, 1]],
+            [
+                [1, -1, -1, -1, -1],
+                [0, 1, 0, 0, 0],
+                [0, 0, 1, 0, 0],
+                [0, 0, 0, 1, 0],
+                [0, 0, 0, 0, 1],
+            ],
+        ),
+        # X^5-1 with v = X+X^-1
+        (
+            5,
+            [[1, 1, 0, 2, 1], [0, 2, 0, 2, 1], [0, 0, 1, -1, 0]],
+            [
+                [1, -1, 0, -1, 1],
+                [0, 0, 0, -1, 1],
+                [0, 0, 1, 1, 0],
+                [0, 0, 0, 1, 0],
+                [0, 1, 0, 0, -2],
+            ],
+        ),
+    ],
+)
+def test_torus_v_matrix_is_pinned(d, rows, v):
+    """Seeded sigma samples are theta = V psi, so V must not drift."""
+    h = torus_subgroup(_module(d, rows))
+    assert h.invariant_factors == (1,) * len(rows)
+    assert h.v_matrix.tolist() == v
+
+
 def test_torus_trivial_module_is_full_torus():
     h = torus_subgroup(_module(3, []))
     assert h.free_coordinates == 3

@@ -130,6 +130,32 @@ def test_additive_grid_not_split():
         additive_sum_grid(IntPoly.parse("X^3-1"), 5)
 
 
+def _params_by_mask(grid):
+    """The parameter array as the grids used to store it."""
+    mask = np.ones(grid.ambient_size, dtype=bool)
+    mask[list(grid.excluded)] = False
+    return np.nonzero(mask)[0].astype(np.int64)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: additive_sum_grid(IntPoly.parse("X^3-1"), 7, 2),
+        lambda: mult_char_sum_grid(IntPoly.parse("X^3-1"), 13),
+        lambda: trace_sum_grid(IntPoly.parse("X^3-9X-1"), 1093, mode="dilate"),
+        lambda: trace_sum_grid(IntPoly.parse("X^3-9X-1"), 1093, mode="translate"),
+    ],
+    ids=["additive", "multiplicative", "dilate", "translate"],
+)
+def test_grid_params_are_the_ambient_space_minus_excluded(build):
+    grid = build()
+    params = grid.params
+    assert params.dtype == np.int64
+    assert np.array_equal(params, _params_by_mask(grid))
+    assert len(params) == len(grid.values)
+    assert grid.complete == (len(params) == grid.ambient_size)
+
+
 def test_grid_csv_and_json(tmp_path):
     grid = additive_sum_grid(IntPoly.parse("X^3-1"), 7)
     path = tmp_path / "grid.csv"
@@ -199,6 +225,25 @@ def test_mult_char_single_root():
     assert np.allclose(np.abs(grid.values), 1.0)
     # values[t] = chi_t(5): with generator 3 and 5 = 3^5 mod 7
     assert abs(grid.values[1] - cmath.exp(2j * cmath.pi * 5 / 6)) < 1e-12
+
+
+def test_mult_char_logs_match_brute_force():
+    g = IntPoly.parse("X^3+X+3")
+    q = find_split_primes(g, 100, 400)[0]
+    roots = sums._split_roots(g, q)
+    gen = sums.multiplicative_generator(q)
+    logs = [next(k for k in range(q - 1) if pow(gen, k, q) == r) for r in roots]
+    t = np.arange(q - 1)
+    want = np.zeros(q - 1, dtype=np.complex128)
+    for s in logs:
+        want += sums._exp_of_residues((t * s) % (q - 1), q - 1)
+    assert np.array_equal(mult_char_sum_grid(g, q).values, want)
+
+
+def test_mult_char_grid_rejects_q_above_grid_cap():
+    # the first prime above 2^26; the check comes before any other work
+    with pytest.raises(OutOfRangeParameter):
+        mult_char_sum_grid(IntPoly.parse("X^2+1"), 67108879)
 
 
 def test_mult_char_vanishing_value():
