@@ -40,7 +40,7 @@ from mpmath import mpf, workprec
 
 from . import lattice
 from .arith import IntPoly, LaurentPoly
-from .balls import Ball, ball_sum, eval_laurent_ball, eval_poly_ball
+from .balls import RADIUS_BITS, Ball, ball_sum, eval_laurent_ball, eval_poly_ball
 from .errors import (
     OutOfRangeParameter,
     PrecisionExhausted,
@@ -149,7 +149,7 @@ def _stable_base(g: IntPoly) -> tuple:
                     maxsteps=400,
                     extraprec=prec,
                 )
-            base = tuple(mpmath.mpc(r) for r in roots)
+                base = tuple(mpmath.mpc(r) for r in roots)
             _certify_boxes(g, base, radius_bits=64)
             return base
         except (mpmath.libmp.NoConvergence, _CertificationFailed):
@@ -159,6 +159,17 @@ def _stable_base(g: IntPoly) -> tuple:
 
 class _CertificationFailed(Exception):
     pass
+
+
+def _newton(g: IntPoly, deriv, z, steps: int, tol):
+    """Newton's iteration from z, stopped once |dz| <= tol * (1 + |z|) or
+    after `steps` steps; it only moves the center, which is then certified."""
+    for _ in range(steps):
+        dz = g(z) / _eval_poly(deriv, z)
+        z -= dz
+        if abs(dz) <= tol * (1 + abs(z)):
+            break
+    return z
 
 
 def _certify_boxes(g: IntPoly, approx, radius_bits: int) -> tuple[RootBox, ...]:
@@ -176,10 +187,8 @@ def _certify_boxes(g: IntPoly, approx, radius_bits: int) -> tuple[RootBox, ...]:
     deriv = g.derivative_coeffs()
     steps = int(math.log2(max(radius_bits, 64))) + 8
     with workprec(work):
-        zs = list(approx)
-        if d > 1:
-            for _ in range(steps):
-                zs = [z - g(z) / _eval_poly(deriv, z) for z in zs]
+        tol = mpf(2) ** (8 - work)
+        zs = [_newton(g, deriv, z, steps, tol) for z in approx] if d > 1 else list(approx)
         boxes = []
         for z in zs:
             gb = eval_poly_ball(g.coeffs, Ball(z))
@@ -187,8 +196,8 @@ def _certify_boxes(g: IntPoly, approx, radius_bits: int) -> tuple[RootBox, ...]:
             low = db.abs_lower()
             if low <= 0:
                 raise _CertificationFailed
-            rho = d * gb.abs_upper() / low
-            boxes.append(RootBox(z, rho))
+            up = mpmath.fmul(d, gb.abs_upper(), prec=RADIUS_BITS, rounding="u")
+            boxes.append(RootBox(z, mpmath.fdiv(up, low, prec=RADIUS_BITS, rounding="u")))
         if any(b.radius > target for b in boxes):
             raise _CertificationFailed
         for i in range(d):
@@ -223,7 +232,7 @@ def _conjugation_pairing(boxes) -> list[int] | None:
     d = len(boxes)
     pi = []
     for i in range(d):
-        mirror = Ball(boxes[i].center.conjugate(), boxes[i].radius)
+        mirror = boxes[i].ball().conjugate()
         hits = [j for j in range(d) if not mirror.disjoint_from(boxes[j].ball())]
         if len(hits) != 1:
             return None
@@ -260,10 +269,11 @@ def _real_parts_equal(g, i, j, pi, degree_bound) -> bool:
 
 def _try_order(g, boxes, pi, degree_bound):
     d = len(boxes)
-    re_lo = [b.center.real - b.radius for b in boxes]
-    re_hi = [b.center.real + b.radius for b in boxes]
-    im_lo = [b.center.imag - b.radius for b in boxes]
-    im_hi = [b.center.imag + b.radius for b in boxes]
+    # interval ends are computed exactly, so the comparisons below are exact
+    re_lo = [mpmath.fsub(b.center.real, b.radius, exact=True) for b in boxes]
+    re_hi = [mpmath.fadd(b.center.real, b.radius, exact=True) for b in boxes]
+    im_lo = [mpmath.fsub(b.center.imag, b.radius, exact=True) for b in boxes]
+    im_hi = [mpmath.fadd(b.center.imag, b.radius, exact=True) for b in boxes]
     less: dict[tuple[int, int], bool] = {}
     for i in range(d):
         for j in range(i + 1, d):
@@ -366,7 +376,7 @@ def _linear_zero_test(alpha, make_balls, house_bound, degree_bound) -> bool:
                 s = ball_sum(b * int(a) for a, b in zip(alpha, balls) if a)
                 if s.abs_lower() > 0:
                     return False
-                if abs(s.center) <= s.radius and s.radius < lbound / 2:
+                if s.abs_upper() < lbound / 2:
                     return True
                 needed = int(-log2_l) + 64
             except ZeroDivisionError:
@@ -742,18 +752,18 @@ def _certified_product_is_one(g, v, order, alpha, e_shift, degree_bound) -> bool
                     lo = b.abs_lower()
                     if lo <= 0:
                         raise ZeroDivisionError
-                    m = max(m, b.abs_upper(), 1 / lo)
+                    m = max(m, b.abs_upper(), mpmath.fdiv(1, lo, prec=RADIUS_BITS, rounding="u"))
                 mc = m**cc
                 lbound = (mc * (1 + mc)) ** (-(degree_bound - 1)) / mc
-                beta = Ball.exact_int(1)
+                beta = Ball(1)
                 for a, i in zip(alpha, order):
                     if a:
                         val = eval_laurent_ball(v.terms, boxes[i].ball())
                         beta = beta * val.power(int(a))
-                diff = beta - Ball.exact_int(1)
+                diff = beta - Ball(1)
                 if diff.abs_lower() > 0:
                     return False
-                if abs(diff.center) <= diff.radius and diff.radius < lbound / 2:
+                if diff.abs_upper() < lbound / 2:
                     return True
                 needed = int(-mpmath.log(lbound, 2)) + 64
             except ZeroDivisionError:
@@ -777,7 +787,7 @@ def index_ind(
     """
     roots = _sorted_root_balls(g)
     module = _linear_relations(
-        g, lambda bits: roots(bits) + [Ball.exact_int(1)], g.degree + 1, "index",
+        g, lambda bits: roots(bits) + [Ball(1)], g.degree + 1, "index",
         coeff_cap, degree_bound,
     )
     consts = [abs(row[-1]) for row in module.basis if row[-1] != 0]
@@ -832,8 +842,9 @@ def dominant_root_holds(g: IntPoly, degree_bound: int | None = None) -> bool:
             if len(top) >= 2:
                 return False  # two roots share the maximal modulus exactly
             x0 = top[0]
-            rest_up = sum(ups[j] for j in range(d) if j != x0)
-            rest_lo = sum(los[j] for j in range(d) if j != x0)
+            add = functools.partial(mpmath.fadd, exact=True)  # bounds stay bounds
+            rest_up = functools.reduce(add, [ups[j] for j in range(d) if j != x0])
+            rest_lo = functools.reduce(add, [los[j] for j in range(d) if j != x0])
             if los[x0] > rest_up:
                 return True
             if ups[x0] < rest_lo:
@@ -848,7 +859,7 @@ def _negation_partners(g, boxes, degree_bound):
     d = len(boxes)
     neg: list[int | None] = []
     for i in range(d):
-        mirror = Ball(-boxes[i].center, boxes[i].radius)
+        mirror = -boxes[i].ball()
         hits = [j for j in range(d) if not mirror.disjoint_from(boxes[j].ball())]
         if len(hits) > 1:
             return None

@@ -1,0 +1,177 @@
+"""Enclosure checks for the ball arithmetic.
+
+Every operation runs at a working precision p of 64, 192 or 1000 bits on
+seeded random balls; the same operation on random points of the operand
+balls, evaluated at 4p bits, must land in the result ball.
+"""
+
+import random
+
+import pytest
+from mpmath import mpc, mpf, workprec
+
+from ultrashort.balls import RADIUS_BITS, Ball, ball_sum, eval_laurent_ball, eval_poly_ball
+
+PRECISIONS = (64, 192, 1000)
+TRIALS = 25
+
+
+def _rand_mpf(rng, prec):
+    """Uniform in [-2, 2) with prec bits."""
+    return mpf(rng.randrange(-(1 << prec), 1 << prec)) * 2 / (1 << prec)
+
+
+def _rand_ball(rng, prec, min_abs=0):
+    """A ball with a prec-bit center of modulus in [min_abs, ~3] and a radius
+    of 0, up to 2^-k for k in [1, 4], or up to 2^-k for k in [1, prec]
+    (below min_abs / 2 when min_abs > 0)."""
+    with workprec(prec):
+        while True:
+            c = mpc(_rand_mpf(rng, prec), _rand_mpf(rng, prec))
+            if abs(c) >= min_abs:
+                break
+        kind = rng.random()
+        if kind < 0.2:
+            r = mpf(0)
+        else:
+            k = rng.randint(1, 4) if kind < 0.5 else rng.randint(1, prec)
+            r = mpf(2) ** -k * rng.random()
+            if min_abs:
+                r = min(r, mpf(min_abs) / 2)
+        return Ball(c, r)
+
+
+def _point_in(rng, ball, prec):
+    """A point strictly inside the ball, exact at 4 * prec bits: half the
+    time near the boundary along +-center, where products and powers of
+    points move farthest from the product of the centers."""
+    with workprec(4 * prec):
+        if rng.random() < 0.5 and ball.center != 0:
+            t = 1 - mpf(2) ** -20
+            u = ball.center * rng.choice((-1, 1))
+        else:
+            t = mpf(rng.random()) * (1 - mpf(2) ** -20)
+            u = mpc(rng.gauss(0, 1), rng.gauss(0, 1))
+        return ball.center + ball.radius * t * u / abs(u)
+
+
+def _encloses(ball, value, prec):
+    with workprec(4 * prec):
+        return abs(value - ball.center) <= ball.radius
+
+
+def _check(rng, prec, operands, ball_op, exact_op):
+    with workprec(prec):
+        result = ball_op(*operands)
+    assert result.radius._mpf_[3] <= RADIUS_BITS
+    for _ in range(4):
+        xs = [_point_in(rng, b, prec) for b in operands]
+        with workprec(4 * prec):
+            value = exact_op(*xs)
+        assert _encloses(result, value, prec), (prec, operands, xs)
+
+
+@pytest.mark.parametrize("prec", PRECISIONS)
+def test_add_sub_mul_enclose(prec):
+    rng = random.Random(prec)
+    for _ in range(TRIALS):
+        a, b = _rand_ball(rng, prec), _rand_ball(rng, prec)
+        n = rng.randint(-(10**6), 10**6)
+        _check(rng, prec, [a, b], lambda x, y: x + y, lambda x, y: x + y)
+        _check(rng, prec, [a, b], lambda x, y: x - y, lambda x, y: x - y)
+        _check(rng, prec, [a, b], lambda x, y: x * y, lambda x, y: x * y)
+        _check(rng, prec, [a], lambda x: x * n, lambda x: x * n)
+        _check(rng, prec, [a], lambda x: n * x, lambda x: x * n)
+        _check(rng, prec, [a], lambda x: x + n, lambda x: x + n)
+        _check(rng, prec, [a, b, a], lambda *bs: ball_sum(bs), lambda *xs: sum(xs))
+
+
+@pytest.mark.parametrize("prec", PRECISIONS)
+def test_inverse_and_power_enclose(prec):
+    rng = random.Random(10 * prec + 1)
+    for _ in range(TRIALS):
+        a = _rand_ball(rng, prec, min_abs=mpf(1) / 4)
+        e = rng.randint(-6, 6)
+        _check(rng, prec, [a], lambda x: x.inverse(), lambda x: 1 / x)
+        _check(rng, prec, [a], lambda x: x.power(e), lambda x: x**e)
+
+
+@pytest.mark.parametrize("prec", PRECISIONS)
+def test_polynomial_evaluation_encloses(prec):
+    rng = random.Random(10 * prec + 2)
+    for _ in range(TRIALS):
+        a = _rand_ball(rng, prec, min_abs=mpf(1) / 4)
+        coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 8))]
+        terms = [(rng.randint(-4, 4), rng.randint(-9, 9)) for _ in range(rng.randint(1, 5))]
+
+        def poly(x):
+            return sum(c * x**k for k, c in enumerate(coeffs))
+
+        def laurent(x):
+            return sum(c * x**e for e, c in terms)
+
+        _check(rng, prec, [a], lambda x: eval_poly_ball(coeffs, x), poly)
+        _check(rng, prec, [a], lambda x: eval_laurent_ball(terms, x), laurent)
+
+
+@pytest.mark.parametrize("prec", PRECISIONS)
+def test_abs_bounds_enclose_the_modulus(prec):
+    rng = random.Random(10 * prec + 3)
+    for _ in range(TRIALS):
+        a = _rand_ball(rng, prec)
+        with workprec(prec):
+            lo, hi = a.abs_lower(), a.abs_upper()
+        assert 0 <= lo <= hi
+        for z in [a.center] + [_point_in(rng, a, prec) for _ in range(4)]:
+            with workprec(4 * prec):
+                assert lo <= abs(z) <= hi
+
+
+@pytest.mark.parametrize("prec", PRECISIONS)
+def test_overlapping_balls_are_never_disjoint(prec):
+    rng = random.Random(10 * prec + 4)
+    for _ in range(TRIALS):
+        a = _rand_ball(rng, prec)
+        b = _rand_ball(rng, prec)
+        with workprec(4 * prec):
+            gap = abs(a.center - b.center) * (1 + mpf(2) ** (-3 * prec))
+            ra = gap * mpf(rng.random())
+            # radii summing to at least the gap (Ball rounds radii upward)
+            a2, b2 = Ball(a.center, ra), Ball(b.center, gap - ra)
+        with workprec(prec):
+            assert not a2.disjoint_from(b2)
+            assert not b2.disjoint_from(a2)
+            assert not a.disjoint_from(a)
+            # separated by twice the radii: certified disjoint
+            far = Ball(a.center + 3 * (a.radius + 1), a.radius)
+            assert a.disjoint_from(far)
+
+
+def test_touching_balls_are_not_disjoint():
+    for prec in PRECISIONS:
+        with workprec(prec):
+            assert not Ball(0, mpf(1) / 2).disjoint_from(Ball(1, mpf(1) / 2))
+            assert not Ball(mpc(0, 1), 3).disjoint_from(Ball(mpc(4, 1), 1))
+            assert Ball(0, mpf(1) / 2).disjoint_from(Ball(1, mpf(1) / 4))
+
+
+def test_centers_are_kept_exactly_and_rounded_by_the_first_operation():
+    with workprec(512):
+        z = mpc(1) / 3 + mpc(0, 2) / 7
+    with workprec(64):
+        # a 512-bit center stays whole in a 64-bit context, so the radius-0
+        # ball still holds exactly z and 3**60 (96 bits)
+        assert Ball(z).center == z
+        assert Ball(3**60).center == 3**60
+        assert Ball(3**60).radius == 0
+        for ball, value in ((Ball(z) * 1, z), (Ball(3**60) + 0, 3**60), (Ball(z) * Ball(1), z)):
+            assert ball.radius > 0
+            assert _encloses(ball, value, 128)
+
+
+def test_inverse_of_a_ball_around_zero_raises():
+    with workprec(64):
+        with pytest.raises(ZeroDivisionError):
+            Ball(mpf(1) / 8, mpf(1) / 4).inverse()
+        with pytest.raises(ZeroDivisionError):
+            Ball(mpf(1) / 8, mpf(1) / 4).power(-2)

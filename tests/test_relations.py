@@ -73,6 +73,88 @@ def test_boxes_pairwise_disjoint():
             assert balls[i].disjoint_from(balls[j])
 
 
+def test_roots_closer_than_a_double_ulp_are_isolated_and_ordered():
+    # (X-1)^10 - 2(1000(X-1) - 1)^2 has two real roots at 1.001 -+ 7.1e-19,
+    # 1/300 of a 53-bit ulp apart, so the base, the balls and the order must
+    # keep every bit of the centers
+    g = IntPoly.parse(
+        "X^10-10X^9+45X^8-120X^7+210X^6-252X^5+210X^4-120X^3-1999955X^2+4003990X-2004001"
+    )
+    boxes = certified_complex_roots(g, 128).boxes
+    near = [b for b in boxes if abs(complex(b.center) - 1.001) < 1e-9]
+    assert len(near) == 2
+    lo, hi = near
+    assert boxes.index(lo) + 1 == boxes.index(hi)
+    gap = hi.center.real - lo.center.real
+    assert mpf("1.4e-18") < gap < mpf("1.5e-18")
+    assert lo.radius + hi.radius < gap
+
+
+def _seeded_septic(seed):
+    """Monic, trace-zero, separable, with small seeded coefficients."""
+    rng = random.Random(seed)
+    while True:
+        coeffs = [rng.choice((-1, 1))] + [rng.randint(-2, 2) for _ in range(5)] + [0, 1]
+        try:
+            return IntPoly(tuple(coeffs))
+        except ValueError:
+            continue
+
+
+SEPTICS = [IntPoly.parse("X^7-1"), _seeded_septic(11)]
+
+
+@pytest.mark.parametrize("g", SEPTICS, ids=str)
+def test_newton_from_the_stable_base_stops_once_converged(g, monkeypatch):
+    # the base is certified from 256-bit roots, so at radius_bits <= 128
+    # Newton converges within a step or two and then stops
+    import ultrashort.relations as R
+
+    base = R._stable_base(g)
+    calls = []
+    per_root = []
+    real_eval, real_newton = R._eval_poly, R._newton
+
+    def eval_spy(coeffs, z):
+        calls.append(1)
+        return real_eval(coeffs, z)
+
+    def newton_spy(*args):
+        before = len(calls)
+        z = real_newton(*args)
+        per_root.append(len(calls) - before)
+        return z
+
+    monkeypatch.setattr(R, "_eval_poly", eval_spy)
+    monkeypatch.setattr(R, "_newton", newton_spy)
+    for bits in (64, 96, 128):
+        per_root.clear()
+        R._certify_boxes(g, base, bits)
+        assert len(per_root) == g.degree
+        assert max(per_root) <= 3, (bits, per_root)
+
+
+@pytest.mark.parametrize("g", SEPTICS, ids=str)
+def test_certified_radius_bounds_the_nearest_root_estimate(g):
+    # rho must be at least d * |g(z)| / |g'(z)| at its own center, recomputed
+    # at 4x the working precision
+    import mpmath
+
+    import ultrashort.relations as R
+
+    base = R._stable_base(g)
+    d = g.degree
+    deriv = g.derivative_coeffs()
+    for bits in (64, 128, 256):
+        work = 2 * bits + 16 * d + 96
+        for box in R._certify_boxes(g, base, bits):
+            assert isinstance(box.radius, mpf)
+            with mpmath.workprec(4 * work):
+                z = box.center
+                exact = d * abs(g(z)) / abs(R._eval_poly(deriv, z))
+                assert box.radius >= exact
+
+
 # ---------------------------------------------------------------------------
 # gamma zero test
 
