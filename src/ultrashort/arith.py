@@ -8,6 +8,16 @@ helpers the sum kernels need (primitive roots, modular inverses).
 No number field is ever represented; per the identification
 Z/q^nZ = O_g/p^n at totally split primes, all root data lives in plain
 integer residues.
+
+The split-prime search works on a whole band at once (Cohen, GTM 138, §3.4
+and §8.1).  A segmented sieve of Eratosthenes crosses off multiples of the
+primes up to min(isqrt(hi), 2^16), one bounded segment at a time; survivors
+below 2^32 are prime, and survivors above go through Miller-Rabin.  Each
+segment's primes then share one numpy square-and-multiply for X^q mod g,
+with one modulus per prime: residues are (d, P) arrays for P primes, in
+int64 while q <= isqrt(2^63 - 1) = 3037000499 (so every product a*b < q^2
+fits) and in Python integers (dtype object) above.  q splits g into d
+distinct linear factors iff X^q = X mod (g, q).
 """
 
 from __future__ import annotations
@@ -17,6 +27,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+
+import numpy as np
 
 from .errors import NonPrimeModulus, OutOfRangeParameter, RamifiedPrime
 
@@ -56,17 +68,47 @@ def is_prime(n: int) -> bool:
 
 
 def primes_in_range(lo: int, hi: int):
-    """Yield primes in [lo, hi] in ascending order."""
-    n = max(2, lo)
-    if n == 2 and hi >= 2:
-        yield 2
-        n = 3
-    if n % 2 == 0:
-        n += 1
-    while n <= hi:
-        if is_prime(n):
-            yield n
-        n += 2
+    """Primes in [lo, hi] in ascending order, sieved one segment at a time.
+
+    >>> list(primes_in_range(20, 40))
+    [23, 29, 31, 37]
+    """
+    _check_band_end(hi)
+    return (p for segment in _prime_segments(lo, hi) for p in segment.tolist())
+
+
+def _check_band_end(hi: int) -> None:
+    if hi >= MODULUS_LIMIT:
+        raise OutOfRangeParameter(f"prime bands must end below 2^63, got hi = {hi}")
+
+
+_SEGMENT = 1 << 16  # numbers per sieve segment, and so per batch of primes
+_SIEVING_LIMIT = 1 << 16  # sieving primes stop here: survivors < 2^32 are prime
+_PROVEN_BELOW = _SIEVING_LIMIT**2
+
+
+def _prime_segments(lo: int, hi: int):
+    """The primes in [lo, hi] (hi < 2^63) as ascending int64 arrays, one per
+    sieve segment that holds any.  The sieving primes come from the same
+    sieve, on [2, min(isqrt(hi), 2^16)]."""
+    start = max(lo, 2)
+    if start > hi:
+        return
+    base = list(primes_in_range(2, min(math.isqrt(hi), _SIEVING_LIMIT)))
+    while start <= hi:
+        stop = min(hi + 1, start + _SEGMENT)
+        keep = np.ones(stop - start, dtype=bool)
+        for p in base:
+            if p * p >= stop:
+                break
+            first = max(p * p, -(-start // p) * p)
+            keep[first - start :: p] = False
+        found = np.flatnonzero(keep) + start
+        if stop > _PROVEN_BELOW:
+            found = found[[n < _PROVEN_BELOW or is_prime(n) for n in found.tolist()]]
+        if found.size:
+            yield found
+        start = stop
 
 
 def _bareiss_det(m: list[list[int]]) -> int:
@@ -519,15 +561,59 @@ def hensel_roots(g: IntPoly, q: int, n: int) -> RootList:
     return RootList(mod, tuple(lifted))
 
 
+# ---------------------------------------------------------------------------
+# the split test, batched over primes: residues are (d, P) arrays, row i the
+# coefficient of X^i, column j reduced mod qs[j]
+
+_INT64_PRODUCT_LIMIT = math.isqrt(MODULUS_LIMIT - 1)  # 3037000499
+
+
+def _square_mod(r: np.ndarray, low: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """r^2 mod (g, q), where g = X^d + sum(low[i] X^i)."""
+    d = len(r)
+    prod = r[:, None] * r[None, :] % q  # each entry < q^2 before the reduction
+    s = np.zeros((2 * d - 1,) + r.shape[1:], dtype=r.dtype)
+    for i in range(d):
+        s[i : i + d] += prod[i]  # at most d terms below q
+    s %= q
+    for k in range(2 * d - 2, d - 1, -1):  # X^k = -X^(k-d) * (low part of g)
+        s[k - d : k] = (s[k - d : k] - s[k] * low % q) % q
+    return s[:d]
+
+
+def _times_x(r: np.ndarray, low: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """X * r mod (g, q), where g = X^d + sum(low[i] X^i)."""
+    out = -r[-1] * low % q
+    out[1:] += r[:-1]
+    return out % q
+
+
+def _split_mask(g: IntPoly, qs: np.ndarray) -> np.ndarray:
+    """For an int64 array of primes, True where g has d distinct roots mod q.
+
+    X^q is raised for all primes at once by left-to-right square-and-multiply
+    over the bits of the largest q (smaller ones have leading zero bits, so
+    they keep the constant 1 until their top bit), multiplying by X only in
+    the columns whose prime has the bit set.
+    """
+    big = qs.astype(object)
+    dtype = np.int64 if int(qs.max()) <= _INT64_PRODUCT_LIMIT else object
+    q = qs.astype(dtype)
+    low = np.array([c % big for c in g.coeffs[:-1]], dtype=dtype)
+    one = np.zeros_like(low)
+    one[0] = 1
+    r = one
+    for bit in reversed(range(int(qs.max()).bit_length())):
+        r = _square_mod(r, low, q)
+        r = np.where((qs >> bit) & 1 == 1, _times_x(r, low, q), r)
+    x = _times_x(one, low, q)  # X mod g, a constant when d = 1
+    return (r == x).all(axis=0) & (g.discriminant % big != 0)
+
+
 def is_split(g: IntPoly, q: int) -> bool:
-    """True when g has d distinct roots mod q (and q does not ramify)."""
-    if g.discriminant % q == 0:
-        return False
-    gq = _poly_trim([c % q for c in g.coeffs])
-    if len(gq) - 1 < g.degree:
-        return False  # cannot happen for monic g, but keep the guard
-    xq = _poly_powmod([0, 1], q, gq, q)
-    return _poly_sub(xq, [0, 1], q) == []
+    """True when g has d distinct roots mod the prime q (and q does not ramify)."""
+    _check_band_end(q)
+    return bool(_split_mask(g, np.array([q], dtype=np.int64))[0])
 
 
 def find_split_primes(g: IntPoly, lo: int, hi: int) -> list[int]:
@@ -538,7 +624,12 @@ def find_split_primes(g: IntPoly, lo: int, hi: int) -> list[int]:
     """
     if not (2 <= lo <= hi):
         raise OutOfRangeParameter("need 2 <= lo <= hi")
-    return [q for q in primes_in_range(lo, hi) if is_split(g, q)]
+    _check_band_end(hi)
+    return [
+        q
+        for segment in _prime_segments(lo, hi)
+        for q in segment[_split_mask(g, segment)].tolist()
+    ]
 
 
 _TRIAL_DIVISION_CAP = 1000

@@ -799,12 +799,16 @@ def dominant_root_holds(g: IntPoly, degree_bound: int | None = None) -> bool:
 
     Exact modulus ties are recognized through the conjugation and negation
     symmetries (the sources of equal moduli in the irreducible inputs this
-    criterion is stated for); any other exact tie exhausts the precision cap.
+    criterion is stated for).  When every root is real, |x0| - sum |x_j| is
+    the linear form sum(e_j x_j) with e_j = +-1 from the certified signs, and
+    one certified zero test decides whether it ties.  Any other exact tie
+    (with non-real roots) exhausts the precision cap: PrecisionExhausted.
     """
     d = g.degree
     if d < 2:
         raise ValueError("dominant root criterion needs degree >= 2")
     degree_bound = _degree_bound(g, degree_bound)
+    real_tie_tested = False
     bits = 128
     while bits <= PRECISION_CAP_BITS:
         boxes = _boxes_at(g, bits)
@@ -849,8 +853,31 @@ def dominant_root_holds(g: IntPoly, degree_bound: int | None = None) -> bool:
                 return True
             if ups[x0] < rest_lo:
                 return False
+        signs = _real_root_signs(g, boxes) if pi == list(range(d)) else None
+        if signs is not None and not real_tie_tested:
+            alpha = [e if j == x0 else -e for j, e in enumerate(signs)]
+            if _linear_zero_test(alpha, _root_balls_factory(g), _house_of, degree_bound):
+                return False  # |x0| equals the sum of the other moduli exactly
+            real_tie_tested = True
         bits *= 2
     raise PrecisionExhausted("dominant root comparison is a genuine tie")
+
+
+def _real_root_signs(g, boxes) -> list[int] | None:
+    """Certified sign of each real root (0 for an exact root 0), or None while
+    a box of a nonzero root still meets the imaginary axis.
+
+    A real root lies within its box's radius of the center's real part, so
+    |Re c| > r fixes its sign; the root 0 (when g(0) = 0) leaves exactly one
+    box undecided.
+    """
+    signs = [
+        (1 if b.center.real > 0 else -1) if abs(b.center.real) > b.radius else 0
+        for b in boxes
+    ]
+    if signs.count(0) != (g.coeffs[0] == 0):
+        return None
+    return signs
 
 
 def _negation_partners(g, boxes, degree_bound):

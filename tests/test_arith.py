@@ -143,6 +143,71 @@ def test_split_prime_search_reuses_the_discriminant(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "text", ["X-5", "X^2+1", "X^3-1", "X^3-X", "X^4+1", "X^3+X+3", "X^5-1"]
+)
+def test_split_primes_match_brute_force_root_counts(text):
+    # X^3-1 ramifies at 3, X^3-X has the root 0, X-5 splits everywhere
+    g = IntPoly.parse(text)
+    want = [
+        q
+        for q in range(2, 2001)
+        if is_prime(q) and g.discriminant % q and len(_brute_roots(g, q)) == g.degree
+    ]
+    assert find_split_primes(g, 2, 2000) == want
+
+
+def _split_by_root_finding(g, lo, hi):
+    return [
+        q for q in range(lo, hi + 1)
+        if is_prime(q) and len(roots_mod_prime(g, q).roots) == g.degree
+    ]
+
+
+@pytest.mark.parametrize(
+    "lo,hi,segment",
+    [
+        # a segment ends at isqrt(2^63 - 1) = 3037000499: int64 residues up
+        # to there, Python integers in the next segment
+        (3037000499 - 1999, 3037000499 + 2000, 1000),
+        (2**40, 2**40 + 2000, arith._SEGMENT),
+    ],
+)
+def test_split_primes_match_root_finding_on_large_bands(lo, hi, segment, monkeypatch):
+    monkeypatch.setattr(arith, "_SEGMENT", segment)
+    g = IntPoly.parse("X^3+X+3")
+    got = find_split_primes(g, lo, hi)
+    assert got and got == _split_by_root_finding(g, lo, hi)
+
+
+def test_split_primes_across_sieve_segments(monkeypatch):
+    g = IntPoly.parse("X^3+X+3")
+    lo, hi = 1_000_003, 1_005_000
+    whole = find_split_primes(g, lo, hi)
+    primes = list(arith.primes_in_range(lo, hi))
+    monkeypatch.setattr(arith, "_SEGMENT", 777)  # seven segments
+    assert find_split_primes(g, lo, hi) == whole == _split_by_root_finding(g, lo, hi)
+    assert list(arith.primes_in_range(lo, hi)) == primes
+    assert primes == [n for n in range(lo, hi + 1) if is_prime(n)]
+
+
+@pytest.mark.parametrize("lo,hi", [(0, 5000), (2**32 - 3000, 2**32 + 3000), (2**62, 2**62 + 1000)])
+def test_primes_in_range_matches_miller_rabin(lo, hi):
+    assert list(arith.primes_in_range(lo, hi)) == list(filter(is_prime, range(lo, hi + 1)))
+
+
+def test_bands_reaching_2_63_are_rejected_before_any_work(monkeypatch):
+    def no_scan(lo, hi):
+        raise AssertionError("the band was scanned")
+
+    monkeypatch.setattr(arith, "_prime_segments", no_scan)
+    g = IntPoly.parse("X^2+1")
+    with pytest.raises(OutOfRangeParameter):
+        find_split_primes(g, 2**63 - 10**6, 2**63 + 10)
+    with pytest.raises(OutOfRangeParameter):
+        arith.primes_in_range(2**63 - 10**6, 2**63)
+
+
 def test_cantor_zassenhaus_large_prime():
     g = IntPoly.parse("X^3+X+3")
     q = find_split_primes(g, 100003, 100400)[0]

@@ -1,5 +1,6 @@
 """CLI driver: commands, cache, config precedence, figures, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -30,6 +31,28 @@ def test_primes_command(tmp_path):
                  "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["primes"] == [11, 31]
+
+
+def test_primes_command_stdout_is_pinned(capsys):
+    assert main(["primes", "--poly", "X^3+X+3", "--lo", "30200", "--hi", "30250"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "poly": "X^3+X+3",\n  "lo": 30200,\n  "hi": 30250,\n'
+        '  "primes": [\n    30211,\n    30223\n  ]\n}\n'
+    )
+
+
+def test_prime_sweep_csv_is_pinned(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["prime-sweep", "--poly", "X^2-2", "--a", "1", "--limit", "10000",
+                 "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "fd71b1e6de5e9490f0b58a7823a4b693f9801f2f962c465ea9f9a16748d1b0b1"
+
+
+def test_primes_band_reaching_2_63_is_domain_error(capsys):
+    assert main(["primes", "--poly", "X^2+1", "--lo", "2",
+                 "--hi", "9223372036854775808"]) == 1
+    assert "OutOfRangeParameter" in capsys.readouterr().err
 
 
 def test_roots_command(tmp_path):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from mpmath import mpf
@@ -465,10 +466,30 @@ def test_index_examples(text, expected):
         ("X^3+X+3", False),  # moduli 1.21, 1.57, 1.57
         ("X^2-2", False),  # |sqrt2| = |-sqrt2|
         ("X^2-10X+1", True),
+        ("X^3-7X^2+14X-8", True),  # real roots 1, 2, 4: 4 > 1 + 2
+        ("X^3-X^2-14X+24", False),  # real roots 2, 3, -4: 4 < 2 + 3
     ],
 )
 def test_dominant_root_examples(text, expected):
     assert dominant_root_holds(IntPoly.parse(text)) is expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "X^3-10X-1",  # roots 3.2, -3.1, -0.1 sum to 0: |x0| = |x1| + |x2|
+        "X^4-4X^3+X^2+6X",  # roots 3, 2, -1 and the exact root 0: 3 = 2 + 1 + 0
+    ],
+)
+def test_dominant_root_all_real_tie_is_decided(text, monkeypatch):
+    # the tie is one certified zero test; a lowered cap makes a regression
+    # raise PrecisionExhausted at once instead of refining towards 2^20 bits
+    import ultrashort.relations as R
+
+    monkeypatch.setattr(R, "PRECISION_CAP_BITS", 8192)
+    started = time.perf_counter()
+    assert dominant_root_holds(IntPoly.parse(text)) is False
+    assert time.perf_counter() - started < 10
 
 
 def test_dominant_root_implies_trivial_relations():
