@@ -230,6 +230,14 @@ def cmd_mults(args) -> int:
     return 0
 
 
+def _law_int(law: str) -> int:
+    """The integer K or R after the colon of st-sum:K, su:R, usp:R or inv:R."""
+    try:
+        return int(law.partition(":")[2])
+    except ValueError:
+        raise UsageError(f"--law {law!r} needs an integer after the colon") from None
+
+
 def cmd_limit(args) -> int:
     law = args.law
     if law == "sigma":
@@ -242,20 +250,19 @@ def cmd_limit(args) -> int:
     elif law == "st":
         batch = limitlaw.sato_tate_samples(args.count, args.seed)
     elif law.startswith("st-sum:"):
-        batch = limitlaw.sato_tate_sum_samples(int(law.split(":")[1]), args.count, args.seed)
+        batch = limitlaw.sato_tate_sum_samples(_law_int(law), args.count, args.seed)
     elif law.startswith(("su:", "usp:")):
-        name, r = law.split(":")
-        batch = limitlaw.haar_trace_samples((name, int(r)), args.count, args.seed)
+        name = law.partition(":")[0]
+        batch = limitlaw.haar_trace_samples((name, _law_int(law)), args.count, args.seed)
     elif law.startswith("inv:"):
         if not args.poly:
             raise UsageError("--poly is required for --law inv:R")
+        r = _law_int(law)
         g = _poly(args)
         pairs, unpaired = relations.negation_pairing(g)
-        batch = limitlaw.involution_sum_samples(
-            g.degree, pairs, int(law.split(":")[1]), args.count, args.seed
-        )
+        batch = limitlaw.involution_sum_samples(g.degree, pairs, r, args.count, args.seed)
     else:
-        raise UsageError(f"unknown law {law!r} (sigma | st | st-sum:K | su:R | usp:R)")
+        raise UsageError(f"unknown law {law!r} (sigma | st | st-sum:K | su:R | usp:R | inv:R)")
     if args.out:
         batch.write_csv(args.out)
     else:
@@ -344,6 +351,10 @@ def _read_csv(path):
         header = fh.readline().strip().split(",")
         rows = [line.strip().split(",") for line in fh if line.strip()]
     cols = {name: i for i, name in enumerate(header)}
+    if "re" not in cols or "im" not in cols:
+        raise UsageError(f"{path} has no re,im header")
+    if not rows:
+        raise UsageError(f"{path} has no samples")
     re_i, im_i = cols["re"], cols["im"]
     values = np.array(
         [complex(float(r[re_i]), float(r[im_i])) for r in rows], dtype=np.complex128

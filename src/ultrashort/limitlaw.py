@@ -301,6 +301,10 @@ def involution_sum_samples(
     """Draws of sum_x Tr(f(x)) when x -> -x pairs roots and forces
     f(-x) = conj(f(x)): each pair contributes Tr(M) + conj(Tr(M)) for one
     Haar SU(r) class M, unpaired roots contribute independent classes."""
+    if count < 1:
+        raise OutOfRangeParameter("count must be >= 1")
+    if r < 1:
+        raise OutOfRangeParameter("rank must be >= 1")
     pairs = [(int(i), int(j)) for i, j in pairs]
     seen: set[int] = set()
     for i, j in pairs:

@@ -36,7 +36,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import mpmath
-from mpmath import mpf, workprec
+import numpy as np
+from mpmath import mp, mpf, workprec
+from mpmath.libmp import from_man_exp, fzero
 
 from . import lattice
 from .arith import IntPoly, LaurentPoly
@@ -130,30 +132,66 @@ def _eval_poly(coeffs, z):
     return acc
 
 
-@lru_cache(maxsize=None)
-def _stable_base(g: IntPoly) -> tuple:
-    """Root approximations anchoring the identity (index) of every root of g.
+def _float_seed(g: IntPoly):
+    """Double-precision roots of g from numpy's companion-matrix eigenvalues,
+    or None when a coefficient overflows a float or a root is not finite."""
+    try:
+        coeffs = [float(c) for c in reversed(g.coeffs)]
+        roots = np.roots(coeffs)
+    except (OverflowError, np.linalg.LinAlgError):
+        return None
+    if not np.isfinite(roots).all():
+        return None
+    return tuple(mpmath.mpc(complex(r)) for r in roots)
 
-    The base precision escalates until a full disjointness certification
-    succeeds once; afterwards every refinement Newton-iterates from these
-    fixed starting points, so indices never change between precisions.
-    """
-    if g.degree == 1:
-        return (mpmath.mpc(-g.coeffs[0]),)
+
+def _seeds(g: IntPoly):
+    """Root approximations for _stable_base, cheapest first: the float seed,
+    then mpmath.polyroots at 256, 512, ... bits up to the precision cap."""
+    seed = _float_seed(g)
+    if seed is not None:
+        yield seed
+    monic = [1] + [int(c) for c in reversed(g.coeffs[:-1])]
     prec = 256
     while prec <= PRECISION_CAP_BITS:
         try:
             with workprec(prec):
-                roots = mpmath.polyroots(
-                    [1] + [int(c) for c in reversed(g.coeffs[:-1])],
-                    maxsteps=400,
-                    extraprec=prec,
-                )
-                base = tuple(mpmath.mpc(r) for r in roots)
-            _certify_boxes(g, base, radius_bits=64)
-            return base
-        except (mpmath.libmp.NoConvergence, _CertificationFailed):
-            prec *= 2
+                roots = mpmath.polyroots(monic, maxsteps=400, extraprec=prec)
+                seed = tuple(mpmath.mpc(r) for r in roots)
+        except mpmath.libmp.NoConvergence:
+            pass
+        else:
+            yield seed
+        prec *= 2
+
+
+@lru_cache(maxsize=None)
+def _stable_base(g: IntPoly) -> tuple:
+    """Root approximations anchoring the identity (index) of every root of g.
+
+    The seeds of `_seeds` are tried in turn, and the first whose boxes
+    `_certify_boxes` certifies wins.  A double-precision seed (Edelman and
+    Murakami, Math. Comp. 64, 1995) is enough for most g; a cluster closer
+    than its accuracy, or coefficients beyond the float range, fall through
+    to mpmath.polyroots.  The base is the centers of the certified boxes,
+    not the seed, so it lies within the certified radius of its root;
+    every refinement Newton-iterates from these fixed starting points,
+    needs a step or two, and indices never change between precisions.
+
+    The radius is relative to the Cauchy bound 1 + max |c_i| on the roots,
+    2^-(64 + bit_length(1 + max |c_i|)): the working precision of
+    `_certify_boxes` grows with radius_bits, so it then grows with the size
+    of the roots, which a fixed absolute radius would outgrow.
+    """
+    if g.degree == 1:
+        return (mpmath.mpc(-g.coeffs[0]),)
+    radius_bits = 64 + (1 + max(abs(c) for c in g.coeffs)).bit_length()
+    for seed in _seeds(g):
+        try:
+            boxes = _certify_boxes(g, seed, radius_bits)
+        except (_CertificationFailed, ZeroDivisionError):
+            continue  # ZeroDivisionError: Newton met a critical point of g
+        return tuple(b.center for b in boxes)
     raise PrecisionExhausted("cannot isolate the roots of g")
 
 
@@ -172,14 +210,66 @@ def _newton(g: IntPoly, deriv, z, steps: int, tol):
     return z
 
 
+def _sqrt_bounds(n: int, shift: int) -> tuple:
+    """sqrt(n) * 2^shift for an integer n >= 0, rounded down and up to 53
+    bits, as raw mpfs.
+
+    With 2t = bit_length(n) - 105 or - 106, q = isqrt(n / 4^t) has exactly
+    53 bits (floor(sqrt(floor(x))) = floor(sqrt(x)), so n / 4^t may be
+    truncated), and q * 2^t <= sqrt(n) <= (q + [q^2 4^t != n]) * 2^t are the
+    directed roundings of sqrt(n) itself.
+    """
+    if n == 0:
+        return fzero, fzero
+    t = (n.bit_length() - 105) // 2
+    m = n >> (2 * t) if t >= 0 else n << (-2 * t)
+    q = math.isqrt(m)
+    exact = (q * q << (2 * t)) == n if t >= 0 else q * q == m
+    return from_man_exp(q, t + shift), from_man_exp(q if exact else q + 1, t + shift)
+
+
+def _abs_poly_bounds(coeffs, z) -> tuple[mpf, mpf]:
+    """Lower and upper bounds of |p(z)| for integer coefficients (lowest
+    first) and a finite mpc z, each |p(z)| rounded once to 53 bits.
+
+    z is dyadic, z = (X + iY) 2^-s with integers X, Y and s >= 0, so
+    G = sum c_j (X + iY)^j 2^(s(n-j)) = 2^(sn) p(z) is a Gaussian integer,
+    computed exactly by Horner; |p(z)| = sqrt(Re G^2 + Im G^2) 2^-(sn) is
+    then bounded by `_sqrt_bounds` with no further error.
+
+    >>> _abs_poly_bounds([-3, 0, 1], mpmath.mpc(0.5))  # |0.25 - 3|, exact
+    (mpf('2.75'), mpf('2.75'))
+    >>> lo, hi = _abs_poly_bounds([-2, 0, 1], mpmath.mpc(1, 1))  # |2i - 2|
+    >>> with workprec(200):
+    ...     print(lo < mpmath.sqrt(8) < hi, hi - lo == mpf(2) ** -51)
+    True True
+    """
+    (rsign, rman, rexp, rbc), (isign, iman, iexp, ibc) = z._mpc_
+    if rbc < 0 or ibc < 0:
+        raise ValueError("z must be finite")
+    s = max(0, -rexp if rman else 0, -iexp if iman else 0)
+    x = (-rman if rsign else rman) << (rexp + s)
+    y = (-iman if isign else iman) << (iexp + s)
+    n = len(coeffs) - 1
+    re, im = int(coeffs[n]), 0
+    for j in range(n - 1, -1, -1):
+        re, im = re * x - im * y + (int(coeffs[j]) << (s * (n - j))), re * y + im * x
+    lo, hi = _sqrt_bounds(re * re + im * im, -s * n)
+    return mp.make_mpf(lo), mp.make_mpf(hi)
+
+
 def _certify_boxes(g: IntPoly, approx, radius_bits: int) -> tuple[RootBox, ...]:
     """Newton-refine fixed starting points and certify disjoint disks with
     radii <= 2^-radius_bits.
 
     The radius bound is the classical nearest-root estimate: g'(c)/g(c) is
     the sum of 1/(c - x_k), so some root lies within d*|g(c)/g'(c)| of c.
-    With d pairwise disjoint disks each containing a root, every disk
-    contains exactly one and together they exhaust the roots.
+    The center c is dyadic, so g(c) and g'(c) are evaluated exactly
+    (`_abs_poly_bounds`): |g(c)| rounded up and |g'(c)| rounded down to 53
+    bits, then d*|g(c)| and the quotient each rounded up, give a radius at
+    least d*|g(c)/g'(c)| with no ball padding.  With d pairwise disjoint
+    disks each containing a root, every disk contains exactly one and
+    together they exhaust the roots.
     """
     d = g.degree
     work = 2 * radius_bits + 16 * d + 96
@@ -188,22 +278,20 @@ def _certify_boxes(g: IntPoly, approx, radius_bits: int) -> tuple[RootBox, ...]:
     steps = int(math.log2(max(radius_bits, 64))) + 8
     with workprec(work):
         tol = mpf(2) ** (8 - work)
-        zs = [_newton(g, deriv, z, steps, tol) for z in approx] if d > 1 else list(approx)
-        boxes = []
-        for z in zs:
-            gb = eval_poly_ball(g.coeffs, Ball(z))
-            db = eval_poly_ball(deriv, Ball(z)) if d > 1 else Ball(1)
-            low = db.abs_lower()
-            if low <= 0:
-                raise _CertificationFailed
-            up = mpmath.fmul(d, gb.abs_upper(), prec=RADIUS_BITS, rounding="u")
-            boxes.append(RootBox(z, mpmath.fdiv(up, low, prec=RADIUS_BITS, rounding="u")))
-        if any(b.radius > target for b in boxes):
+        zs = [_newton(g, deriv, z, steps, tol) for z in approx]
+    boxes = []
+    for z in zs:
+        low = _abs_poly_bounds(deriv, z)[0]
+        if low <= 0:
             raise _CertificationFailed
-        for i in range(d):
-            for j in range(i + 1, d):
-                if not boxes[i].ball().disjoint_from(boxes[j].ball()):
-                    raise _CertificationFailed
+        up = mpmath.fmul(d, _abs_poly_bounds(g.coeffs, z)[1], prec=RADIUS_BITS, rounding="u")
+        boxes.append(RootBox(z, mpmath.fdiv(up, low, prec=RADIUS_BITS, rounding="u")))
+    if any(b.radius > target for b in boxes):
+        raise _CertificationFailed
+    for i in range(d):
+        for j in range(i + 1, d):
+            if not boxes[i].ball().disjoint_from(boxes[j].ball()):
+                raise _CertificationFailed
     return tuple(boxes)
 
 

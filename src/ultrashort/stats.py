@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .arith import IntPoly
+from .errors import OutOfRangeParameter
 from .relations import RelationModule, additive_relations
 from .sums import (
     ConditionSet,
@@ -45,6 +46,8 @@ def moment_table(grid: SumGrid, max_order: int) -> dict:
     commutes exactly with complex multiplication, so S^n * conj(S)^m is the
     conjugate of S^m * conj(S)^n and their means have the same real part.
     """
+    if max_order < 0:
+        raise OutOfRangeParameter("max_order must be nonnegative")
     vals = grid.values
     powers = [vals**m for m in range(max_order + 1)]
     conj = np.conj(vals)

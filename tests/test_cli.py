@@ -243,6 +243,42 @@ def test_limit_usp_law(tmp_path):
     assert len(vals) == 200 and all(abs(v) <= 2 + 1e-9 for v in vals)
 
 
+@pytest.mark.parametrize("law", ["st-sum:x", "su:x", "usp:", "inv:x", "su:2:3"])
+def test_limit_non_integer_law_suffix_is_usage_error(law, capsys):
+    assert main(["limit", "--law", law, "--poly", "X^4+1", "--count", "5"]) == 2
+    assert law in capsys.readouterr().err
+
+
+def test_limit_unknown_law_lists_every_law(capsys):
+    assert main(["limit", "--law", "bogus"]) == 2
+    assert "inv:R" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["inv:0"], ["inv:-1"], ["inv:2", "--count", "-5"],
+                                  ["inv:2", "--count", "0"]])
+def test_limit_involution_out_of_range_is_domain_error(args, capsys):
+    assert main(["limit", "--poly", "X^4+1", "--law", *args]) == 1
+    captured = capsys.readouterr()
+    assert "OutOfRangeParameter" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("text", ["re,im\n", ""], ids=["header-only", "empty"])
+def test_figure_csv_without_samples_is_usage_error(text, tmp_path, capsys):
+    csv = tmp_path / "empty.csv"
+    csv.write_text(text)
+    assert main(["figure", str(csv)]) == 2
+    assert str(csv) in capsys.readouterr().err
+    assert not (tmp_path / "empty.svg").exists()
+
+
+def test_moments_negative_max_order_is_domain_error(tmp_path, capsys):
+    out = tmp_path / "m.json"
+    assert main(["moments", "--poly", "X^3+X+3", "--prime", "30223",
+                 "--max-order", "-1", "--out", str(out)]) == 1
+    assert "OutOfRangeParameter" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_moments_command(tmp_path):
     out = tmp_path / "m.json"
     assert main(["moments", "--poly", "X^3+X+3", "--prime", "30223",

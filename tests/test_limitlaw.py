@@ -358,6 +358,12 @@ def test_involution_invalid_pairings():
         involution_sum_samples(2, [(0, 5)], 3, 10, 1)
 
 
+@pytest.mark.parametrize("r, count", [(0, 10), (-1, 10), (2, 0), (2, -5)])
+def test_involution_rejects_bad_rank_and_count(r, count):
+    with pytest.raises(OutOfRangeParameter):
+        involution_sum_samples(2, [(0, 1)], r, count, 1)
+
+
 def test_philox_streams_are_split():
     a = philox_generator(1, "op", 0).random(5)
     b = philox_generator(1, "op", 1).random(5)

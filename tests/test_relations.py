@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from mpmath import mpf
@@ -107,8 +108,9 @@ SEPTICS = [IntPoly.parse("X^7-1"), _seeded_septic(11)]
 
 @pytest.mark.parametrize("g", SEPTICS, ids=str)
 def test_newton_from_the_stable_base_stops_once_converged(g, monkeypatch):
-    # the base is certified from 256-bit roots, so at radius_bits <= 128
-    # Newton converges within a step or two and then stops
+    # the base is the centers of boxes certified at radius 2^-66 and a
+    # working precision of 340 bits, so at radius_bits <= 128 Newton
+    # converges within a step or two and then stops
     import ultrashort.relations as R
 
     base = R._stable_base(g)
@@ -154,6 +156,103 @@ def test_certified_radius_bounds_the_nearest_root_estimate(g):
                 z = box.center
                 exact = d * abs(g(z)) / abs(R._eval_poly(deriv, z))
                 assert box.radius >= exact
+
+
+CLUSTER = IntPoly.parse(
+    "X^10-10X^9+45X^8-120X^7+210X^6-252X^5+210X^4-120X^3-1999955X^2+4003990X-2004001"
+)
+
+
+@pytest.mark.parametrize(
+    "g, polyroots_calls",
+    [(IntPoly.parse("X^5-1"), 0), (IntPoly.parse("X^7-1"), 0), (_seeded_septic(11), 0),
+     (CLUSTER, 1)],
+    ids=str,
+)
+def test_stable_base_takes_the_float_seed_unless_it_cannot_certify(g, polyroots_calls,
+                                                                   monkeypatch):
+    # the double-precision seed certifies wherever the roots are further apart
+    # than its accuracy; the sub-ulp cluster falls through to polyroots
+    import mpmath
+
+    import ultrashort.relations as R
+
+    calls = []
+    real_polyroots = mpmath.polyroots
+
+    def polyroots_spy(*args, **kwargs):
+        calls.append(1)
+        return real_polyroots(*args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "polyroots", polyroots_spy)
+    base = R._stable_base.__wrapped__(g)  # uncached
+    assert len(calls) == polyroots_calls
+    assert len(base) == g.degree
+
+
+@pytest.mark.parametrize("exponent, float_seed", [(150, True), (400, False)])
+def test_roots_far_from_the_origin_are_isolated_promptly(exponent, float_seed, monkeypatch):
+    # the base radius is relative to the Cauchy bound, so its working
+    # precision covers roots of size 10^75 and 10^200; 10^400 overflows a
+    # float and takes the polyroots rung.  A lowered cap makes a regression
+    # raise PrecisionExhausted at once instead of escalating towards 2^20 bits
+    import ultrashort.relations as R
+
+    g = IntPoly((-(10**exponent), 0, 1))
+    assert (R._float_seed(g) is not None) == float_seed
+    monkeypatch.setattr(R, "PRECISION_CAP_BITS", 8192)
+    started = time.perf_counter()
+    lo, hi = certified_complex_roots(g, 128).boxes
+    assert time.perf_counter() - started < 10
+    root = 10 ** (exponent // 2)
+    assert lo.center == -root and hi.center == root
+    assert lo.radius <= mpf(2) ** -65 and hi.radius <= mpf(2) ** -65
+
+
+def _fraction(x):
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def _dyadic_points(seed):
+    """0, integer-valued, real, imaginary and negative-exponent points z,
+    each with its exact value as a pair of Fractions."""
+    import mpmath
+
+    rng = random.Random(seed)
+    parts = [(0, 0, 0), (3, 0, 0), (-7, 2, 0), (0, -5, 0)]
+    for _ in range(12):
+        s = rng.randint(1, 90)
+        x, y = rng.randint(-(2**60), 2**60), rng.randint(-(2**60), 2**60)
+        parts += [(x, y, s), (x, 0, s), (0, y, s)]
+    for x, y, s in parts:
+        with mpmath.workprec(128):
+            z = mpmath.mpc(mpmath.ldexp(x, -s), mpmath.ldexp(y, -s))
+        yield z, Fraction(x, 2**s), Fraction(y, 2**s)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_exact_abs_bounds_are_the_directed_53_bit_roundings(seed):
+    import ultrashort.relations as R
+
+    rng = random.Random(100 + seed)
+    polys = [[rng.randint(-(10**6), 10**6) for _ in range(rng.randint(1, 8))] + [1]
+             for _ in range(4)]
+    polys.append(list(_seeded_septic(11).coeffs))
+    for coeffs in polys:
+        for z, x, y in _dyadic_points(seed):
+            re, im = Fraction(0), Fraction(0)
+            for c in reversed(coeffs):
+                re, im = re * x - im * y + c, re * y + im * x
+            norm = re * re + im * im  # |p(z)|^2, exact
+            lower, upper = R._abs_poly_bounds(coeffs, z)
+            lo, hi = _fraction(lower), _fraction(upper)
+            assert lo * lo <= norm <= hi * hi
+            for bound in (lower, upper):
+                assert abs(bound.man_exp[0]).bit_length() <= 53
+            if lo != hi:
+                man, exp = lower.man_exp
+                assert hi - lo == Fraction(2) ** (exp + abs(man).bit_length() - 53)
 
 
 # ---------------------------------------------------------------------------

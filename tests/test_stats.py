@@ -54,6 +54,13 @@ def test_moment_table_equals_each_empirical_moment(max_order):
         assert value == empirical_mixed_moment(grid, m, n), (m, n)
 
 
+def test_moment_table_rejects_negative_order():
+    g = IntPoly.parse("X^3+X+3")
+    grid = additive_sum_grid(g, find_split_primes(g, 5000, 9000)[0])
+    with pytest.raises(OutOfRangeParameter):
+        moment_table(grid, -1)
+
+
 def test_stationarity_entries_equal_full_set_weyl_sums():
     g = IntPoly.parse("X^5-1")
     alphas = [[1, 1, 1, 1, 1], [1, 0, 0, 0, 0], [2, -1, 0, 3, 1], [0, 0, 0, 0, 0]]
