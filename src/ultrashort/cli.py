@@ -24,26 +24,11 @@ from .errors import UltrashortError
 
 
 class UsageError(Exception):
-    """Flag combinations argparse cannot catch; maps to exit code 2."""
+    """Flag values and combinations argparse cannot catch; maps to exit code 2."""
+
 
 CACHE_ENV = "ULTRASHORT_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".ultrashort-cache"
-
-COMMANDS = (
-    "primes",
-    "roots",
-    "relations",
-    "index",
-    "sums",
-    "klsums",
-    "mults",
-    "limit",
-    "moments",
-    "weylcheck",
-    "condition",
-    "prime-sweep",
-    "figure",
-)
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -55,21 +40,29 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
+def _parsed(flag: str, parse, text: str):
+    """parse(text), with malformed text reported as a usage error naming the flag."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise UsageError(f"{flag} {text!r}: {exc}") from None
+
+
 def _poly(args) -> IntPoly:
-    return IntPoly.parse(args.poly)
+    return _parsed("--poly", IntPoly.parse, args.poly)
 
 
 def _laurent(text: str) -> LaurentPoly:
-    return LaurentPoly.parse(text)
+    return _parsed("--v", LaurentPoly.parse, text)
+
+
+def _int_list(flag: str, text: str, sep: str = ",") -> list[int]:
+    return _parsed(flag, lambda t: [int(x) for x in t.split(sep)], text)
 
 
 def _alpha_list(text: str) -> list[list[int]]:
-    out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            out.append([int(t) for t in chunk.split(",")])
-    return out
+    chunks = [chunk.strip() for chunk in text.split(";")]
+    return [_int_list("--alpha", chunk) for chunk in chunks if chunk]
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +147,7 @@ def _module(args, g: IntPoly, kind: str = "additive"):
     """The relation module of g that the flags name, through the disk cache."""
     v = _laurent(args.v) if getattr(args, "v", None) else None
     text = getattr(args, "exponents", None)
-    exponents = tuple(int(t) for t in text.split(",")) if text else None
+    exponents = tuple(_int_list("--exponents", text)) if text else None
     if kind == "value" and v is None:
         raise UsageError("--v is required for kind=value")
     if kind == "joint" and exponents is None:
@@ -295,11 +288,14 @@ def cmd_moments(args) -> int:
 def cmd_weylcheck(args) -> int:
     g = _poly(args)
     if args.primes:
-        qs = [int(t) for t in args.primes.split(",")]
+        qs = _int_list("--primes", args.primes)
     else:
         if not args.prime_range:
             raise UsageError("need --primes or --prime-range")
-        lo, hi, count = (int(t) for t in args.prime_range.split(":"))
+        bounds = _int_list("--prime-range", args.prime_range, ":")
+        if len(bounds) != 3:
+            raise UsageError(f"--prime-range {args.prime_range!r}: expected lo:hi:count")
+        lo, hi, count = bounds
         qs = find_split_primes(g, lo, hi)[:count]
     alphas = _alpha_list(args.alpha)
     module = _module(args, g)
@@ -347,9 +343,12 @@ def cmd_prime_sweep(args) -> int:
 
 
 def _read_csv(path):
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+            rows = [line.strip().split(",") for line in fh if line.strip()]
+    except OSError as exc:
+        raise UsageError(f"{path}: {exc.strerror}") from None
     cols = {name: i for i, name in enumerate(header)}
     if "re" not in cols or "im" not in cols:
         raise UsageError(f"{path} has no re,im header")
@@ -596,9 +595,16 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        raise UsageError("--config needs a file name")
     path = argv[i + 1]
-    with open(path) as fh:
-        config = json.load(fh)
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: malformed JSON
+        raise UsageError(f"--config {path}: {exc}") from None
+    if not isinstance(config, dict):
+        raise UsageError(f"--config {path}: expected a JSON object of flag values")
     defaults = {k.replace("-", "_"): v for k, v in config.items()}
     for action in parser._subparsers._group_actions:
         for sub_parser in action.choices.values():
@@ -610,9 +616,8 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    argv = _apply_config(parser, argv)
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(_apply_config(parser, argv))
         for name in getattr(args, "_required", []):
             if getattr(args, name, None) in (None, ""):
                 raise UsageError(f"--{name.replace('_', '-')} is required")

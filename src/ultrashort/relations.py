@@ -10,12 +10,15 @@ log/arg columns and winding row, runs:
 
   1. detect candidate integer vectors with LLL on rows (e_i | scaled value
      columns) at an escalating scaling 2^B;
-  2. certify each candidate exactly: ball arithmetic gives an enclosure of
-     the candidate value, and a nonzero value is an algebraic integer whose
-     conjugates are explicitly bounded, so its norm being a nonzero rational
-     integer forces it away from 0 by a computable amount; the norm has at
-     most min(degree_bound, orbit(alpha)) factors, because every conjugate
-     is the same expression in a rearrangement of alpha (`_orbit_size`);
+  2. certify each candidate exactly with the one zero test (`_zero_test`),
+     for both kinds: ball arithmetic gives an enclosure of the candidate
+     value (`_sum_enclosure`, or `_product_enclosure` for prod v^alpha - 1),
+     and a nonzero value is an algebraic integer, up to a cleared factor,
+     whose conjugates are explicitly bounded, so its norm being a nonzero
+     rational integer forces it away from 0 by a computable amount; the norm
+     has at most min(degree_bound, orbit(alpha)) factors, because every
+     conjugate is the same expression in a rearrangement of alpha
+     (`_orbit_size`);
   3. saturate the certified sublattice (kernels of maps into torsion-free
      groups are saturated, so saturation never leaves the true module),
      re-certify the basis rows and reduce to row Hermite normal form;
@@ -24,7 +27,9 @@ log/arg columns and winding row, runs:
 Completeness is therefore asserted by stability, not by a proven height
 bound; every reported basis vector is individually certified, and vectors
 with sup-norm above the coefficient cap are simply not searched.  The
-certificate attached to each module records all of this.
+certificate attached to each module records all of this.  The root order,
+the negation pairing and the dominant-root criterion decide their ties by
+the same zero test, on boxes refined along one ladder (`_box_levels`).
 """
 
 from __future__ import annotations
@@ -90,22 +95,8 @@ def _orbit_size(alpha) -> int:
 
 
 @dataclass
-class RootBox:
-    """A disk certified to contain exactly one root of g."""
-
-    center: object  # mpmath mpc
-    radius: object  # mpmath mpf
-
-    def ball(self) -> Ball:
-        return Ball(self.center, self.radius)
-
-    def as_complex(self) -> complex:
-        return complex(self.center)
-
-
-@dataclass
 class CertifiedBoxList:
-    """All d roots of g, as pairwise disjoint certified boxes.
+    """All d roots of g, as pairwise disjoint certified boxes (balls).
 
     Boxes are sorted by (Re, Im) of the true roots; Re ties are decided by a
     certified equality test, so the order is stable under refinement.
@@ -113,16 +104,13 @@ class CertifiedBoxList:
 
     poly: IntPoly
     precision_bits: int
-    boxes: tuple[RootBox, ...]
+    boxes: tuple[Ball, ...]
 
     def balls(self) -> list[Ball]:
-        return [b.ball() for b in self.boxes]
+        return list(self.boxes)
 
     def centers(self) -> list[complex]:
-        return [b.as_complex() for b in self.boxes]
-
-    def max_abs_upper(self) -> mpf:
-        return max(b.ball().abs_upper() for b in self.boxes)
+        return [complex(b.center) for b in self.boxes]
 
 
 def _eval_poly(coeffs, z):
@@ -134,15 +122,24 @@ def _eval_poly(coeffs, z):
 
 def _float_seed(g: IntPoly):
     """Double-precision roots of g from numpy's companion-matrix eigenvalues,
-    or None when a coefficient overflows a float or a root is not finite."""
+    or None when a root is not finite.
+
+    Coefficients beyond the float range are scaled first: the roots of the
+    monic 2^(-kd) g(2^k Y), whose coefficients c_j 2^(-k(d-j)) are below
+    2^512 for the least such k >= 0, times 2^k.  Python's int / int rounds
+    each quotient once, and the scaling by 2^k is exact.
+    """
+    d = g.degree
+    # the least k with bit_length(c_j) <= 512 + k (d - j) for every j < d
+    k = max(0, *(-((512 - abs(c).bit_length()) // (d - j)) for j, c in enumerate(g.coeffs[:d])))
+    scaled = [c / (1 << (k * (d - j))) for j, c in enumerate(g.coeffs)]
     try:
-        coeffs = [float(c) for c in reversed(g.coeffs)]
-        roots = np.roots(coeffs)
-    except (OverflowError, np.linalg.LinAlgError):
+        roots = np.roots(scaled[::-1])
+    except np.linalg.LinAlgError:
         return None
     if not np.isfinite(roots).all():
         return None
-    return tuple(mpmath.mpc(complex(r)) for r in roots)
+    return tuple(mpmath.mpc(complex(r)) * 2**k for r in roots)
 
 
 def _seeds(g: IntPoly):
@@ -258,7 +255,7 @@ def _abs_poly_bounds(coeffs, z) -> tuple[mpf, mpf]:
     return mp.make_mpf(lo), mp.make_mpf(hi)
 
 
-def _certify_boxes(g: IntPoly, approx, radius_bits: int) -> tuple[RootBox, ...]:
+def _certify_boxes(g: IntPoly, approx, radius_bits: int) -> tuple[Ball, ...]:
     """Newton-refine fixed starting points and certify disjoint disks with
     radii <= 2^-radius_bits.
 
@@ -285,18 +282,18 @@ def _certify_boxes(g: IntPoly, approx, radius_bits: int) -> tuple[RootBox, ...]:
         if low <= 0:
             raise _CertificationFailed
         up = mpmath.fmul(d, _abs_poly_bounds(g.coeffs, z)[1], prec=RADIUS_BITS, rounding="u")
-        boxes.append(RootBox(z, mpmath.fdiv(up, low, prec=RADIUS_BITS, rounding="u")))
+        boxes.append(Ball(z, mpmath.fdiv(up, low, prec=RADIUS_BITS, rounding="u")))
     if any(b.radius > target for b in boxes):
         raise _CertificationFailed
     for i in range(d):
         for j in range(i + 1, d):
-            if not boxes[i].ball().disjoint_from(boxes[j].ball()):
+            if not boxes[i].disjoint_from(boxes[j]):
                 raise _CertificationFailed
     return tuple(boxes)
 
 
 @lru_cache(maxsize=None)
-def _boxes_at(g: IntPoly, radius_bits: int) -> tuple[RootBox, ...]:
+def _boxes_at(g: IntPoly, radius_bits: int) -> tuple[Ball, ...]:
     """Certified boxes in base order with radii <= 2^-radius_bits."""
     if radius_bits > PRECISION_CAP_BITS:
         raise PrecisionExhausted("root refinement beyond the precision cap")
@@ -310,6 +307,16 @@ def _boxes_at(g: IntPoly, radius_bits: int) -> tuple[RootBox, ...]:
     raise PrecisionExhausted("cannot certify disjoint root boxes")
 
 
+def _box_levels(g: IntPoly):
+    """(bits, boxes) with radii <= 2^-bits for bits = 128, 256, ... up to the
+    precision cap: the one refinement ladder of every search that waits for
+    the boxes to separate."""
+    bits = 128
+    while bits <= PRECISION_CAP_BITS:
+        yield bits, _boxes_at(g, bits)
+        bits *= 2
+
+
 def _conjugation_pairing(boxes) -> list[int] | None:
     """pi with conj(x_i) = x_{pi(i)}, certified from box overlaps.
 
@@ -320,26 +327,14 @@ def _conjugation_pairing(boxes) -> list[int] | None:
     d = len(boxes)
     pi = []
     for i in range(d):
-        mirror = boxes[i].ball().conjugate()
-        hits = [j for j in range(d) if not mirror.disjoint_from(boxes[j].ball())]
+        mirror = boxes[i].conjugate()
+        hits = [j for j in range(d) if not mirror.disjoint_from(boxes[j])]
         if len(hits) != 1:
             return None
         pi.append(hits[0])
     if any(pi[pi[i]] != i for i in range(d)):
         return None
     return pi
-
-
-def _root_balls_factory(g: IntPoly):
-    def mk(bits):
-        return [b.ball() for b in _boxes_at(g, bits)]
-
-    return mk
-
-
-def _house_of(balls) -> mpf:
-    m = max(b.abs_upper() for b in balls)
-    return m if m > 1 else mpf(1)
 
 
 def _real_parts_equal(g, i, j, pi, degree_bound) -> bool:
@@ -350,9 +345,9 @@ def _real_parts_equal(g, i, j, pi, degree_bound) -> bool:
     alpha[pi[i]] += 1
     alpha[j] -= 1
     alpha[pi[j]] -= 1
-    if not any(alpha):
-        return True  # conjugate partners share the real part exactly
-    return _linear_zero_test(alpha, _root_balls_factory(g), _house_of, degree_bound)
+    # alpha = 0 when x_j = conj(x_i), which _zero_test answers at once
+    enclose = _sum_enclosure(alpha, functools.partial(_boxes_at, g))
+    return _zero_test(alpha, degree_bound, enclose)
 
 
 def _try_order(g, boxes, pi, degree_bound):
@@ -394,15 +389,11 @@ def _try_order(g, boxes, pi, degree_bound):
 def _order_map(g: IntPoly) -> tuple[int, ...]:
     """Permutation sending sorted positions to base indices, certified."""
     degree_bound = default_degree_bound(g.degree)
-    bits = 128
-    while bits <= PRECISION_CAP_BITS:
-        boxes = _boxes_at(g, bits)
+    for _, boxes in _box_levels(g):
         pi = _conjugation_pairing(boxes)
-        if pi is not None:
-            order = _try_order(g, boxes, pi, degree_bound)
-            if order is not None:
-                return order
-        bits *= 2
+        order = None if pi is None else _try_order(g, boxes, pi, degree_bound)
+        if order is not None:
+            return order
     raise PrecisionExhausted("cannot certify the lexicographic root order")
 
 
@@ -422,7 +413,7 @@ def _sorted_root_balls(g: IntPoly):
 
     def mk(bits):
         boxes = _boxes_at(g, bits)
-        return [boxes[i].ball() for i in order]
+        return [boxes[i] for i in order]
 
     return mk
 
@@ -431,48 +422,65 @@ def _sorted_root_balls(g: IntPoly):
 # certified zero tests
 
 
-def _linear_zero_test(alpha, make_balls, house_bound, degree_bound) -> bool:
-    """Certified test of gamma = sum(alpha_i * y_i) = 0 for algebraic integers y_i.
+def _zero_test(alpha, degree_bound, enclose) -> bool:
+    """Certified test that gamma = 0, for the gamma that enclose describes.
 
-    make_balls(bits) returns enclosing balls that shrink as bits grow;
-    house_bound(balls) bounds |y| over all conjugates of all the y_i.  The
-    y_i are permuted by the Galois group of g's splitting field, except that
-    an entry may be fixed (the constant 1 of `index_ind`): sigma(y_i) =
-    y_{s(i)} for a permutation s fixing such entries.  Then sigma(gamma) =
-    sum_j alpha_{s^-1(j)} y_j, so each conjugate of gamma is gamma's
-    expression in a rearrangement of alpha, and gamma has at most
-    D = min(degree_bound, orbit(alpha)) conjugates.  A nonzero gamma is an
-    algebraic integer whose norm is a nonzero rational integer and a product
-    of at most D conjugates, each of absolute value <= ||alpha||_1 * M, so
-    |gamma| >= (||alpha||_1 * M)^-(D - 1).  For the all-ones vector D = 1:
-    gamma is a rational integer and |gamma| < 1 proves it is 0.  D only sets
-    where refinement may stop; an enclosure excluding 0 decides False as
-    before.
+    enclose(bits, D) encloses gamma in a ball, from root boxes with radii
+    <= 2^-bits, and returns it with a lower bound L on |gamma| valid for a
+    nonzero gamma with at most D conjugates (`_sum_enclosure`,
+    `_product_enclosure`).  Each gamma is built from values at the roots
+    that the Galois group of g's splitting field permutes, except that an
+    entry may be fixed (the constant 1 of `index_ind`): sigma moves the
+    value at root i to the value at root s(i) for one permutation s fixing
+    such entries, so each conjugate of gamma is gamma's expression in a
+    rearrangement of alpha, and gamma has at most
+    D = min(degree_bound, orbit(alpha)) conjugates.  A ball excluding 0
+    decides False; a ball inside |z| < L/2 decides True.  Otherwise the
+    boxes are refined to max(2 * bits, 64 - log2 L) bits, or to 2 * bits
+    when a ball still meets 0 where a value must be inverted.  D only sets
+    where refinement may stop; for the all-ones vector D = 1, and a sum is
+    decided at the first level.
     """
-    a1 = sum(abs(int(a)) for a in alpha)
-    if a1 == 0:
+    if not any(alpha):
         return True
     degree_bound = min(degree_bound, _orbit_size(alpha))
     bits = 192
     while bits <= PRECISION_CAP_BITS:
         with workprec(2 * bits + 64):
             try:
-                balls = make_balls(bits)
-                m = house_bound(balls)
-                log2_l = -(degree_bound - 1) * mpmath.log(a1 * m, 2)
-                lbound = mpf(2) ** log2_l
-                s = ball_sum(b * int(a) for a, b in zip(alpha, balls) if a)
-                if s.abs_lower() > 0:
+                ball, lbound = enclose(bits, degree_bound)
+                if ball.abs_lower() > 0:
                     return False
-                if s.abs_upper() < lbound / 2:
+                if ball.abs_upper() < lbound / 2:
                     return True
-                needed = int(-log2_l) + 64
+                needed = int(-mpmath.log(lbound, 2)) + 64
             except ZeroDivisionError:
                 needed = 2 * bits
         bits = max(2 * bits, needed)
     raise PrecisionExhausted(
         f"zero test undecided below {PRECISION_CAP_BITS} bits (alpha={list(alpha)})"
     )
+
+
+def _sum_enclosure(alpha, make_balls):
+    """enclose(bits, D) of `_zero_test` for gamma = sum(alpha_i * y_i), with
+    algebraic integers y_i enclosed by make_balls(bits).
+
+    Every conjugate of a y_i is a y_j, or the y_i itself when it is fixed,
+    so M = max(1, max |y_i|) bounds them all and each conjugate of gamma has
+    absolute value <= ||alpha||_1 * M.  A nonzero gamma is an algebraic
+    integer whose norm is a nonzero rational integer and a product of at
+    most D conjugates, so |gamma| >= (||alpha||_1 * M)^-(D - 1).
+    """
+    a1 = sum(abs(int(a)) for a in alpha)
+
+    def enclose(bits, degree_bound):
+        balls = make_balls(bits)
+        m = max([mpf(1)] + [b.abs_upper() for b in balls])
+        lbound = mpf(2) ** (-(degree_bound - 1) * mpmath.log(a1 * m, 2))
+        return ball_sum(b * int(a) for a, b in zip(alpha, balls) if a), lbound
+
+    return enclose
 
 
 def gamma_is_zero(
@@ -483,7 +491,7 @@ def gamma_is_zero(
     if len(alpha) != g.degree:
         raise ValueError("alpha must have one entry per root")
     degree_bound = _degree_bound(g, degree_bound)
-    return _linear_zero_test(alpha, _sorted_root_balls(g), _house_of, degree_bound)
+    return _zero_test(alpha, degree_bound, _sum_enclosure(alpha, _sorted_root_balls(g)))
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +664,7 @@ def _linear_relations(g, mk, dim, kind, coeff_cap, degree_bound) -> RelationModu
             ]
 
     def certify(alpha):
-        return _linear_zero_test(alpha, mk, _house_of, degree_bound)
+        return _zero_test(alpha, degree_bound, _sum_enclosure(alpha, mk))
 
     basis, bits, capped = _detect_module(dim, build, certify, coeff_cap)
     return RelationModule(
@@ -687,7 +695,7 @@ def _integral_value_balls(g: IntPoly, v: LaurentPoly):
 
     def mk(bits):
         boxes = _boxes_at(g, bits)
-        return [eval_laurent_ball(v.terms, boxes[i].ball()) * clear for i in order]
+        return [eval_laurent_ball(v.terms, boxes[i]) * clear for i in order]
 
     return mk
 
@@ -767,14 +775,13 @@ def multiplicative_relations(
             "v has negative exponents but 0 is a root of g"
         )
     order = _order_map(g)
-    e_shift, _ = v.integralized()
 
     # reject v vanishing at a root (certified, using the integralized values)
     mk_int = _integral_value_balls(g, v)
     for i in range(d):
         probe = [0] * d
         probe[i] = 1
-        if _linear_zero_test(probe, mk_int, _house_of, degree_bound):
+        if _zero_test(probe, degree_bound, _sum_enclosure(probe, mk_int)):
             raise VanishingValue(f"v vanishes at root #{i} of g")
 
     def build(bits):
@@ -782,7 +789,7 @@ def multiplicative_relations(
         with workprec(4 * bits + 128):
             rows = []
             for k, i in enumerate(order):
-                b = eval_laurent_ball(v.terms, boxes[i].ball())
+                b = eval_laurent_ball(v.terms, boxes[i])
                 rows.append(
                     _ident(k, d + 1)
                     + [
@@ -794,7 +801,7 @@ def multiplicative_relations(
         return rows
 
     def certify(alpha):
-        return _certified_product_is_one(g, v, order, alpha, e_shift, degree_bound)
+        return _zero_test(alpha, degree_bound, _product_enclosure(g, v, order, alpha))
 
     basis, bits, capped = _detect_module(d, build, certify, coeff_cap, saturate=False)
     return RelationModule(
@@ -802,62 +809,45 @@ def multiplicative_relations(
     )
 
 
-def _certified_product_is_one(g, v, order, alpha, e_shift, degree_bound) -> bool:
-    """Certified test of prod v(x_i)^alpha_i = 1.
+def _product_enclosure(g, v, order, alpha):
+    """enclose(bits, D) of `_zero_test` for beta - 1, beta = prod v(x_i)^alpha_i.
 
     Write e = e_shift, u_i = (X^e v)(x_i), t_i = x_i; then
-    beta = prod v(x_i)^a_i = prod u_i^a_i * prod t_i^(-e a_i) is a power
-    product of nonzero algebraic integers with total exponent mass
-    C = (1+e)*||alpha||_1.  Let P be the product of the factors appearing
-    with negative exponents; when beta != 1, P*(beta-1) is a nonzero
-    algebraic integer whose conjugates are bounded by M^C * (1 + M^C) where
+    beta = prod u_i^a_i * prod t_i^(-e a_i) is a power product of nonzero
+    algebraic integers with total exponent mass C = (1+e)*||alpha||_1.  Let
+    P be the product of the factors appearing with negative exponents; when
+    beta != 1, P*(beta-1) is a nonzero algebraic integer whose conjugates
+    are bounded by M^C * (1 + M^C) where
     M = max_i max(|u_i|, |u_i|^-1, |t_i|, |t_i|^-1, 1) over all conjugates
     (the Galois action permutes the u's and the t's), so a nonzero rational
     integer norm forces
-        |beta - 1| >= (M^C * (1 + M^C))^-(D-1) * M^-C
-    with D = min(degree_bound, orbit(alpha)): a Galois element sigma moves
-    u_i to u_{s(i)} and t_i to t_{s(i)} by one permutation s, so
-    sigma(P*(beta-1)) is the same expression in the rearrangement
-    alpha_{s^-1(j)}, and P*(beta-1) has at most orbit(alpha) conjugates.
-    For polynomial v (e = 0) this is the plain bound with M = M_v.
+        |beta - 1| >= (M^C * (1 + M^C))^-(D-1) * M^-C.
+    A Galois element moves u_i to u_{s(i)} and t_i to t_{s(i)} by one
+    permutation s, so P*(beta-1) has at most orbit(alpha) conjugates.  For
+    polynomial v (e = 0) this is the plain bound with M = M_v.
     """
-    a1 = sum(abs(int(a)) for a in alpha)
-    if a1 == 0:
-        return True
-    degree_bound = min(degree_bound, _orbit_size(alpha))
-    cc = a1 * (1 + e_shift)
-    _, vt = v.integralized()
-    bits = 192
-    while bits <= PRECISION_CAP_BITS:
-        with workprec(2 * bits + 64):
-            try:
-                boxes = _boxes_at(g, bits)
-                factors = [eval_poly_ball(vt, boxes[i].ball()) for i in order]
-                if e_shift:
-                    factors += [boxes[i].ball() for i in order]
-                m = mpf(1)
-                for b in factors:
-                    lo = b.abs_lower()
-                    if lo <= 0:
-                        raise ZeroDivisionError
-                    m = max(m, b.abs_upper(), mpmath.fdiv(1, lo, prec=RADIUS_BITS, rounding="u"))
-                mc = m**cc
-                lbound = (mc * (1 + mc)) ** (-(degree_bound - 1)) / mc
-                beta = Ball(1)
-                for a, i in zip(alpha, order):
-                    if a:
-                        val = eval_laurent_ball(v.terms, boxes[i].ball())
-                        beta = beta * val.power(int(a))
-                diff = beta - Ball(1)
-                if diff.abs_lower() > 0:
-                    return False
-                if diff.abs_upper() < lbound / 2:
-                    return True
-                needed = int(-mpmath.log(lbound, 2)) + 64
-            except ZeroDivisionError:
-                needed = 2 * bits
-        bits = max(2 * bits, needed)
-    raise PrecisionExhausted("multiplicative zero test undecided")
+    e_shift, vt = v.integralized()
+    cc = sum(abs(int(a)) for a in alpha) * (1 + e_shift)
+
+    def enclose(bits, degree_bound):
+        boxes = _boxes_at(g, bits)
+        factors = [eval_poly_ball(vt, boxes[i]) for i in order]
+        if e_shift:
+            factors += [boxes[i] for i in order]
+        m = mpf(1)
+        for b in factors:
+            lo = b.abs_lower()
+            if lo <= 0:
+                raise ZeroDivisionError
+            m = max(m, b.abs_upper(), mpmath.fdiv(1, lo, prec=RADIUS_BITS, rounding="u"))
+        mc = m**cc
+        beta = Ball(1)
+        for a, i in zip(alpha, order):
+            if a:
+                beta = beta * eval_laurent_ball(v.terms, boxes[i]).power(int(a))
+        return beta - Ball(1), (mc * (1 + mc)) ** (-(degree_bound - 1)) / mc
+
+    return enclose
 
 
 @lru_cache(maxsize=None)
@@ -897,39 +887,24 @@ def dominant_root_holds(g: IntPoly, degree_bound: int | None = None) -> bool:
         raise ValueError("dominant root criterion needs degree >= 2")
     degree_bound = _degree_bound(g, degree_bound)
     real_tie_tested = False
-    bits = 128
-    while bits <= PRECISION_CAP_BITS:
-        boxes = _boxes_at(g, bits)
+    for bits, boxes in _box_levels(g):
         pi = _conjugation_pairing(boxes)
         neg = _negation_partners(g, boxes, degree_bound)
         if pi is None or neg is None:
-            bits *= 2
             continue
-        parent = list(range(d))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
+        # conjugation and negation commute, so the class of root i is its
+        # orbit {i, pi(i), neg(i), pi(neg(i))}, listed once from its least index
+        reps = []
         for i in range(d):
-            targets = [pi[i]] + ([neg[i]] if neg[i] is not None else [])
-            for t in targets:
-                ra, rb = find(i), find(t)
-                if ra != rb:
-                    parent[ra] = rb
-        classes: dict[int, list[int]] = {}
-        for i in range(d):
-            classes.setdefault(find(i), []).append(i)
+            cl = {i, pi[i]} if neg[i] is None else {i, pi[i], neg[i], pi[neg[i]]}
+            if min(cl) == i:
+                reps.append(sorted(cl))
         with workprec(2 * bits + 64):
-            ups = [b.ball().abs_upper() for b in boxes]
-            los = [b.ball().abs_lower() for b in boxes]
-            reps = list(classes.values())
+            ups = [b.abs_upper() for b in boxes]
+            los = [b.abs_lower() for b in boxes]
             top = max(reps, key=lambda cl: ups[cl[0]])
             others = [cl for cl in reps if cl is not top]
             if any(ups[cl[0]] >= los[top[0]] for cl in others):
-                bits *= 2
                 continue
             if len(top) >= 2:
                 return False  # two roots share the maximal modulus exactly
@@ -944,10 +919,10 @@ def dominant_root_holds(g: IntPoly, degree_bound: int | None = None) -> bool:
         signs = _real_root_signs(g, boxes) if pi == list(range(d)) else None
         if signs is not None and not real_tie_tested:
             alpha = [e if j == x0 else -e for j, e in enumerate(signs)]
-            if _linear_zero_test(alpha, _root_balls_factory(g), _house_of, degree_bound):
+            enclose = _sum_enclosure(alpha, functools.partial(_boxes_at, g))
+            if _zero_test(alpha, degree_bound, enclose):
                 return False  # |x0| equals the sum of the other moduli exactly
             real_tie_tested = True
-        bits *= 2
     raise PrecisionExhausted("dominant root comparison is a genuine tie")
 
 
@@ -974,8 +949,8 @@ def _negation_partners(g, boxes, degree_bound):
     d = len(boxes)
     neg: list[int | None] = []
     for i in range(d):
-        mirror = -boxes[i].ball()
-        hits = [j for j in range(d) if not mirror.disjoint_from(boxes[j].ball())]
+        mirror = -boxes[i]
+        hits = [j for j in range(d) if not mirror.disjoint_from(boxes[j])]
         if len(hits) > 1:
             return None
         if not hits:
@@ -985,9 +960,8 @@ def _negation_partners(g, boxes, degree_bound):
         alpha = [0] * d
         alpha[i] += 1
         alpha[j] += 1
-        if _linear_zero_test(
-            alpha, _root_balls_factory(g), _house_of, degree_bound
-        ):
+        enclose = _sum_enclosure(alpha, functools.partial(_boxes_at, g))
+        if _zero_test(alpha, degree_bound, enclose):
             neg.append(j)
         else:
             neg.append(None)
@@ -998,9 +972,7 @@ def negation_pairing(g: IntPoly, degree_bound: int | None = None):
     """(pairs, unpaired) of sorted-root indices under x -> -x, certified."""
     degree_bound = _degree_bound(g, degree_bound)
     order = _order_map(g)
-    bits = 128
-    while bits <= PRECISION_CAP_BITS:
-        boxes = _boxes_at(g, bits)
+    for _, boxes in _box_levels(g):
         raw = _negation_partners(g, boxes, degree_bound)
         if raw is not None:
             inv = {b: k for k, b in enumerate(order)}
@@ -1021,5 +993,4 @@ def negation_pairing(g: IntPoly, degree_bound: int | None = None):
                     pairs.append((k, partner))
                     seen.update((k, partner))
             return pairs, unpaired
-        bits *= 2
     raise PrecisionExhausted("negation pairing undecided")

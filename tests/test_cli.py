@@ -359,6 +359,55 @@ def test_usage_error_exit_codes(capsys):
     assert exc.value.code == 2  # --threads only applies to sums and moments
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["relations", "--poly", "X^2+"], "--poly"),
+        (["relations", "--poly", "2X^2+1"], "--poly"),
+        (["relations", "--poly", "X^2"], "--poly"),
+        (["relations", "--poly", "X^5-1", "--kind", "value", "--v", "X^-1+"], "--v"),
+        (["weylcheck", "--poly", "X^3+X+3", "--alpha", "1,a", "--primes", "11"], "--alpha"),
+        (["weylcheck", "--poly", "X^3+X+3", "--alpha", "1,1,1", "--prime-range", "1:2"],
+         "--prime-range"),
+        (["relations", "--poly", "X^3-1", "--kind", "joint", "--exponents", "1,x"],
+         "--exponents"),
+        (["roots", "--poly", "X^2-2", "--prime", "7", "--config"], "--config"),
+        (["--config", "/nonexistent.json", "roots", "--poly", "X^2-2", "--prime", "7"],
+         "--config"),
+        (["--config", "list.json", "roots", "--poly", "X^2-2", "--prime", "7"], "--config"),
+        (["figure", "/nonexistent.csv"], "/nonexistent.csv"),
+    ],
+    ids=["poly-dangling-sign", "poly-not-monic", "poly-not-separable", "v-dangling-sign",
+         "alpha-not-int", "prime-range-two-fields", "exponents-not-int", "config-last",
+         "config-missing-file", "config-json-list", "figure-missing-file"],
+)
+def test_malformed_flag_text_is_usage_error(argv, named, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "list.json").write_text("[1, 2]")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: ") and named in captured.err
+    assert captured.out == ""
+
+
+def test_readme_command_lines_parse():
+    """Each `ultrashort ...` line of the README's command block parses and
+    sets every flag its subcommand requires."""
+    import shlex
+
+    from ultrashort.cli import build_parser
+
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read().replace("\\\n", " ")
+    lines = [line for line in text.splitlines() if line.startswith("ultrashort ")]
+    assert len(lines) == 15
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        for name in getattr(args, "_required", []):
+            assert getattr(args, name) not in (None, ""), (line, name)
+
+
 def test_sums_zero_threads_is_domain_error(capsys):
     assert main(["sums", "--poly", "X^3+X+3", "--prime", "30223", "--threads", "0"]) == 1
     assert "OutOfRangeParameter" in capsys.readouterr().err

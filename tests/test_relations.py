@@ -190,22 +190,30 @@ def test_stable_base_takes_the_float_seed_unless_it_cannot_certify(g, polyroots_
     assert len(base) == g.degree
 
 
-@pytest.mark.parametrize("exponent, float_seed", [(150, True), (400, False)])
-def test_roots_far_from_the_origin_are_isolated_promptly(exponent, float_seed, monkeypatch):
+@pytest.mark.parametrize(
+    "constant", [10**150, 10**400, 2 * 10**400], ids=["10^150", "10^400", "2*10^400"]
+)
+def test_roots_far_from_the_origin_are_isolated_promptly(constant, monkeypatch):
     # the base radius is relative to the Cauchy bound, so its working
     # precision covers roots of size 10^75 and 10^200; 10^400 overflows a
-    # float and takes the polyroots rung.  A lowered cap makes a regression
-    # raise PrecisionExhausted at once instead of escalating towards 2^20 bits
+    # float, so the float seed scales the roots by 2^k first (no polyroots
+    # rung converges on 2*10^400).  A lowered cap makes a regression raise
+    # PrecisionExhausted at once instead of escalating towards 2^20 bits
+    import mpmath
+
     import ultrashort.relations as R
 
-    g = IntPoly((-(10**exponent), 0, 1))
-    assert (R._float_seed(g) is not None) == float_seed
+    g = IntPoly((-constant, 0, 1))
+    assert R._float_seed(g) is not None
     monkeypatch.setattr(R, "PRECISION_CAP_BITS", 8192)
     started = time.perf_counter()
     lo, hi = certified_complex_roots(g, 128).boxes
     assert time.perf_counter() - started < 10
-    root = 10 ** (exponent // 2)
-    assert lo.center == -root and hi.center == root
+    with mpmath.workprec(4096):
+        root = mpmath.sqrt(constant)
+        assert abs(lo.center + root) <= lo.radius and abs(hi.center - root) <= hi.radius
+        if mpmath.isint(root):
+            assert lo.center == -root and hi.center == root
     assert lo.radius <= mpf(2) ** -65 and hi.radius <= mpf(2) ** -65
 
 
@@ -428,6 +436,65 @@ def test_galois_stability_of_basis_rows_mod_split_primes():
                 assert sum(a * r for a, r in zip(row, roots)) % q == 0, (text, q)
 
 
+def _index_module(g):
+    """The relation module index_ind(g) reads ind(g) from."""
+    import ultrashort.relations as R
+
+    modules = []
+    real = R._linear_relations
+
+    def spy(*args):
+        modules.append(real(*args))
+        return modules[-1]
+
+    R._linear_relations = spy
+    try:
+        index_ind.__wrapped__(g)
+    finally:
+        R._linear_relations = real
+    return modules[0]
+
+
+P = IntPoly.parse
+
+
+@pytest.mark.parametrize(
+    "kind, compute, basis, degree_bound, cap_reached",
+    [
+        ("additive", lambda: additive_relations(P("X^3+X+3")), [[1, 1, 1]], 6, True),
+        ("additive", lambda: additive_relations(P("X^6-1")),
+         [[1, 0, 0, 0, 0, 1], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, -1, 1], [0, 0, 0, 1, 1, -1]],
+         720, False),
+        ("additive", lambda: additive_relations(P("X^7-1")), [[1] * 7], 5040, True),
+        ("value", lambda: value_relations(P("X^5-1"), LaurentPoly.parse("X+X^-1")),
+         [[1, 1, 0, 2, 1], [0, 2, 0, 2, 1], [0, 0, 1, -1, 0]], 120, True),
+        ("joint", lambda: joint_power_relations(P("X^3-1"), (1, -1)), [[1, 1, 1]], 6, False),
+        ("multiplicative", lambda: multiplicative_relations(P("X^2-2"), X), [[2, -2]], 2,
+         False),
+        ("multiplicative", lambda: multiplicative_relations(P("X^3-1"), X),
+         [[1, 1, 0], [0, 3, 0], [0, 0, 1]], 6, True),
+        ("index", lambda: _index_module(P("X^3+X^2+2X+1")), [[1, 1, 1, 1]], 6, True),
+    ],
+    ids=["X^3+X+3", "X^6-1", "X^7-1", "value-X^5-1", "joint-X^3-1", "mult-X^2-2",
+         "mult-X^3-1", "index-X^3+X^2+2X+1"],
+)
+def test_certificates_are_pinned(kind, compute, basis, degree_bound, cap_reached):
+    # every field of the module and of its certificate: changes to how roots
+    # are boxed and how zero tests are run must leave all of them as they are
+    module = compute()
+    assert module.to_json_dict() == {
+        "d": len(basis[0]), "basis": basis, "precision_bits": 384, "kind": kind,
+    }
+    assert module.certificate == {
+        "precision_bits": 384,
+        "degree_bound": degree_bound,
+        "coeff_cap": 64,
+        "stable_doublings": 2,
+        "cap_reached": cap_reached,
+        "lower_bound": "norm bound (||alpha||_1 * M)^-(min(degree_bound, orbit(alpha)) - 1)",
+    }
+
+
 def test_relation_module_json_roundtrip():
     from ultrashort.relations import RelationModule
 
@@ -567,6 +634,10 @@ def test_index_examples(text, expected):
         ("X^2-10X+1", True),
         ("X^3-7X^2+14X-8", True),  # real roots 1, 2, 4: 4 > 1 + 2
         ("X^3-X^2-14X+24", False),  # real roots 2, 3, -4: 4 < 2 + 3
+        # conjugation and negation join the roots of X^4+1 (or X^4+4) in one
+        # class of four
+        ("X^5-100X^4+X-100", True),  # (X-100)(X^4+1): 100 > 4
+        ("X^5-3X^4+4X-12", False),  # (X-3)(X^4+4): 3 < 4 sqrt2
     ],
 )
 def test_dominant_root_examples(text, expected):
