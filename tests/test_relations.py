@@ -190,31 +190,50 @@ def test_stable_base_takes_the_float_seed_unless_it_cannot_certify(g, polyroots_
     assert len(base) == g.degree
 
 
-@pytest.mark.parametrize(
-    "constant", [10**150, 10**400, 2 * 10**400], ids=["10^150", "10^400", "2*10^400"]
-)
-def test_roots_far_from_the_origin_are_isolated_promptly(constant, monkeypatch):
-    # the base radius is relative to the Cauchy bound, so its working
-    # precision covers roots of size 10^75 and 10^200; 10^400 overflows a
-    # float, so the float seed scales the roots by 2^k first (no polyroots
-    # rung converges on 2*10^400).  A lowered cap makes a regression raise
-    # PrecisionExhausted at once instead of escalating towards 2^20 bits
-    import mpmath
-
+def _isolated_promptly(g, monkeypatch):
+    """The two root boxes of g, isolated in under 10 s below a lowered
+    precision cap, so a regression raises PrecisionExhausted at once instead
+    of escalating towards 2^20 bits."""
     import ultrashort.relations as R
 
-    g = IntPoly((-constant, 0, 1))
     assert R._float_seed(g) is not None
     monkeypatch.setattr(R, "PRECISION_CAP_BITS", 8192)
     started = time.perf_counter()
     lo, hi = certified_complex_roots(g, 128).boxes
     assert time.perf_counter() - started < 10
+    assert lo.radius <= mpf(2) ** -65 and hi.radius <= mpf(2) ** -65
+    return lo, hi
+
+
+def _fits_a_float(n):
+    try:
+        return math.isfinite(float(n))
+    except OverflowError:
+        return False
+
+
+@pytest.mark.parametrize("exponent, fits_a_float", [(150, True), (400, False)])
+def test_roots_far_from_the_origin_are_isolated_promptly(exponent, fits_a_float, monkeypatch):
+    # the base radius is relative to the Cauchy bound, so its working
+    # precision covers roots of size 10^75 and 10^200; 10^400 overflows a
+    # float, so the float seed scales the roots by 2^k first
+    assert _fits_a_float(10**exponent) == fits_a_float
+    lo, hi = _isolated_promptly(IntPoly((-(10**exponent), 0, 1)), monkeypatch)
+    root = 10 ** (exponent // 2)
+    assert lo.center == -root and hi.center == root
+
+
+def test_irrational_roots_beyond_the_float_range_are_isolated_promptly(monkeypatch):
+    # no polyroots rung converges on X^2 - 2*10^400, so only the scaled
+    # float seed isolates its roots
+    import mpmath
+
+    constant = 2 * 10**400
+    assert not _fits_a_float(constant)
+    lo, hi = _isolated_promptly(IntPoly((-constant, 0, 1)), monkeypatch)
     with mpmath.workprec(4096):
         root = mpmath.sqrt(constant)
         assert abs(lo.center + root) <= lo.radius and abs(hi.center - root) <= hi.radius
-        if mpmath.isint(root):
-            assert lo.center == -root and hi.center == root
-    assert lo.radius <= mpf(2) ** -65 and hi.radius <= mpf(2) ** -65
 
 
 def _fraction(x):
