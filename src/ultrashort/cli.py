@@ -346,7 +346,7 @@ def _read_csv(path):
     try:
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-            rows = [line.strip().split(",") for line in fh if line.strip()]
+            rows = [(n, ln.strip().split(",")) for n, ln in enumerate(fh, 2) if ln.strip()]
     except OSError as exc:
         raise UsageError(f"{path}: {exc.strerror}") from None
     cols = {name: i for i, name in enumerate(header)}
@@ -355,10 +355,13 @@ def _read_csv(path):
     if not rows:
         raise UsageError(f"{path} has no samples")
     re_i, im_i = cols["re"], cols["im"]
-    values = np.array(
-        [complex(float(r[re_i]), float(r[im_i])) for r in rows], dtype=np.complex128
-    )
-    return values
+    values = []
+    for n, r in rows:
+        try:
+            values.append(complex(float(r[re_i]), float(r[im_i])))
+        except (IndexError, ValueError):
+            raise UsageError(f"{path} line {n}: {','.join(r)!r} is not a re,im row") from None
+    return np.array(values, dtype=np.complex128)
 
 
 def _figure_range(path, values, explicit) -> float:
@@ -592,12 +595,14 @@ _DISPATCH = {
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Load --config defaults; explicit flags still take precedence."""
-    if "--config" not in argv:
+    i = next((i for i, a in enumerate(argv) if a.partition("=")[0] == "--config"), None)
+    if i is None:
         return argv
-    i = argv.index("--config")
-    if i + 1 == len(argv):
-        raise UsageError("--config needs a file name")
-    path = argv[i + 1]
+    _, eq, path = argv[i].partition("=")  # --config=FILE
+    if not eq:
+        if i + 1 == len(argv):
+            raise UsageError("--config needs a file name")
+        path = argv[i + 1]
     try:
         with open(path) as fh:
             config = json.load(fh)
@@ -610,7 +615,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
         for sub_parser in action.choices.values():
             known = {a.dest for a in sub_parser._actions}
             sub_parser.set_defaults(**{k: v for k, v in defaults.items() if k in known})
-    return argv[:i] + argv[i + 2 :]
+    return argv[:i] + argv[i + (1 if eq else 2) :]
 
 
 def main(argv=None) -> int:

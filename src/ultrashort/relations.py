@@ -879,15 +879,23 @@ def dominant_root_holds(g: IntPoly, degree_bound: int | None = None) -> bool:
     symmetries (the sources of equal moduli in the irreducible inputs this
     criterion is stated for).  When every root is real, |x0| - sum |x_j| is
     the linear form sum(e_j x_j) with e_j = +-1 from the certified signs, and
-    one certified zero test decides whether it ties.  Any other exact tie
+    one certified zero test decides whether it ties.  The answer is False as
+    soon as up_i < sum_{j != i} lo_j for every i (certified bounds of |x|,
+    summed exactly): |x_i| <= up_i < sum lo_j <= sum |x_j|.  Any other tie
     (with non-real roots) exhausts the precision cap: PrecisionExhausted.
     """
     d = g.degree
     if d < 2:
         raise ValueError("dominant root criterion needs degree >= 2")
     degree_bound = _degree_bound(g, degree_bound)
+    add = functools.partial(mpmath.fadd, exact=True)  # bounds stay bounds
     real_tie_tested = False
     for bits, boxes in _box_levels(g):
+        ups = [b.abs_upper() for b in boxes]
+        los = [b.abs_lower() for b in boxes]
+        lo_sum = functools.reduce(add, los)
+        if all(add(up, lo) < lo_sum for up, lo in zip(ups, los)):
+            return False
         pi = _conjugation_pairing(boxes)
         neg = _negation_partners(g, boxes, degree_bound)
         if pi is None or neg is None:
@@ -899,23 +907,19 @@ def dominant_root_holds(g: IntPoly, degree_bound: int | None = None) -> bool:
             cl = {i, pi[i]} if neg[i] is None else {i, pi[i], neg[i], pi[neg[i]]}
             if min(cl) == i:
                 reps.append(sorted(cl))
-        with workprec(2 * bits + 64):
-            ups = [b.abs_upper() for b in boxes]
-            los = [b.abs_lower() for b in boxes]
-            top = max(reps, key=lambda cl: ups[cl[0]])
-            others = [cl for cl in reps if cl is not top]
-            if any(ups[cl[0]] >= los[top[0]] for cl in others):
-                continue
-            if len(top) >= 2:
-                return False  # two roots share the maximal modulus exactly
-            x0 = top[0]
-            add = functools.partial(mpmath.fadd, exact=True)  # bounds stay bounds
-            rest_up = functools.reduce(add, [ups[j] for j in range(d) if j != x0])
-            rest_lo = functools.reduce(add, [los[j] for j in range(d) if j != x0])
-            if los[x0] > rest_up:
-                return True
-            if ups[x0] < rest_lo:
-                return False
+        top = max(reps, key=lambda cl: ups[cl[0]])
+        others = [cl for cl in reps if cl is not top]
+        if any(ups[cl[0]] >= los[top[0]] for cl in others):
+            continue
+        if len(top) >= 2:
+            return False  # two roots share the maximal modulus exactly
+        x0 = top[0]
+        rest_up = functools.reduce(add, [ups[j] for j in range(d) if j != x0])
+        rest_lo = functools.reduce(add, [los[j] for j in range(d) if j != x0])
+        if los[x0] > rest_up:
+            return True
+        if ups[x0] < rest_lo:
+            return False
         signs = _real_root_signs(g, boxes) if pi == list(range(d)) else None
         if signs is not None and not real_tie_tested:
             alpha = [e if j == x0 else -e for j, e in enumerate(signs)]

@@ -262,13 +262,18 @@ def test_limit_involution_out_of_range_is_domain_error(args, capsys):
     assert "OutOfRangeParameter" in captured.err and captured.out == ""
 
 
-@pytest.mark.parametrize("text", ["re,im\n", ""], ids=["header-only", "empty"])
-def test_figure_csv_without_samples_is_usage_error(text, tmp_path, capsys):
-    csv = tmp_path / "empty.csv"
+@pytest.mark.parametrize(
+    "text,where",
+    [("re,im\n", ""), ("", ""), ("re,im\n0.5,0.5\n1.0,x\n", "line 3"), ("re,im\n1.0\n", "line 2")],
+    ids=["header-only", "empty", "not-a-number", "short-row"],
+)
+def test_figure_csv_without_samples_is_usage_error(text, where, tmp_path, capsys):
+    csv = tmp_path / "bad.csv"
     csv.write_text(text)
     assert main(["figure", str(csv)]) == 2
-    assert str(csv) in capsys.readouterr().err
-    assert not (tmp_path / "empty.svg").exists()
+    err = capsys.readouterr().err
+    assert str(csv) in err and where in err
+    assert not (tmp_path / "bad.svg").exists()
 
 
 def test_moments_negative_max_order_is_domain_error(tmp_path, capsys):
@@ -333,6 +338,8 @@ def test_config_defaults_and_flag_precedence(tmp_path):
     assert main(["--config", str(cfg), "roots", "--prime", "13",
                  "--out", str(out)]) == 0
     assert json.loads(out.read_text())["q"] == 13
+    assert main([f"--config={cfg}", "roots", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["q"] == 7
 
 
 def test_domain_error_exit_code(capsys):

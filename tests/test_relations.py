@@ -688,15 +688,34 @@ def test_dominant_root_implies_trivial_relations():
             assert additive_relations(g).rank == 0
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "X^3-2",  # one real and two complex roots, all of modulus 2^(1/3)
+        "X^6-1",  # six roots of modulus 1
+        "X^3-8",  # all of modulus exactly 2, a tie conjugation and negation miss
+    ],
+)
+def test_dominant_root_equal_moduli_are_decided_promptly(text, monkeypatch):
+    # each modulus is below the sum of the others, which certified bounds
+    # show at the first level; a lowered cap makes a regression raise
+    # PrecisionExhausted at once instead of refining towards 2^20 bits
+    import ultrashort.relations as R
+
+    monkeypatch.setattr(R, "PRECISION_CAP_BITS", 8192)
+    started = time.perf_counter()
+    assert dominant_root_holds(IntPoly.parse(text)) is False
+    assert time.perf_counter() - started < 10
+
+
 def test_dominant_root_genuine_tie_exhausts_precision(monkeypatch):
-    # X^3-8 has one real and two complex roots, all of modulus exactly 2,
-    # but the moduli tie is not induced by conjugation or negation, so the
-    # comparison can never certify; cap the escalation to keep the test fast
+    # (X-2)(X^2+X+1): |2| = |w| + |w^2| exactly, with non-real roots, so
+    # no certified comparison can decide it; cap the escalation
     import ultrashort.relations as R
 
     monkeypatch.setattr(R, "PRECISION_CAP_BITS", 8192)
     with pytest.raises(PrecisionExhausted):
-        dominant_root_holds(IntPoly.parse("X^3-8"))
+        dominant_root_holds(IntPoly.parse("X^3-X^2-X-2"))
 
 
 def test_negation_pairing():

@@ -3,7 +3,6 @@
 import cmath
 import itertools
 import math
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -72,57 +71,67 @@ def test_additive_grid_threads_deterministic():
     assert np.array_equal(a.values, b.values)
 
 
-@pytest.mark.parametrize("lo", [1000, 40_000])
-def test_additive_grid_one_and_two_threads_bitwise_equal(lo):
-    # one grid smaller than a chunk, one of several chunks plus a remainder
-    g = IntPoly.parse("X^3+X+3")
-    q = find_split_primes(g, lo, lo + 2000)[0]
-    assert q % sums._CHUNK != 0
-    a = additive_sum_grid(g, q, threads=1)
-    b = additive_sum_grid(g, q, threads=2)
-    assert a.values.tobytes() == b.values.tobytes()
+U = 2.0**-53
+
+
+def _within_proven_bound(values, residue_sets, modulus, d):
+    """Compare a grid with the direct per-point sum of d exponentials.
+
+    The grid is within d*(d + 43)*U of the exact sum (sums module docstring);
+    the direct sum is within d*(d + 20)*U of it: (6*pi + 2)*U per exponential
+    and d - 1 additions, with one exponential and no product per term.
+    """
+    want = sum(sums._exp_of_residues(ks % modulus, modulus) for ks in residue_sets)
+    assert values.shape == want.shape
+    assert np.abs(values - want).max() <= d * (d + 43) * U + d * (d + 20) * U
+
+
+def _additive(text, q, n):
+    g = IntPoly.parse(text)
+    a = np.arange(q**n, dtype=np.int64)
+    ws = sums._split_roots(g, q, n)
+    return additive_sum_grid(g, q, n).values, [a * w for w in ws], q**n, g.degree
+
+
+def _mult(text, q):
+    g = IntPoly.parse(text)
+    gen = sums.multiplicative_generator(q)
+    roots = sums._split_roots(g, q)
+    logs = [next(k for k in range(q - 1) if pow(gen, k, q) == r) for r in roots]
+    t = np.arange(q - 1, dtype=np.int64)
+    return mult_char_sum_grid(g, q).values, [t * s for s in logs], q - 1, g.degree
+
+
+def _multi(text, q, exponents):
+    g = IntPoly.parse(text)
+    tuples = np.array(list(itertools.product(range(q), repeat=len(exponents))), dtype=np.int64)
+    powers = [[pow(r, m, q) for m in exponents] for r in sums._split_roots(g, q)]
+    values = multi_param_sum_samples(g, q, exponents, 0, 0, full_grid=True)
+    return values, [tuples @ np.array(pw) for pw in powers], q, g.degree
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(lambda: _additive("X^2-2", 7, 2), id="additive-49-square"),
+        pytest.param(lambda: _additive("X^2+1", 101, 1), id="additive-101-above-square"),
+        pytest.param(lambda: _additive("X^2+3X+2", 2, 3), id="additive-8-below-square"),
+        pytest.param(lambda: _additive("X^3+X+3", 30223, 1), id="additive-prime-30223"),
+        pytest.param(lambda: _mult("X+1", 2), id="mult-q2-size1"),
+        pytest.param(lambda: _mult("X^2-1", 3), id="mult-q3-size2"),
+        pytest.param(lambda: _multi("X^3-1", 13, [2]), id="multi-k1"),
+        pytest.param(lambda: _multi("X^3-1", 109, [1, -1]), id="multi-k2"),
+        pytest.param(lambda: _multi("X^3-1", 13, [1, 2, -1]), id="multi-k3"),
+    ],
+)
+def test_complete_grids_match_direct_sums_within_the_proven_bound(case):
+    _within_proven_bound(*case())
 
 
 @pytest.mark.parametrize("threads", [0, -3])
 def test_additive_grid_rejects_fewer_than_one_thread(threads):
     with pytest.raises(OutOfRangeParameter):
         additive_sum_grid(IntPoly.parse("X^3+X+3"), 30223, threads=threads)
-
-
-class _InlinePool:
-    """Stands in for ThreadPoolExecutor: records max_workers and runs each
-    task in the calling thread, so no thread is started."""
-
-    def __init__(self, sizes, max_workers):
-        sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        fut = Future()
-        fut.set_result(fn(*args))
-        return fut
-
-
-@pytest.mark.parametrize(
-    "threads,cores,want",
-    [(10**6, 64, 4), (10**6, 3, 3), (2, 64, 2), (10**6, 1, None)],
-)
-def test_thread_pool_is_capped_by_chunks_and_cores(monkeypatch, threads, cores, want):
-    g = IntPoly.parse("X^3+X+3")
-    q = find_split_primes(g, 3 * sums._CHUNK + 1, 4 * sums._CHUNK)[0]  # four chunks
-    sizes = []
-    monkeypatch.setattr(
-        sums, "ThreadPoolExecutor", lambda max_workers: _InlinePool(sizes, max_workers)
-    )
-    monkeypatch.setattr(sums.os, "cpu_count", lambda: cores)
-    grid = additive_sum_grid(g, q, threads=threads)
-    assert sizes == ([] if want is None else [want])
-    assert np.array_equal(grid.values, additive_sum_grid(g, q).values)
 
 
 def test_additive_grid_not_split():
@@ -229,15 +238,7 @@ def test_mult_char_single_root():
 
 def test_mult_char_logs_match_brute_force():
     g = IntPoly.parse("X^3+X+3")
-    q = find_split_primes(g, 100, 400)[0]
-    roots = sums._split_roots(g, q)
-    gen = sums.multiplicative_generator(q)
-    logs = [next(k for k in range(q - 1) if pow(gen, k, q) == r) for r in roots]
-    t = np.arange(q - 1)
-    want = np.zeros(q - 1, dtype=np.complex128)
-    for s in logs:
-        want += sums._exp_of_residues((t * s) % (q - 1), q - 1)
-    assert np.array_equal(mult_char_sum_grid(g, q).values, want)
+    _within_proven_bound(*_mult("X^3+X+3", find_split_primes(g, 100, 400)[0]))
 
 
 def test_mult_char_grid_rejects_q_above_grid_cap():
