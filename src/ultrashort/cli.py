@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -196,8 +197,7 @@ def _write_grid(grid, out: str | None) -> None:
             json.dump(grid.to_json_dict(), fh, indent=2)
             fh.write("\n")
     else:
-        for a, vv in zip(grid.params, grid.values):
-            print(f"{int(a)},{float(vv.real)!r},{float(vv.imag)!r}")
+        sums.write_columns(sys.stdout, "", grid.params, grid.values.real, grid.values.imag)
 
 
 def cmd_sums(args) -> int:
@@ -259,9 +259,7 @@ def cmd_limit(args) -> int:
     if args.out:
         batch.write_csv(args.out)
     else:
-        for z in batch.samples:
-            z = complex(z)
-            print(f"{z.real!r},{z.imag!r}")
+        sums.write_columns(sys.stdout, "", batch.samples.real, batch.samples.imag)
     return 0
 
 
@@ -322,19 +320,16 @@ def cmd_prime_sweep(args) -> int:
     """
     g = _poly(args)
     qs = find_split_primes(g, 2, args.limit)
-    rows = []
-    for q in qs:
+    zs = np.empty(len(qs), dtype=np.complex128)
+    for i, q in enumerate(qs):
         roots = hensel_roots(g, q, 1).roots
-        z = sum(np.exp(2j * np.pi * ((args.a * r) % q) / q) for r in roots)
-        rows.append((q, z))
+        zs[i] = sum(np.exp(2j * np.pi * ((args.a * r) % q) / q) for r in roots)
+    cols = (np.array(qs, dtype=np.int64), zs.real, zs.imag)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write("p,re,im\n")
-            for q, z in rows:
-                fh.write(f"{q},{float(z.real)!r},{float(z.imag)!r}\n")
+            sums.write_columns(fh, "p,re,im\n", *cols)
     else:
-        for q, z in rows:
-            print(f"{q},{float(z.real)!r},{float(z.imag)!r}")
+        sums.write_columns(sys.stdout, "", *cols)
     return 0
 
 
@@ -343,25 +338,37 @@ def cmd_prime_sweep(args) -> int:
 
 
 def _read_csv(path):
+    """The re, im columns as complex128, by one np.loadtxt (it rounds like
+    float()); only a file it rejects is read line by line, which takes what
+    float() takes (blank-looking lines, '1_000') or names the bad line."""
     try:
         with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            rows = [(n, ln.strip().split(",")) for n, ln in enumerate(fh, 2) if ln.strip()]
+            cols = {name: i for i, name in enumerate(fh.readline().strip().split(","))}
+            if "re" not in cols or "im" not in cols:
+                raise UsageError(f"{path} has no re,im header")
+            usecols = (cols["re"], cols["im"])
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # no rows: reported below
+                    pairs = np.loadtxt(path, delimiter=",", skiprows=1, usecols=usecols,
+                                       comments=None, ndmin=2)
+            except ValueError:
+                pairs = []
+                for n, line in enumerate(fh, 2):
+                    r = line.strip().split(",")
+                    if r == [""]:
+                        continue
+                    try:
+                        pairs.append([float(r[i]) for i in usecols])
+                    except (IndexError, ValueError):
+                        msg = f"{path} line {n}: {','.join(r)!r} is not a re,im row"
+                        raise UsageError(msg) from None
+                pairs = np.array(pairs, dtype=np.float64).reshape(-1, 2)
     except OSError as exc:
         raise UsageError(f"{path}: {exc.strerror}") from None
-    cols = {name: i for i, name in enumerate(header)}
-    if "re" not in cols or "im" not in cols:
-        raise UsageError(f"{path} has no re,im header")
-    if not rows:
+    if not len(pairs):
         raise UsageError(f"{path} has no samples")
-    re_i, im_i = cols["re"], cols["im"]
-    values = []
-    for n, r in rows:
-        try:
-            values.append(complex(float(r[re_i]), float(r[im_i])))
-        except (IndexError, ValueError):
-            raise UsageError(f"{path} line {n}: {','.join(r)!r} is not a re,im row") from None
-    return np.array(values, dtype=np.complex128)
+    return pairs.view(np.complex128)[:, 0]
 
 
 def _figure_range(path, values, explicit) -> float:
@@ -410,11 +417,8 @@ def render_scatter_svg(values: np.ndarray, bound: float) -> str:
         f'<line x1="{mid:.1f}" y1="0" x2="{mid:.1f}" y2="{SVG_SIZE}" '
         'stroke="#cccccc" stroke-width="1"/>\n'
     )
-    for z in values:
-        parts.append(
-            f'<circle cx="{px(z.real):.2f}" cy="{px(-z.imag):.2f}" r="1" '
-            'fill="black" fill-opacity="0.3"/>\n'
-        )
+    circle = '<circle cx="{:.2f}" cy="{:.2f}" r="1" fill="black" fill-opacity="0.3"/>\n'
+    parts.append("".join(map(circle.format, px(values.real).tolist(), px(-values.imag).tolist())))
     parts.append("</svg>\n")
     return "".join(parts)
 
@@ -425,15 +429,12 @@ def render_histogram_svg(values: np.ndarray, bound: float, bins: int) -> str:
     counts, edges = np.histogram(values.real, bins=bins, range=(lo, hi))
     peak = max(1, counts.max())
     scale_x = SVG_SIZE / (hi - lo)
+    h = (SVG_SIZE - 40) * (counts / peak)
+    x, w = (edges[:-1] - lo) * scale_x, (edges[1:] - edges[:-1]) * scale_x
+    rect = ('<rect x="{:.2f}" y="{:.2f}" width="{:.2f}" height="{:.2f}" fill="steelblue" '
+            'stroke="white" stroke-width="0.5"/>\n')
     parts = [_svg_header(len(values))]
-    for c, e0, e1 in zip(counts, edges[:-1], edges[1:]):
-        h = (SVG_SIZE - 40) * (c / peak)
-        x = (e0 - lo) * scale_x
-        w = (e1 - e0) * scale_x
-        parts.append(
-            f'<rect x="{x:.2f}" y="{SVG_SIZE - h:.2f}" width="{w:.2f}" '
-            f'height="{h:.2f}" fill="steelblue" stroke="white" stroke-width="0.5"/>\n'
-        )
+    parts.append("".join(map(rect.format, *(c.tolist() for c in (x, SVG_SIZE - h, w, h)))))
     parts.append("</svg>\n")
     return "".join(parts)
 

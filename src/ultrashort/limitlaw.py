@@ -16,6 +16,7 @@ import numpy as np
 from .errors import InvalidPairing, OutOfRangeParameter, TooLarge
 from .lattice import smith_normal_form as _snf
 from .relations import RelationModule
+from .sums import write_columns
 
 EXACT_MOMENT_CAP = 10**8
 
@@ -43,11 +44,10 @@ class SampleBatch:
         return np.real(self.samples)
 
     def write_csv(self, path) -> None:
+        """`re,im` rows through the columnar sums.write_columns; a real batch
+        (the Sato-Tate laws) writes its zero imaginary column as 0.0."""
         with open(path, "w") as fh:
-            fh.write("re,im\n")
-            for v in self.samples:
-                z = complex(v)
-                fh.write(f"{z.real!r},{z.imag!r}\n")
+            write_columns(fh, "re,im\n", self.samples.real, self.samples.imag)
 
 
 @dataclass

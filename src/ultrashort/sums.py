@@ -40,6 +40,18 @@ from .errors import (
 )
 
 PARAM_SPACE_CAP = 1 << 26
+_ROWS_PER_WRITE = 1 << 16
+
+
+def write_columns(fh, header: str, *cols: np.ndarray) -> None:
+    """Write `header`, then row i of the 1-D arrays `cols` as a CSV line:
+    str for an integer, repr (shortest round-trip text) for a float.  Whole
+    columns go through .tolist() and one str.format per row, in blocks of
+    _ROWS_PER_WRITE rows to bound memory."""
+    fh.write(header)
+    line = ",".join(["{}"] * len(cols)) + "\n"
+    for i in range(0, len(cols[0]), _ROWS_PER_WRITE):
+        fh.write("".join(map(line.format, *(c[i : i + _ROWS_PER_WRITE].tolist() for c in cols))))
 
 
 @dataclass
@@ -68,9 +80,7 @@ class SumGrid:
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write("a,re,im\n")
-            for a, v in zip(self.params, self.values):
-                fh.write(f"{int(a)},{float(v.real)!r},{float(v.imag)!r}\n")
+            write_columns(fh, "a,re,im\n", self.params, self.values.real, self.values.imag)
 
     def to_json_dict(self) -> dict:
         return dict(self.meta, excluded=[int(a) for a in self.excluded])
@@ -216,8 +226,8 @@ def mult_char_sum_grid(g: IntPoly, q: int, v: LaurentPoly | None = None) -> SumG
     """values[t] = sum_r chi_t(v(r)) over the q-1 characters chi_t of F_q^*.
 
     chi_t(gen^s) = e(s*t/(q-1)) for the smallest primitive root gen, so
-    values[t] = sum_r e(t*dlog(v(r))/(q-1)); the logs are read from the
-    inverse of the table of powers gen^i.  q is capped at 2^26.
+    values[t] = sum_r e(t*dlog(v(r))/(q-1)); dlog(w) is the index of w in
+    the table of powers gen^i.  q is capped at 2^26.
     """
     if q > PARAM_SPACE_CAP:
         raise OutOfRangeParameter(f"q = {q} exceeds 2^26")
@@ -227,9 +237,8 @@ def mult_char_sum_grid(g: IntPoly, q: int, v: LaurentPoly | None = None) -> SumG
     if any(w % q == 0 for w in vals):
         raise VanishingValue("v(r) = 0 mod q at a root")
     size = q - 1
-    dlog = np.empty(q, dtype=np.int64)
-    dlog[_generator_powers(multiplicative_generator(q), q)] = np.arange(size, dtype=np.int64)
-    logs = [int(dlog[w]) for w in vals]
+    powers = _generator_powers(multiplicative_generator(q), q)
+    logs = [int(np.flatnonzero(powers == w)[0]) for w in vals]
     values = _outer_fill(_split_pairs(logs, size), size)
     return SumGrid(
         modulus=PrimePowerModulus(q, 1),

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,9 @@ import numpy as np
 import pytest
 
 import ultrashort
-from ultrashort.cli import CACHE_ENV, main
+from ultrashort.cli import CACHE_ENV, _read_csv, main
+from ultrashort.limitlaw import sato_tate_sum_samples
+from ultrashort.sums import additive_sum_grid
 
 
 @pytest.fixture(autouse=True)
@@ -264,8 +267,9 @@ def test_limit_involution_out_of_range_is_domain_error(args, capsys):
 
 @pytest.mark.parametrize(
     "text,where",
-    [("re,im\n", ""), ("", ""), ("re,im\n0.5,0.5\n1.0,x\n", "line 3"), ("re,im\n1.0\n", "line 2")],
-    ids=["header-only", "empty", "not-a-number", "short-row"],
+    [("re,im\n", ""), ("", ""), ("re,im\n0.5,0.5\n1.0,x\n", "line 3"), ("re,im\n1.0\n", "line 2"),
+     ("re,im\n\n  \n", ""), ("re,im\n1,2\n#3,4\n", "line 3")],
+    ids=["header-only", "empty", "not-a-number", "short-row", "blank-rows-only", "comment-row"],
 )
 def test_figure_csv_without_samples_is_usage_error(text, where, tmp_path, capsys):
     csv = tmp_path / "bad.csv"
@@ -274,6 +278,61 @@ def test_figure_csv_without_samples_is_usage_error(text, where, tmp_path, capsys
     err = capsys.readouterr().err
     assert str(csv) in err and where in err
     assert not (tmp_path / "bad.svg").exists()
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("re,im\n1.5,-2.0\n", [(1.5, -2.0)]),
+        ("re,im\n\n1,2\n  \n\n3,4\n\n", [(1.0, 2.0), (3.0, 4.0)]),
+        ("im,re\n1,2\n3,4\n", [(2.0, 1.0), (4.0, 3.0)]),
+        ("a,re,im,note\n0,1,2,x\n1, 3 ,4,y,z\n", [(1.0, 2.0), (3.0, 4.0)]),
+        ("re,im\nnan,inf\n-inf,-0.0\nInfinity,-nan\n",
+         [(math.nan, math.inf), (-math.inf, -0.0), (math.inf, -math.nan)]),
+        ("re,im\n1_000,0.1000000000000000055511151231257827\n", [(1000.0, 0.1)]),
+    ],
+    ids=["one-row", "blank-lines", "im-re-order", "extra-columns", "nan-inf", "float-only-text"],
+)
+def test_read_csv_reads_what_float_reads(text, want, tmp_path):
+    """_read_csv gives, bit for bit, complex(float(re), float(im)) per row."""
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    got = _read_csv(str(path))
+    want = np.array([complex(float(re), float(im)) for re, im in want])
+    assert got.dtype == np.complex128 and got.shape == want.shape
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_readme_file_pipeline_runs(tmp_path, monkeypatch):
+    """The README's file-writing commands run end to end, at small counts:
+    `sums --out` and each `limit --out`, each CSV then through `figure`, and
+    the CSVs read back bit for bit."""
+    import shlex
+
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        lines = [line for line in fh if line.startswith(("ultrashort sums", "ultrashort limit"))]
+    assert len(lines) == 3
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        if "--count" in argv:
+            argv[argv.index("--count") + 1] = "2000"
+        assert main(argv) == 0
+        csv = argv[argv.index("--out") + 1]
+        assert main(["figure", csv]) == 0
+        values = _read_csv(csv)
+        svg = (tmp_path / csv).with_suffix(".svg").read_text()
+        assert f"<!-- samples: {len(values)} -->" in svg and svg.endswith("</svg>\n")
+        flag = {name: argv[i + 1] for i, name in enumerate(argv) if name.startswith("--")}
+        if argv[0] == "sums":
+            g = ultrashort.IntPoly.parse(flag["--poly"])
+            assert np.array_equal(values, additive_sum_grid(g, int(flag["--prime"])).values)
+        if flag.get("--law") == "st-sum:3":
+            want = sato_tate_sum_samples(3, len(values), int(flag["--seed"])).samples
+            assert np.array_equal(values, want) and "<circle" not in svg
+        else:
+            assert svg.count("<circle") == len(values)
 
 
 def test_moments_negative_max_order_is_domain_error(tmp_path, capsys):
@@ -443,3 +502,43 @@ def test_cli_import_loads_only_numpy_and_mpmath():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "['mpmath', 'numpy']"
+
+
+GRID_CSV = ["sums", "--poly", "X^3+X+3", "--prime", "30223", "--out", "g.csv"]
+
+
+@pytest.mark.parametrize(
+    "steps, outputs, digest",
+    [
+        ([GRID_CSV], ["g.csv", "g.json"],
+         "2a2cdca4397e82ab49cbadfb6cd8f049d4b3d365c2edf76bc98753e70d6a2b39"),
+        ([GRID_CSV[:-2]], ["-"],
+         "cea65a21d1cec14bb8679ba50d6071f49373c8e67586dc9aa35b777d4b28da31"),
+        ([GRID_CSV, ["figure", "g.csv"]], ["g.svg"],
+         "b50a5e86cb0a366d9ab00e802e883e80ee2ad0b6a41b5d711627d8a43eb436c4"),
+        ([["limit", "--law", "st", "--count", "3000", "--seed", "4", "--out", "st.csv"],
+          ["figure", "st.csv", "--bins", "30"]], ["st.csv", "st.svg"],
+         "42d1d0378847a3d42a8177951c45ce0287f2e922aa6c1f6d4e2c6212a38dfdba"),
+        ([["limit", "--law", "usp:2", "--count", "3000", "--seed", "2", "--out", "usp.csv"]],
+         ["usp.csv"],
+         "8f0d73f765b75e734070d30adbccfe67dfa3a548b13f5dbf7354bd12eec6a718"),
+        ([["limit", "--law", "su:3", "--count", "2000", "--seed", "3"]], ["-"],
+         "16e8031a8cd51c61629f24bd9363494e8c17e1f72af4d0540d2deaf6d5e52d53"),
+        ([["klsums", "--poly", "X^3-9X-1", "--prime", "8089", "--mode", "translate",
+           "--out", "kl.csv"]], ["kl.csv", "kl.json"],
+         "a8499a63644705958180b33998b2f5288c1e23af84ce21523c519a1ba27819e1"),
+        ([["prime-sweep", "--poly", "X^2-2", "--limit", "3000"]], ["-"],
+         "eb5f8d48a7aa3b2b63226158d62c39f4101339ab3b4365fc55ccf82e7daf6570"),
+    ],
+    ids=["sums-csv", "sums-stdout", "figure-scatter", "limit-st-and-histogram", "limit-usp",
+         "limit-stdout", "klsums-excluded", "prime-sweep-stdout"],
+)
+def test_written_bytes_are_pinned(steps, outputs, digest, tmp_path, monkeypatch, capsys):
+    """CSV, JSON, SVG and stdout bytes of the writers and readers, pinned by
+    SHA-256 (outputs concatenated in order, "-" standing for stdout)."""
+    monkeypatch.chdir(tmp_path)
+    for argv in steps:
+        assert main(argv) == 0
+    stdout = capsys.readouterr().out.encode()
+    blob = b"".join(stdout if name == "-" else (tmp_path / name).read_bytes() for name in outputs)
+    assert hashlib.sha256(blob).hexdigest() == digest

@@ -11,6 +11,7 @@ from ultrashort.arith import IntPoly
 from ultrashort.errors import InvalidPairing, OutOfRangeParameter, TooLarge
 from ultrashort.limitlaw import (
     MomentTable,
+    SampleBatch,
     exact_mixed_moment,
     haar_trace_samples,
     involution_sum_samples,
@@ -371,3 +372,17 @@ def test_philox_streams_are_split():
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert np.array_equal(a, philox_generator(1, "op", 0).random(5))
+
+
+def test_sample_batch_csv_text(tmp_path):
+    """Floats are written as repr, -0.0, nan and inf included; a real batch
+    writes 0.0 for im."""
+    path = tmp_path / "batch.csv"
+    z = [1, complex(0.5, -0.0), complex(-0.0, -0.0), complex(math.nan, math.inf), 1e-300 - 2.5j,
+         0.1 + 0.2j]
+    SampleBatch(np.array(z), 1, "complex").write_csv(path)
+    assert path.read_text() == (
+        "re,im\n1.0,0.0\n0.5,-0.0\n-0.0,-0.0\nnan,inf\n1e-300,-2.5\n0.1,0.2\n"
+    )
+    SampleBatch(np.array([-0.0, 2.0, 1 / 3]), 1, "real").write_csv(path)
+    assert path.read_text() == "re,im\n-0.0,0.0\n2.0,0.0\n0.3333333333333333,0.0\n"

@@ -137,6 +137,42 @@ def test_binned_l1_basic():
     assert binned_l1_2d(tight, tight + 100, 10, bound=3) == 1.0
     with pytest.raises(ValueError):
         binned_l1_2d(z, w, 3)
+    for bound in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            binned_l1_2d(z, w, 10, bound=bound)
+
+
+def _binned_l1_reference(a, b, bins, bound):
+    """binned_l1_2d through np.histogram2d, as it was computed before the bincount."""
+    edges = np.linspace(-bound, bound, bins + 1)
+
+    def hist(z):
+        re, im = np.clip(z.real, -bound, bound), np.clip(z.imag, -bound, bound)
+        h, _, _ = np.histogram2d(re, im, bins=[edges, edges])
+        return h / h.sum()
+
+    return float(0.5 * np.abs(hist(a) - hist(b)).sum())
+
+
+@pytest.mark.parametrize("bins, bound", [(4, 1.0), (7, 2.5), (10, 3.0), (13, 0.1)])
+def test_binned_l1_counts_equal_histogram2d(bins, bound):
+    """Every bin count equals np.histogram2d's: the distance to one point in
+    bin p is 1 - h[p], so it is compared for a point in every bin, on samples
+    at every edge and one ulp either side, at +-bound, beyond it (clipped in,
+    +-inf too) and with NaN in either part (dropped)."""
+    edges = np.linspace(-bound, bound, bins + 1)
+    xs = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                         [-np.inf, np.inf, -1e300, 1e300, -2 * bound, 2 * bound, np.nan]])
+    a = np.empty(len(xs) ** 2, dtype=np.complex128)
+    # every (re, im) pair of xs; re + 1j*im would turn an infinite im into a NaN re
+    a.real, a.imag = np.repeat(xs, len(xs)), np.tile(xs, len(xs))
+    centers = (edges[:-1] + edges[1:]) / 2
+    for point in (centers[:, None] + 1j * centers[None, :]).ravel():
+        got = binned_l1_2d(a, [point], bins, bound=bound)
+        assert got == _binned_l1_reference(a, np.array([point]), bins, bound)
+    rng = philox_generator(5, "l1-reference")
+    b = (rng.normal(size=3000) + 1j * rng.normal(size=3000)) * bound
+    assert binned_l1_2d(a, b, bins, bound=bound) == _binned_l1_reference(a, b, bins, bound)
 
 
 def test_conditioning_full_set_reduces_to_exact_weyl():
