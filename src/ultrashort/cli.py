@@ -366,6 +366,8 @@ def _read_csv(path):
                 pairs = np.array(pairs, dtype=np.float64).reshape(-1, 2)
     except OSError as exc:
         raise UsageError(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise UsageError(f"{path} is not UTF-8 text") from None
     if not len(pairs):
         raise UsageError(f"{path} has no samples")
     return pairs.view(np.complex128)[:, 0]

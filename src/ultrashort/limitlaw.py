@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import sums
 from .errors import InvalidPairing, OutOfRangeParameter, TooLarge
 from .lattice import smith_normal_form as _snf
 from .relations import RelationModule
@@ -88,8 +89,9 @@ class TorusSubgroup:
     def free_coordinates(self) -> int:
         return self.d - len(self.invariant_factors)
 
-    def sample_angles(self, count: int, seed: int) -> np.ndarray:
-        """(count, d) matrix of angles theta in [0,1)^d, Haar on H."""
+    def _theta(self, count: int, seed: int) -> np.ndarray:
+        """(count, d) matrix of unreduced angles theta = V psi: the one place
+        that draws psi, so every sampler of H uses the same stream."""
         rng = philox_generator(seed, "torus")
         r = len(self.invariant_factors)
         psi = np.empty((count, self.d), dtype=np.float64)
@@ -97,7 +99,11 @@ class TorusSubgroup:
             psi[:, i] = rng.integers(0, s, size=count) / s
         if self.d > r:
             psi[:, r:] = rng.random((count, self.d - r))
-        return (psi @ self.v_matrix.T) % 1.0
+        return psi @ self.v_matrix.T
+
+    def sample_angles(self, count: int, seed: int) -> np.ndarray:
+        """(count, d) matrix of angles theta in [0,1)^d, Haar on H."""
+        return self._theta(count, seed) % 1.0
 
     def sample(self, count: int, seed: int) -> np.ndarray:
         """(count, d) matrix of points z in H subset (S^1)^d."""
@@ -115,11 +121,31 @@ def torus_subgroup(module: RelationModule) -> TorusSubgroup:
 
 
 def sigma_samples(h: TorusSubgroup, count: int, seed: int) -> SampleBatch:
-    """Draws of sigma(z) = z_1 + ... + z_d with z Haar on H."""
+    """Draws of sigma(z) = z_1 + ... + z_d with z Haar on H.
+
+    Bit for bit h.sample(count, seed).sum(axis=1), streamed: after the one
+    product theta = V psi, each block of sums._BLOCK_ROWS rows is reduced,
+    multiplied by 2*pi*i, exponentiated and summed in one reused complex
+    (rows, d) buffer.  The reduction theta - floor(theta) equals theta % 1.0
+    for every finite theta: numpy's remainder is fmod(theta, 1), which is
+    exact, plus 1 when that is negative, so both sides are one rounding of
+    the same real theta - floor(theta) (and +0.0 at integers).
+    """
     if count < 1:
         raise OutOfRangeParameter("count must be >= 1")
-    z = h.sample(count, seed)
-    return SampleBatch(z.sum(axis=1), seed, f"sigma[d={h.d},rank={h.relations.rank}]")
+    theta = h._theta(count, seed)
+    out = np.empty(count, dtype=np.complex128)
+    buf = np.empty((min(count, sums._BLOCK_ROWS), h.d), dtype=np.complex128)
+    for start in range(0, count, len(buf)):
+        t = theta[start : start + len(buf)]
+        z = buf[: len(t)]
+        np.floor(t, out=z.real)
+        np.subtract(t, z.real, out=z.real)
+        z.imag = 0.0
+        np.multiply(2j * np.pi, z, out=z)
+        np.exp(z, out=z)
+        z.sum(axis=1, out=out[start : start + len(t)])
+    return SampleBatch(out, seed, f"sigma[d={h.d},rank={h.relations.rank}]")
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import sums
 from .arith import IntPoly
 from .errors import OutOfRangeParameter
 from .relations import RelationModule, additive_relations
@@ -26,38 +27,81 @@ from .sums import (
 )
 
 
-def empirical_mixed_moment(grid: SumGrid, m: int, n: int) -> float:
-    """Average of S(a)^m * conj(S(a))^n over the grid parameters.
+def _moment_means(vals: np.ndarray, pairs) -> list[float]:
+    """Real parts of the means of vals^m * conj(vals)^n for each (m, n) in
+    `pairs` (all n <= m), streamed in blocks of sums._BLOCK_ROWS values.
 
-    On a complete grid this is exactly an integer (up to float rounding);
-    the imaginary part cancels by the a -> -a symmetry, so the real part is
-    returned.
+    Per block, each power c^m (m >= 2, as c^(m-1) * c) and each conj(c^n)
+    is formed once in a reused buffer, and each pair records the block sum
+    of its products; a mean is the pairwise np.sum of its block sums over
+    the number of values.  No temporary grows with the grid.
     """
-    vals = grid.values
-    acc = (vals**m) * (np.conj(vals) ** n)
-    return float(acc.mean().real)
+    top = max(m for m, _ in pairs)
+    bottom = max(n for _, n in pairs)
+    size = min(len(vals), sums._BLOCK_ROWS)
+    # row 0: products; row m - 1: c^m for 2 <= m <= top; row top - 1 + n: conj(c^n)
+    scratch = np.empty((top + bottom, size), dtype=np.complex128)
+    block_sums = np.empty((len(pairs), -(-len(vals) // size)), dtype=np.complex128)
+    for j, start in enumerate(range(0, len(vals), size)):
+        c = vals[start : start + size]
+        powers = [None, c]
+        for m in range(2, top + 1):
+            powers.append(np.multiply(powers[-1], c, out=scratch[m - 1, : len(c)]))
+        conj = [None] + [np.conj(powers[n], out=scratch[top - 1 + n, : len(c)])
+                         for n in range(1, bottom + 1)]
+        for i, (m, n) in enumerate(pairs):
+            if m == 0:
+                block_sums[i, j] = len(c)
+            elif n == 0:
+                block_sums[i, j] = powers[m].sum()
+            else:
+                block_sums[i, j] = np.multiply(powers[m], conj[n], out=scratch[0, : len(c)]).sum()
+    return [float(np.sum(row).real) / len(vals) for row in block_sums]
+
+
+def empirical_mixed_moment(grid: SumGrid, m: int, n: int) -> float:
+    """Average of S(a)^m * conj(S(a))^n over the grid parameters, through
+    the moment kernel of moment_table, so the two agree bit for bit.
+
+    On a complete grid this is exactly an integer (up to float rounding,
+    bounded in moment_table); the imaginary part cancels by the a -> -a
+    symmetry, so the real part is returned.
+    """
+    if m < 0 or n < 0:
+        raise OutOfRangeParameter("moment orders must be nonnegative")
+    return _moment_means(grid.values, [(max(m, n), min(m, n))])[0]
 
 
 def moment_table(grid: SumGrid, max_order: int) -> dict:
     """All empirical mixed moments with m + n <= max_order.
 
-    Each entry equals empirical_mixed_moment bit for bit.  Every power
-    vals**m is computed once, and only pairs with n <= m are multiplied: conj
-    commutes exactly with complex multiplication, so S^n * conj(S)^m is the
-    conjugate of S^m * conj(S)^n and their means have the same real part.
+    Each entry equals empirical_mixed_moment bit for bit: one kernel
+    streams the values in blocks of sums._BLOCK_ROWS and multiplies only
+    pairs with n <= m.  conj commutes exactly with complex multiplication,
+    so S^n * conj(S)^m is the conjugate of S^m * conj(S)^n and their means
+    have the same real part; conj(S)^n is formed as conj(S^n).
+
+    Error bound.  Let u = 2^-53, k = m + n, eps = d*(d + 43)*u the bound on
+    each grid value (see sums) and D = d + eps, which bounds |S| and its
+    computed value.  Each of the at most k complex multiplications of a
+    product is within sqrt(5)*u of exact, and numpy's pairwise np.sum of at
+    most 2^j terms (leaves of at most 128 doubles on 8 accumulators, halved
+    above that) adds each term at most 25 + j times, so the block sums and
+    their sum take at most h = 50 + ceil(log2 N) additions.  With the final
+    division, one more rounding, every entry on a complete grid of N = q^n
+    values is within
+
+        k*eps*D^(k-1) + ((1 + sqrt(5)*u)^k * (1 + h*u/(1 - h*u)) * (1 + u) - 1) * D^k
+
+    of the exact mean, the integer count of tuples with sum_i r_i -
+    sum_j r_j = 0 mod q^n (which is exact_mixed_moment unless q divides the
+    norm of a sum of roots).  For d = 3, k <= 4 and N <= 2^26 that is below
+    2.5e-12.
     """
     if max_order < 0:
         raise OutOfRangeParameter("max_order must be nonnegative")
-    vals = grid.values
-    powers = [vals**m for m in range(max_order + 1)]
-    conj = np.conj(vals)
-    product = np.empty_like(vals)
-    lower = {}
-    for n in range(max_order // 2 + 1):
-        conj_power = conj**n
-        for m in range(n, max_order + 1 - n):
-            np.multiply(powers[m], conj_power, out=product)
-            lower[m, n] = float(product.mean().real)
+    pairs = [(m, n) for n in range(max_order // 2 + 1) for m in range(n, max_order + 1 - n)]
+    lower = dict(zip(pairs, _moment_means(grid.values, pairs)))
     return {
         (m, n): lower[max(m, n), min(m, n)]
         for m in range(max_order + 1)
@@ -115,23 +159,30 @@ def binned_l1_2d(a, b, bins: int, bound: float | None = None) -> float:
     """Half the L1 distance between normalized 2D histograms of complex
     samples on [-bound, bound]^2 (a total-variation estimate at this binning).
 
-    Samples are clipped into the square; only NaN is dropped.  The counts,
-    those of np.histogram2d on np.linspace(-bound, bound, bins + 1), come
-    from one np.bincount, with each coordinate binned as np.histogram's
+    Samples are clipped into the square; only NaN is dropped, and a side
+    with no other sample is a ValueError.  The automatic bound is the
+    ceiling of the largest |coordinate| of a non-NaN sample, at least 1.
+    The counts, those of np.histogram2d on np.linspace(-bound, bound,
+    bins + 1), are accumulated by np.bincount over blocks of
+    sums._BLOCK_ROWS samples, with each coordinate binned as np.histogram's
     uniform path does: floor, clamp, then a step of one against the edges.
     """
     if bins < 4:
         raise ValueError("bins must be >= 4")
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
+
+    def blocks(z):
+        for start in range(0, len(z), sums._BLOCK_ROWS):
+            c = z[start : start + sums._BLOCK_ROWS]
+            yield c[~np.isnan(c)]
+
     if bound is None:
-        top = max(
-            1.0,
-            np.abs(a.real).max(),
-            np.abs(a.imag).max(),
-            np.abs(b.real).max(),
-            np.abs(b.imag).max(),
-        )
+        top = 1.0
+        for z in (a, b):
+            for c in blocks(z):
+                if len(c):
+                    top = max(top, np.abs(c.real).max(), np.abs(c.imag).max())
         bound = float(np.ceil(top))
     if not 0 < bound < np.inf:
         raise ValueError(f"bound must be positive and finite, got {bound}")
@@ -145,8 +196,11 @@ def binned_l1_2d(a, b, bins: int, bound: float | None = None) -> float:
         return i
 
     def hist(z):
-        z = z[~np.isnan(z)]
-        h = np.bincount(bin_of(z.real) * bins + bin_of(z.imag), minlength=bins * bins)
+        h = np.zeros(bins * bins, dtype=np.intp)
+        for c in blocks(z):
+            h += np.bincount(bin_of(c.real) * bins + bin_of(c.imag), minlength=bins * bins)
+        if not h.any():
+            raise ValueError("samples must hold a non-NaN value")
         return h.reshape(bins, bins) / h.sum()
 
     return float(0.5 * np.abs(hist(a) - hist(b)).sum())

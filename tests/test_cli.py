@@ -268,12 +268,14 @@ def test_limit_involution_out_of_range_is_domain_error(args, capsys):
 @pytest.mark.parametrize(
     "text,where",
     [("re,im\n", ""), ("", ""), ("re,im\n0.5,0.5\n1.0,x\n", "line 3"), ("re,im\n1.0\n", "line 2"),
-     ("re,im\n\n  \n", ""), ("re,im\n1,2\n#3,4\n", "line 3")],
-    ids=["header-only", "empty", "not-a-number", "short-row", "blank-rows-only", "comment-row"],
+     ("re,im\n\n  \n", ""), ("re,im\n1,2\n#3,4\n", "line 3"),
+     (b"\xff\xfe,im\n1,2\n", "UTF-8"), (b"re,im\n\xff\xfe,1\n", "UTF-8")],
+    ids=["header-only", "empty", "not-a-number", "short-row", "blank-rows-only", "comment-row",
+         "non-utf8-header", "non-utf8-row"],
 )
 def test_figure_csv_without_samples_is_usage_error(text, where, tmp_path, capsys):
     csv = tmp_path / "bad.csv"
-    csv.write_text(text)
+    csv.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert main(["figure", str(csv)]) == 2
     err = capsys.readouterr().err
     assert str(csv) in err and where in err
@@ -522,6 +524,9 @@ GRID_CSV = ["sums", "--poly", "X^3+X+3", "--prime", "30223", "--out", "g.csv"]
         ([["limit", "--law", "usp:2", "--count", "3000", "--seed", "2", "--out", "usp.csv"]],
          ["usp.csv"],
          "8f0d73f765b75e734070d30adbccfe67dfa3a548b13f5dbf7354bd12eec6a718"),
+        ([["limit", "--law", "sigma", "--poly", "X^3+X+3", "--count", "20000", "--seed", "1",
+           "--out", "sig.csv"]], ["sig.csv"],
+         "a409af0bc677f850e4932e64719d46372f8def81665c6d2ff082f36888002ba9"),
         ([["limit", "--law", "su:3", "--count", "2000", "--seed", "3"]], ["-"],
          "16e8031a8cd51c61629f24bd9363494e8c17e1f72af4d0540d2deaf6d5e52d53"),
         ([["klsums", "--poly", "X^3-9X-1", "--prime", "8089", "--mode", "translate",
@@ -531,7 +536,7 @@ GRID_CSV = ["sums", "--poly", "X^3+X+3", "--prime", "30223", "--out", "g.csv"]
          "eb5f8d48a7aa3b2b63226158d62c39f4101339ab3b4365fc55ccf82e7daf6570"),
     ],
     ids=["sums-csv", "sums-stdout", "figure-scatter", "limit-st-and-histogram", "limit-usp",
-         "limit-stdout", "klsums-excluded", "prime-sweep-stdout"],
+         "limit-sigma", "limit-stdout", "klsums-excluded", "prime-sweep-stdout"],
 )
 def test_written_bytes_are_pinned(steps, outputs, digest, tmp_path, monkeypatch, capsys):
     """CSV, JSON, SVG and stdout bytes of the writers and readers, pinned by

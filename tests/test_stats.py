@@ -2,11 +2,13 @@
 conditioning experiments."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from ultrashort import sums
 from ultrashort.arith import IntPoly, find_split_primes
 from ultrashort.errors import OutOfRangeParameter
 from ultrashort.limitlaw import exact_mixed_moment, philox_generator
@@ -59,6 +61,58 @@ def test_moment_table_rejects_negative_order():
     grid = additive_sum_grid(g, find_split_primes(g, 5000, 9000)[0])
     with pytest.raises(OutOfRangeParameter):
         moment_table(grid, -1)
+
+
+def test_empirical_moment_rejects_negative_orders():
+    g = IntPoly.parse("X^3+X+3")
+    grid = additive_sum_grid(g, find_split_primes(g, 1000, 2000)[0])
+    for m, n in ((-1, 0), (0, -1), (2, -3)):
+        with pytest.raises(OutOfRangeParameter):
+            empirical_mixed_moment(grid, m, n)
+
+
+def _moment_bound(d, k, size):
+    """The moment_table docstring's bound on |entry - exact mean| for d roots,
+    order k = m + n and a complete grid of `size` values."""
+    u = 2.0**-53
+    eps = d * (d + 43) * u
+    big = d + eps
+    h = 50 + math.ceil(math.log2(size))
+    rounding = (1 + math.sqrt(5) * u) ** k * (1 + h * u / (1 - h * u)) * (1 + u) - 1
+    return k * eps * big ** (k - 1) + rounding * big**k
+
+
+def test_blocked_moments_within_proven_bound(monkeypatch):
+    """On a complete grid of about 80 blocks of 64 values, every entry is
+    within the proven bound of exact_mixed_moment, and moment_table equals
+    empirical_mixed_moment bit for bit."""
+    monkeypatch.setattr(sums, "_BLOCK_ROWS", 64)
+    g = IntPoly.parse("X^3+X+3")
+    module = additive_relations(g)
+    grid = additive_sum_grid(g, find_split_primes(g, 5000, 9000)[0])
+    assert grid.complete and len(grid.values) % 64
+    table = moment_table(grid, 6)
+    for (m, n), value in table.items():
+        assert value == empirical_mixed_moment(grid, m, n), (m, n)
+        if m + n <= 4:
+            bound = _moment_bound(3, m + n, len(grid.values))
+            assert abs(value - exact_mixed_moment(module, m, n)) <= bound, (m, n)
+    assert table[0, 0] == 1.0
+
+
+def test_moment_table_holds_no_full_size_temporary():
+    """The traced peak of moment_table(grid, 4) on a grid of about 2^18
+    values stays below one grid-sized complex array (4 MiB); the unblocked
+    table peaked at 36.0 MiB, the blocked kernel at 1.5 MiB."""
+    g = IntPoly.parse("X^3+X+3")
+    grid = additive_sum_grid(g, find_split_primes(g, 1 << 18, (1 << 18) + 3000)[0])
+    tracemalloc.start()
+    try:
+        moment_table(grid, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.values.nbytes
 
 
 def test_stationarity_entries_equal_full_set_weyl_sums():
@@ -142,6 +196,19 @@ def test_binned_l1_basic():
             binned_l1_2d(z, w, 10, bound=bound)
 
 
+def test_binned_l1_automatic_bound_ignores_nan():
+    """The automatic bound comes from the non-NaN samples only, and a side
+    with no non-NaN sample is a ValueError, with or without a bound."""
+    assert binned_l1_2d([5, math.nan], [1], 10) == binned_l1_2d([5], [1], 10) == 1.0
+    assert binned_l1_2d([complex(math.nan, 7), 5], [1], 10) == 1.0
+    for empty in ([math.nan], [complex(1, math.nan)], []):
+        for bound in (None, 2.0):
+            with pytest.raises(ValueError):
+                binned_l1_2d(empty, [1], 10, bound=bound)
+            with pytest.raises(ValueError):
+                binned_l1_2d([1], empty, 10, bound=bound)
+
+
 def _binned_l1_reference(a, b, bins, bound):
     """binned_l1_2d through np.histogram2d, as it was computed before the bincount."""
     edges = np.linspace(-bound, bound, bins + 1)
@@ -173,6 +240,26 @@ def test_binned_l1_counts_equal_histogram2d(bins, bound):
     rng = philox_generator(5, "l1-reference")
     b = (rng.normal(size=3000) + 1j * rng.normal(size=3000)) * bound
     assert binned_l1_2d(a, b, bins, bound=bound) == _binned_l1_reference(a, b, bins, bound)
+
+
+def test_binned_l1_blocks_equal_histogram2d(monkeypatch):
+    """With 64-sample blocks, NaN and +-inf on both sides of block edges:
+    the same counts as np.histogram2d, with an explicit and an automatic
+    bound (NaN only there, since an infinite sample makes the bound infinite)."""
+    monkeypatch.setattr(sums, "_BLOCK_ROWS", 64)
+    rng = philox_generator(6, "l1-blocks")
+    a = rng.normal(size=3 * 64 + 7) * 2 + 1j * rng.normal(size=3 * 64 + 7) * 2
+    b = rng.normal(size=2 * 64 + 1) + 1j * rng.normal(size=2 * 64 + 1)
+    for i, v in zip(range(61, 68), [math.nan, math.inf, -math.inf, complex(0, math.inf),
+                                   complex(math.nan, 1), complex(-math.inf, math.nan), 50.0]):
+        a[i] = v
+    b[63], b[64], b[128] = math.nan, complex(1, -math.inf), math.inf
+    for bins, bound in ((7, 2.5), (10, 3.0)):
+        assert binned_l1_2d(a, b, bins, bound=bound) == _binned_l1_reference(a, b, bins, bound)
+    a_nan, b_nan = a[~np.isinf(a)], b[~np.isinf(b)]
+    top = float(np.ceil(np.nanmax(np.abs(np.concatenate([a_nan, b_nan]).view(np.float64)))))
+    assert top == 50.0
+    assert binned_l1_2d(a_nan, b_nan, 10) == _binned_l1_reference(a_nan, b_nan, 10, top)
 
 
 def test_conditioning_full_set_reduces_to_exact_weyl():
@@ -208,3 +295,4 @@ def test_conditioning_interval_detects_non_equidistribution():
     assert abs(rep["uniformity_metric"] - 2 / math.pi) < 0.01
     entry = rep["weyl"][0]
     assert abs(abs(complex(entry["value_re"], entry["value_im"])) - 2 / math.pi) < 0.02
+
