@@ -2,6 +2,7 @@
 
 Modules:
   arith      exact integer/modular/polynomial arithmetic
+  lattice    exact integer lattices: HNF, SNF, saturation, LLL
   relations  certified complex roots and relation lattices
   sums       finite-field sum families and Weyl sums
   limitlaw   samplers for the limiting measures and exact moments
@@ -20,6 +21,7 @@ from .arith import (
     multiplicative_generator,
     roots_mod_prime,
 )
+from .lattice import smith_normal_form
 from .relations import (
     CertifiedBoxList,
     RelationModule,
@@ -30,7 +32,6 @@ from .relations import (
     index_ind,
     joint_power_relations,
     multiplicative_relations,
-    smith_normal_form,
     value_relations,
 )
 

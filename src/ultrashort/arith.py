@@ -9,15 +9,16 @@ No number field is ever represented; per the identification
 Z/q^nZ = O_g/p^n at totally split primes, all root data lives in plain
 integer residues.
 
-The split-prime search works on a whole band at once (Cohen, GTM 138, §3.4
-and §8.1).  A segmented sieve of Eratosthenes crosses off multiples of the
-primes up to min(isqrt(hi), 2^16), one bounded segment at a time; survivors
-below 2^32 are prime, and survivors above go through Miller-Rabin.  Each
-segment's primes then share one numpy square-and-multiply for X^q mod g,
-with one modulus per prime: residues are (d, P) arrays for P primes, in
-int64 while q <= isqrt(2^63 - 1) = 3037000499 (so every product a*b < q^2
-fits) and in Python integers (dtype object) above.  q splits g into d
-distinct linear factors iff X^q = X mod (g, q).
+One numpy kernel raises every power mod (g, q) (Cohen, GTM 138, §3.4 and
+§8.1): (X + c)^e for a batch of columns, each with its own prime q, shift c
+and exponent e, as (d, P) arrays in int64 while q <= isqrt(2^63 - 1) =
+3037000499 (so every product a*b < q^2 fits), in Python integers above.
+The split test takes c = 0, e = q: q splits g into d distinct linear factors
+iff X^q = X mod (g, q), and the band search feeds it the primes of one
+segment of a segmented sieve at a time.  Root finding takes a list of primes
+at once: X^q gives the linear part gcd(X^q - X, g), and Cantor-Zassenhaus
+splits it with columns (X + c)^((q - 1)/2) for random shifts c, leaving only
+gcd, remainder and quotient to coefficient lists over F_q.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NonPrimeModulus, OutOfRangeParameter, RamifiedPrime
+from .errors import NonPrimeModulus, OutOfRangeParameter, RamifiedPrime, UltrashortError
 
 MODULUS_LIMIT = 1 << 63  # deterministic Miller-Rabin witness set is valid below this
 
@@ -223,14 +224,7 @@ class IntPoly:
             except ValueError as exc:
                 raise ValueError(f"cannot parse polynomial {text!r}") from exc
             return cls(coeffs)
-        terms = _parse_terms(text)
-        if any(e < 0 for e, _ in terms):
-            raise ValueError("negative exponents are not allowed in IntPoly")
-        degree = max(e for e, _ in terms)
-        coeffs = [0] * (degree + 1)
-        for e, c in terms:
-            coeffs[e] += c
-        return cls(tuple(coeffs))
+        return cls(tuple(_dense_coeffs(text)))
 
     def __str__(self) -> str:
         parts = []
@@ -250,6 +244,18 @@ def _format_term(c: int, e: int, first: bool) -> str:
     coeff = "" if mag == 1 else str(mag)
     power = "X" if e == 1 else f"X^{e}"
     return f"{sign}{coeff}{power}"
+
+
+def _dense_coeffs(text: str) -> list[int]:
+    """Coefficients, lowest degree first, of a polynomial written like
+    "X^3+X+3"; a negative exponent is a ValueError."""
+    terms = _parse_terms(text)
+    if any(e < 0 for e, _ in terms):
+        raise ValueError("negative exponents are not allowed in a polynomial")
+    coeffs = [0] * (max(e for e, _ in terms) + 1)
+    for e, c in terms:
+        coeffs[e] += c
+    return coeffs
 
 
 def _parse_terms(text: str) -> list[tuple[int, int]]:
@@ -406,164 +412,8 @@ def discriminant(g: IntPoly) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial arithmetic over F_q (coefficient lists, lowest degree first)
-
-
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mulmod(a: list[int], b: list[int], m: list[int], q: int) -> list[int]:
-    res = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            res[i + j] = (res[i + j] + ai * bj) % q
-    return _poly_rem(res, m, q)
-
-
-def _poly_rem(a: list[int], m: list[int], q: int) -> list[int]:
-    a = a[:]
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], -1, q)
-    while len(a) - 1 >= dm and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        factor = a[-1] * inv_lead % q
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - factor * mi) % q
-        a.pop()
-    return _poly_trim(a)
-
-
-def _poly_powmod(base: list[int], e: int, m: list[int], q: int) -> list[int]:
-    result = [1]
-    base = _poly_rem(base, m, q)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, m, q)
-        base = _poly_mulmod(base, base, m, q)
-        e >>= 1
-    return result
-
-
-def _poly_gcd(a: list[int], b: list[int], q: int) -> list[int]:
-    a, b = a[:], b[:]
-    while b:
-        a = _poly_rem(a, b, q)
-        a, b = b, a
-    if a:
-        inv = pow(a[-1], -1, q)
-        a = [c * inv % q for c in a]
-    return a
-
-
-def _poly_sub(a: list[int], b: list[int], q: int) -> list[int]:
-    n = max(len(a), len(b))
-    res = [0] * n
-    for i in range(n):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        res[i] = (ai - bi) % q
-    return _poly_trim(res)
-
-
-def _split_product_of_linears(f: list[int], q: int, rng: random.Random) -> list[int]:
-    """Roots of a monic squarefree product of linear factors over F_q."""
-    deg = len(f) - 1
-    if deg == 0:
-        return []
-    if deg == 1:
-        return [(-f[0]) * pow(f[1], -1, q) % q]
-    # equal-degree splitting: gcd with (X+c)^((q-1)/2) - 1 for random shifts c
-    half = (q - 1) // 2
-    while True:
-        c = rng.randrange(q)
-        h = _poly_powmod([c, 1], half, f, q)
-        h = _poly_sub(h, [1], q)
-        g1 = _poly_gcd(h, f, q)
-        if 0 < len(g1) - 1 < deg:
-            g2 = _poly_quotient(f, g1, q)
-            return _split_product_of_linears(g1, q, rng) + _split_product_of_linears(
-                g2, q, rng
-            )
-
-
-def _poly_quotient(a: list[int], b: list[int], q: int) -> list[int]:
-    a = a[:]
-    out = [0] * (len(a) - len(b) + 1)
-    inv_lead = pow(b[-1], -1, q)
-    for shift in range(len(a) - len(b), -1, -1):
-        coef = a[shift + len(b) - 1] * inv_lead % q
-        out[shift] = coef
-        if coef:
-            for i, bi in enumerate(b):
-                a[shift + i] = (a[shift + i] - coef * bi) % q
-    return out
-
-
-def _derived_seed(g: IntPoly, q: int) -> int:
-    digest = hashlib.sha256(f"{g.key()}|{q}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
-def roots_mod_prime(g: IntPoly, q: int) -> RootList:
-    """All roots of g modulo a prime q not dividing disc(g), sorted.
-
-    One path for every prime: gcd(X^q - X, g) is the product of the linear
-    factors, which Cantor-Zassenhaus equal-degree splitting separates (q = 2
-    checks its two residues instead).  The internal PRNG is reseeded from
-    (g, q), so the output is reproducible.
-    """
-    if not is_prime(q):
-        raise NonPrimeModulus(f"{q} is not prime")
-    if g.discriminant % q == 0:
-        raise RamifiedPrime(f"{q} divides disc(g) = {g.discriminant}")
-    mod = PrimePowerModulus(q, 1)
-    gq = _poly_trim([c % q for c in g.coeffs])
-    # product of the distinct linear factors: gcd(X^q - X, g)
-    xq = _poly_powmod([0, 1], q, gq, q)
-    lin = _poly_gcd(_poly_sub(xq, [0, 1], q), gq, q)
-    if len(lin) <= 1:
-        return RootList(mod, ())
-    if q == 2:
-        roots = [x for x in range(2) if g.eval_mod(x, 2) == 0]
-        return RootList(mod, tuple(roots))
-    rng = random.Random(_derived_seed(g, q))
-    roots = _split_product_of_linears(lin, q, rng)
-    return RootList(mod, tuple(roots))
-
-
-def hensel_roots(g: IntPoly, q: int, n: int) -> RootList:
-    """Roots of g modulo q^n by Newton lifting of the simple mod-q roots."""
-    if n < 1:
-        raise OutOfRangeParameter("n must be >= 1")
-    base = roots_mod_prime(g, q)
-    if n == 1:
-        return base
-    mod = PrimePowerModulus(q, n)
-    target = mod.modulus
-    lifted = []
-    for r in base.roots:
-        m = q
-        x = r
-        while m < target:
-            m = min(m * m, target)
-            # simple root: g'(x) is a unit mod q, hence mod m
-            deriv = g.derivative_mod(x, m)
-            x = (x - g.eval_mod(x, m) * pow(deriv, -1, m)) % m
-        lifted.append(x)
-    return RootList(mod, tuple(lifted))
-
-
-# ---------------------------------------------------------------------------
-# the split test, batched over primes: residues are (d, P) arrays, row i the
-# coefficient of X^i, column j reduced mod qs[j]
+# the one power kernel, batched over columns: residues are (d, P) arrays, row
+# i the coefficient of X^i, column j reduced mod qs[j]
 
 _INT64_PRODUCT_LIMIT = math.isqrt(MODULUS_LIMIT - 1)  # 3037000499
 
@@ -581,33 +431,39 @@ def _square_mod(r: np.ndarray, low: np.ndarray, q: np.ndarray) -> np.ndarray:
     return s[:d]
 
 
-def _times_x(r: np.ndarray, low: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """X * r mod (g, q), where g = X^d + sum(low[i] X^i)."""
+def _times_x_plus(r: np.ndarray, low: np.ndarray, q: np.ndarray, c) -> np.ndarray:
+    """(X + c) * r mod (g, q), where g = X^d + sum(low[i] X^i)."""
     out = -r[-1] * low % q
     out[1:] += r[:-1]
+    out += c * r % q  # three terms below q
     return out % q
 
 
-def _split_mask(g: IntPoly, qs: np.ndarray) -> np.ndarray:
-    """For an int64 array of primes, True where g has d distinct roots mod q.
-
-    X^q is raised for all primes at once by left-to-right square-and-multiply
-    over the bits of the largest q (smaller ones have leading zero bits, so
-    they keep the constant 1 until their top bit), multiplying by X only in
-    the columns whose prime has the bit set.
+def _power_columns(g: IntPoly, qs, cs, es) -> tuple[np.ndarray, np.ndarray]:
+    """((X + c)^e mod (g, q), X mod (g, q)) for each column (q, c, e) of the
+    int64 arrays qs (primes), cs (shifts in [0, q)) and es (exponents >= 1),
+    by square-and-multiply over the bits of the largest e: a smaller e keeps
+    the constant 1 until its top bit, and X + c multiplies where e has a bit.
     """
     big = qs.astype(object)
     dtype = np.int64 if int(qs.max()) <= _INT64_PRODUCT_LIMIT else object
     q = qs.astype(dtype)
-    low = np.array([c % big for c in g.coeffs[:-1]], dtype=dtype)
+    c = cs.astype(dtype)
+    low = np.array([a % big for a in g.coeffs[:-1]], dtype=dtype)
     one = np.zeros_like(low)
     one[0] = 1
     r = one
-    for bit in reversed(range(int(qs.max()).bit_length())):
+    for bit in reversed(range(int(es.max()).bit_length())):
         r = _square_mod(r, low, q)
-        r = np.where((qs >> bit) & 1 == 1, _times_x(r, low, q), r)
-    x = _times_x(one, low, q)  # X mod g, a constant when d = 1
-    return (r == x).all(axis=0) & (g.discriminant % big != 0)
+        r = np.where((es >> bit) & 1 == 1, _times_x_plus(r, low, q, c), r)
+    return r, _times_x_plus(one, low, q, 0)  # X mod g, a constant when d = 1
+
+
+def _split_mask(g: IntPoly, qs: np.ndarray) -> np.ndarray:
+    """For an int64 array of primes, True where g has d distinct roots mod q:
+    X^q = X mod (g, q) and q does not divide disc(g)."""
+    xq, x = _power_columns(g, qs, np.zeros_like(qs), qs)
+    return (xq == x).all(axis=0) & (g.discriminant % qs.astype(object) != 0)
 
 
 def is_split(g: IntPoly, q: int) -> bool:
@@ -630,6 +486,143 @@ def find_split_primes(g: IntPoly, lo: int, hi: int) -> list[int]:
         for segment in _prime_segments(lo, hi)
         for q in segment[_split_mask(g, segment)].tolist()
     ]
+
+
+# ---------------------------------------------------------------------------
+# root finding: dense polynomials over F_q as coefficient lists, lowest
+# degree first, beside the kernel's columns
+
+
+def _poly_rem(a: list[int], m: list[int], q: int) -> list[int]:
+    a = a[:]
+    inv_lead = pow(m[-1], -1, q)
+    while len(a) >= len(m):
+        factor = a[-1] * inv_lead % q
+        shift = len(a) - len(m)
+        for i, mi in enumerate(m):
+            a[shift + i] = (a[shift + i] - factor * mi) % q
+        a.pop()
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_gcd(a: list[int], b: list[int], q: int) -> list[int]:
+    """Monic gcd of a and b over F_q (b nonzero)."""
+    a, b = a[:], b[:]
+    while b:
+        a = _poly_rem(a, b, q)
+        a, b = b, a
+    inv = pow(a[-1], -1, q)
+    return [c * inv % q for c in a]
+
+
+def _poly_quotient(a: list[int], b: list[int], q: int) -> list[int]:
+    """a / b over F_q, for a monic b that divides a."""
+    a = a[:]
+    out = [0] * (len(a) - len(b) + 1)
+    for shift in range(len(a) - len(b), -1, -1):
+        coef = out[shift] = a[shift + len(b) - 1]
+        if coef:
+            for i, bi in enumerate(b):
+                a[shift + i] = (a[shift + i] - coef * bi) % q
+    return out
+
+
+# Cantor-Zassenhaus shifts per unfinished prime and round.  For odd q, a shift
+# c splits roots r != s apart iff just one of r + c, s + c is a nonzero square
+# mod q, which holds for at least (q - 1)/2 of the q shifts; so a pair of roots
+# stays together through a round with chance at most ((q + 1)/(2q))^6, about
+# 1/64.  At q = 2 every shift splits the pair {0, 1}.
+_SHIFTS_PER_ROUND = 6
+
+
+def _derived_seed(g: IntPoly, q: int) -> int:
+    digest = hashlib.sha256(f"{g.key()}|{q}".encode()).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
+def roots_mod_primes(g: IntPoly, qs):
+    """Yield roots_mod_prime(g, q) for each q of qs in turn, errors included:
+    the primes before the first q that is not prime or divides disc(g) are
+    found together, and that q then raises.  The first kernel call gives each
+    prime X^q, and gcd(X^q - X, g) is the product of the linear factors of g
+    mod q.  Each call gives each prime with a factor f of degree >= 2 left
+    _SHIFTS_PER_ROUND columns h = (X + c)^((q - 1)/2) mod g (X + c at q = 2),
+    c from a PRNG seeded by (g, q), and f splits by gcd(h - 1, f): f divides
+    g, so (h mod g) mod f = h mod f."""
+    checked, error = [], None
+    try:
+        for q in qs:
+            if not is_prime(q):  # which raises OutOfRangeParameter at q >= 2^63
+                raise NonPrimeModulus(f"{q} is not prime")
+            if g.discriminant % q == 0:
+                raise RamifiedPrime(f"{q} divides disc(g) = {g.discriminant}")
+            checked.append(q)
+    except UltrashortError as exc:
+        error = exc
+    roots = {int(q): [] for q in checked}
+    factors = dict.fromkeys(roots)  # None until the round that finds X^q
+    rng = {q: random.Random(_derived_seed(g, q)) for q in roots}
+    while factors:
+        cols = []
+        for q, fs in factors.items():
+            cols += [(q, 0, q)] if fs is None else []
+            cols += [(q, rng[q].randrange(q), (q - 1) // 2 or 1) for _ in range(_SHIFTS_PER_ROUND)]
+        powers, xs = _power_columns(g, *(np.array(col, dtype=np.int64) for col in zip(*cols)))
+        columns = zip(powers.T.tolist(), xs.T.tolist())
+        for q, fs in list(factors.items()):
+            if fs is None:
+                xq, x = next(columns)
+                gq = [c % q for c in g.coeffs]
+                fs = [_poly_gcd([(a - b) % q for a, b in zip(xq, x)], gq, q)]
+            for _ in range(_SHIFTS_PER_ROUND):
+                h = next(columns)[0]
+                h[0] = (h[0] - 1) % q
+                split = []
+                for f in fs:
+                    f1 = _poly_gcd(h, f, q) if len(f) > 2 else f
+                    split += [f1, _poly_quotient(f, f1, q)] if 1 < len(f1) < len(f) else [f]
+                fs = split
+            roots[q] += [-f[0] % q for f in fs if len(f) == 2]
+            factors[q] = [f for f in fs if len(f) > 2]
+            if not factors[q]:
+                del factors[q]
+    for q in checked:
+        yield RootList(PrimePowerModulus(q, 1), tuple(roots[int(q)]))
+    if error is not None:
+        raise error
+
+
+def roots_mod_prime(g: IntPoly, q: int) -> RootList:
+    """All roots of g modulo a prime q not dividing disc(g), sorted.
+
+    A batch of one for roots_mod_primes.  The internal PRNG is reseeded from
+    (g, q), so the output is reproducible.
+    """
+    return next(roots_mod_primes(g, [q]))
+
+
+def hensel_roots(g: IntPoly, q: int, n: int) -> RootList:
+    """Roots of g modulo q^n by Newton lifting of the simple mod-q roots."""
+    if n < 1:
+        raise OutOfRangeParameter("n must be >= 1")
+    base = roots_mod_prime(g, q)
+    if n == 1:
+        return base
+    mod = PrimePowerModulus(q, n)
+    target = mod.modulus
+    lifted = []
+    for r in base.roots:
+        m = q
+        x = r
+        while m < target:
+            m = min(m * m, target)
+            # simple root: g'(x) is a unit mod q, hence mod m
+            deriv = g.derivative_mod(x, m)
+            x = (x - g.eval_mod(x, m) * pow(deriv, -1, m)) % m
+        lifted.append(x)
+    return RootList(mod, tuple(lifted))
 
 
 _TRIAL_DIVISION_CAP = 1000

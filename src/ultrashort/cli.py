@@ -20,7 +20,7 @@ import warnings
 import numpy as np
 
 from . import limitlaw, relations, stats, sums
-from .arith import IntPoly, LaurentPoly, find_split_primes, hensel_roots
+from .arith import IntPoly, LaurentPoly, find_split_primes, hensel_roots, roots_mod_primes
 from .errors import UltrashortError
 
 
@@ -294,6 +294,8 @@ def cmd_weylcheck(args) -> int:
         if len(bounds) != 3:
             raise UsageError(f"--prime-range {args.prime_range!r}: expected lo:hi:count")
         lo, hi, count = bounds
+        if count < 1:
+            raise UsageError(f"--prime-range {args.prime_range!r}: count must be at least 1")
         qs = find_split_primes(g, lo, hi)[:count]
     alphas = _alpha_list(args.alpha)
     module = _module(args, g)
@@ -321,9 +323,8 @@ def cmd_prime_sweep(args) -> int:
     g = _poly(args)
     qs = find_split_primes(g, 2, args.limit)
     zs = np.empty(len(qs), dtype=np.complex128)
-    for i, q in enumerate(qs):
-        roots = hensel_roots(g, q, 1).roots
-        zs[i] = sum(np.exp(2j * np.pi * ((args.a * r) % q) / q) for r in roots)
+    for i, (q, rl) in enumerate(zip(qs, roots_mod_primes(g, qs))):
+        zs[i] = sum(np.exp(2j * np.pi * ((args.a * r) % q) / q) for r in rl.roots)
     cols = (np.array(qs, dtype=np.int64), zs.real, zs.imag)
     if args.out:
         with open(args.out, "w") as fh:
@@ -442,6 +443,10 @@ def render_histogram_svg(values: np.ndarray, bound: float, bins: int) -> str:
 
 
 def cmd_figure(args) -> int:
+    if args.bins < 1:
+        raise UsageError(f"--bins {args.bins}: must be at least 1")
+    if not 0 <= args.range < math.inf:
+        raise UsageError(f"--range {args.range}: must be finite and >= 0 (0 = automatic)")
     values = _read_csv(args.input)
     bound = _figure_range(args.input, values, args.range)
     is_complex = bool(np.abs(values.imag).max() > 1e-12)

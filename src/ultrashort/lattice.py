@@ -1,5 +1,5 @@
 """Exact integer lattice utilities: row HNF, SNF with transforms, kernels,
-intersections and saturation.
+intersections, saturation and all-integer LLL reduction.
 
 Row convention throughout: a lattice is the set of integer combinations of
 the rows of its basis matrix. Kernels and saturations are read off row
@@ -237,3 +237,52 @@ def saturate_rows(rows: list[list[int]]) -> list[list[int]]:
     if not right:
         return _identity(d)
     return kernel_rows([list(col) for col in zip(*right)])
+
+
+def lll_rows(rows: list[list[int]]) -> list[list[int]]:
+    """All-integer LLL, delta = 99/100 (Cohen, Alg. 2.6.7), of independent rows.
+
+    d[i] is the Gram determinant of the first i rows and lam[k][j] =
+    d[j+1] * mu_kj; both are integers, so every division is exact.
+    """
+    b = [[int(x) for x in row] for row in rows]
+    n = len(b)
+    d = [1, sum(x * x for x in b[0])] + [0] * (n - 1)
+    lam = [[0] * n for _ in range(n)]
+
+    def reduce(k, l):
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            for j in range(k + 1):
+                u = sum(x * y for x, y in zip(b[k], b[j]))
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                lam[k][j] = u
+            d[k + 1] = lam[k][k]
+        reduce(k, k - 1)
+        lk = lam[k][k - 1]
+        if 100 * (d[k + 1] * d[k - 1] + lk * lk) < 99 * d[k] * d[k]:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            for j in range(k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            big = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+            for i in range(k + 1, kmax + 1):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+                lam[i][k - 1] = (big * t + lk * lam[i][k]) // d[k + 1]
+            d[k] = big
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return b

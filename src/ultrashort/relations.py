@@ -55,7 +55,6 @@ from .errors import (
     ZeroRoot,
     ZeroRootWithNegativeExponent,
 )
-from .lattice import smith_normal_form  # noqa: F401  (re-exported)
 
 DEFAULT_COEFF_CAP = 64
 PRECISION_CAP_BITS = 1 << 20
@@ -538,55 +537,6 @@ class RelationModule:
         )
 
 
-def _lll_rows(rows: list[list[int]]) -> list[list[int]]:
-    """All-integer LLL, delta = 99/100 (Cohen, Alg. 2.6.7), of independent rows.
-
-    d[i] is the Gram determinant of the first i rows and lam[k][j] =
-    d[j+1] * mu_kj; both are integers, so every division is exact.
-    """
-    b = [[int(x) for x in row] for row in rows]
-    n = len(b)
-    d = [1, sum(x * x for x in b[0])] + [0] * (n - 1)
-    lam = [[0] * n for _ in range(n)]
-
-    def reduce(k, l):
-        if 2 * abs(lam[k][l]) > d[l + 1]:
-            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
-            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
-            lam[k][l] -= q * d[l + 1]
-            for i in range(l):
-                lam[k][i] -= q * lam[l][i]
-
-    k, kmax = 1, 0
-    while k < n:
-        if k > kmax:
-            kmax = k
-            for j in range(k + 1):
-                u = sum(x * y for x, y in zip(b[k], b[j]))
-                for i in range(j):
-                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-                lam[k][j] = u
-            d[k + 1] = lam[k][k]
-        reduce(k, k - 1)
-        lk = lam[k][k - 1]
-        if 100 * (d[k + 1] * d[k - 1] + lk * lk) < 99 * d[k] * d[k]:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            for j in range(k - 1):
-                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-            big = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
-            for i in range(k + 1, kmax + 1):
-                t = lam[i][k]
-                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
-                lam[i][k - 1] = (big * t + lk * lam[i][k]) // d[k + 1]
-            d[k] = big
-            k = max(1, k - 1)
-        else:
-            for l in range(k - 2, -1, -1):
-                reduce(k, l)
-            k += 1
-    return b
-
-
 def _round_scaled(x, scale_bits: int) -> int:
     return int(mpmath.nint(mpmath.mpf(x) * mpf(2) ** scale_bits))
 
@@ -603,7 +553,7 @@ def _detect_module(dim, build_rows, certify, coeff_cap, saturate=True):
     agreements = 0
     capped = False
     while bits <= _DETECTION_CAP_BITS:
-        reduced = _lll_rows(build_rows(bits))
+        reduced = lattice.lll_rows(build_rows(bits))
         candidates = {tuple(int(x) for x in row[:dim]) for row in reduced}
         certified = []
         for cand in sorted(candidates):

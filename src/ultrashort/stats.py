@@ -19,7 +19,7 @@ from .relations import RelationModule, additive_relations
 from .sums import (
     ConditionSet,
     SumGrid,
-    _split_roots,
+    _split_roots_each,
     _weyl_phase,
     restricted_sum_values,
     uniformity_metric,
@@ -127,8 +127,7 @@ def stationarity_report(
     alphas = [[int(a) for a in alpha] for alpha in test_alphas]
     entries = []
     disagreements = []
-    for q in primes:
-        roots = _split_roots(g, q)
+    for q, roots in _split_roots_each(g, primes):
         for alpha in alphas:
             w = int(_weyl_phase(roots, alpha, q) == 0)
             in_rg = module.contains(alpha)

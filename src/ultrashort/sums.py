@@ -25,10 +25,11 @@ from .arith import (
     IntPoly,
     LaurentPoly,
     PrimePowerModulus,
+    _dense_coeffs,
     hensel_roots,
     is_prime,
     multiplicative_generator,
-    roots_mod_prime,
+    roots_mod_primes,
 )
 from .errors import (
     InvalidDescriptor,
@@ -105,12 +106,18 @@ class ConditionSet:
 
 def _split_roots(g: IntPoly, q: int, n: int = 1) -> list[int]:
     """Sorted roots mod q^n after checking q is split and unramified."""
-    base = roots_mod_prime(g, q)  # raises NonPrimeModulus / RamifiedPrime
-    if len(base.roots) != g.degree:
-        raise NotSplit(f"g has {len(base.roots)} roots mod {q}, expected {g.degree}")
-    if n == 1:
-        return list(base.roots)
-    return list(hensel_roots(g, q, n).roots)
+    roots = next(_split_roots_each(g, [q]))[1]
+    return roots if n == 1 else list(hensel_roots(g, q, n).roots)
+
+
+def _split_roots_each(g: IntPoly, qs):
+    """Yield (q, _split_roots(g, q)) for each q of qs in turn, errors
+    included, from one roots_mod_primes batch."""
+    for base in roots_mod_primes(g, qs):
+        q, roots = base.modulus.q, list(base.roots)
+        if len(roots) != g.degree:
+            raise NotSplit(f"g has {len(roots)} roots mod {q}, expected {g.degree}")
+        yield q, roots
 
 
 def _root_values(g: IntPoly, q: int, n: int, v: LaurentPoly) -> list[int]:
@@ -387,13 +394,15 @@ def make_condition_set(q: int, n: int, descriptor) -> ConditionSet:
         members = np.arange(qn, dtype=np.int64)
         canon = "full"
     elif kind == "interval":
-        alpha = float(arg)
+        alpha = _descriptor_arg(descriptor, float, arg)
         if not 0 < alpha <= 1:
             raise InvalidDescriptor("interval ratio must be in (0, 1]")
         members = np.arange(math.ceil(alpha * qn), dtype=np.int64)
         canon = f"interval:{alpha}"
     elif kind == "image":
-        coeffs = _monic_coeffs(arg)
+        coeffs = _descriptor_arg(descriptor, _dense_coeffs, arg)
+        if coeffs[-1] != 1:
+            raise InvalidDescriptor("image polynomial must be monic")
         xs = np.arange(q, dtype=np.int64)
         acc = np.zeros(q, dtype=np.int64)
         for c in reversed(coeffs):
@@ -401,7 +410,7 @@ def make_condition_set(q: int, n: int, descriptor) -> ConditionSet:
         members = np.unique(acc)
         canon = f"image:{arg}"
     elif kind == "subgroup":
-        m = int(arg)
+        m = _descriptor_arg(descriptor, int, arg)
         if n != 1:
             raise InvalidDescriptor("subgroup descriptor requires n = 1")
         if m < 1 or (q - 1) % m != 0:
@@ -426,19 +435,12 @@ def _parse_descriptor(descriptor) -> tuple[str, str]:
     return text.strip(), ""
 
 
-def _monic_coeffs(text: str) -> list[int]:
-    from .arith import _parse_terms
-
-    terms = _parse_terms(text)
-    if any(e < 0 for e, _ in terms):
-        raise InvalidDescriptor("image polynomial must have nonnegative exponents")
-    deg = max(e for e, _ in terms)
-    coeffs = [0] * (deg + 1)
-    for e, c in terms:
-        coeffs[e] += c
-    if coeffs[-1] != 1:
-        raise InvalidDescriptor("image polynomial must be monic")
-    return coeffs
+def _descriptor_arg(descriptor, parse, arg: str):
+    """parse(arg), with malformed text reported as InvalidDescriptor."""
+    try:
+        return parse(arg)
+    except ValueError as exc:
+        raise InvalidDescriptor(f"descriptor {descriptor!r}: {exc}") from None
 
 
 def _check_set_modulus(A: ConditionSet, mod: PrimePowerModulus) -> None:

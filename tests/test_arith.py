@@ -17,6 +17,7 @@ from ultrashort.arith import (
     is_prime,
     multiplicative_generator,
     roots_mod_prime,
+    roots_mod_primes,
 )
 from ultrashort.errors import NonPrimeModulus, OutOfRangeParameter, RamifiedPrime
 
@@ -216,6 +217,51 @@ def test_cantor_zassenhaus_large_prime():
     assert all(g.eval_mod(r, q) == 0 for r in roots)
     # deterministic across calls
     assert roots == roots_mod_prime(g, q).roots
+
+
+@pytest.mark.parametrize("text", ["X-5", "X^3+X+3", "X^3-9X-1", "X^5-1", "X^5-X-1"])
+def test_batched_roots_match_brute_force_and_single_calls(text):
+    g = IntPoly.parse(text)
+    qs = [q for q in range(2, 400) if is_prime(q) and g.discriminant % q]
+    qs = qs[1::2] + find_split_primes(g, 400, 20000)[:2] + qs[::2] + qs[:3]  # with repeats
+    batch = list(roots_mod_primes(g, qs))
+    assert [rl.modulus.q for rl in batch] == qs
+    assert [rl.roots for rl in batch] == [_brute_roots(g, q) for q in qs]
+    assert [rl.roots for rl in batch] == [roots_mod_prime(g, q).roots for q in qs]
+    assert 2 in qs
+    counts = {len(rl.roots) for rl in batch}
+    if g.degree >= 3:  # split and partly split primes, and (but for X^5-1) rootless ones
+        assert g.degree in counts and counts & set(range(1, g.degree))
+        assert 0 in counts or text == "X^5-1"
+
+
+def test_batched_roots_on_the_object_dtype_path():
+    # a prime above isqrt(2^63 - 1) puts every column of the batch in Python
+    # integers, small primes included
+    g = IntPoly.parse("X^3+X+3")
+    big_split = find_split_primes(g, 2**40, 2**40 + 2000)[0]
+    big_other = next(q for q in range(2**40, 2**40 + 2000) if is_prime(q) and q != big_split)
+    qs = [2, 31, 37, big_split, big_other, 101]
+    batch = list(roots_mod_primes(g, qs))
+    for q, rl in zip(qs, batch):
+        assert rl.roots == roots_mod_prime(g, q).roots
+        assert all(g.eval_mod(r, q) == 0 for r in rl.roots)
+        if q < 1000:
+            assert rl.roots == _brute_roots(g, q)
+    assert len(batch[3].roots) == 3
+
+
+def test_batched_roots_raise_where_a_loop_of_calls_would():
+    g = IntPoly.parse("X^2-2")
+    batch = roots_mod_primes(g, [7, 9, 2])
+    assert next(batch).roots == (3, 4)
+    with pytest.raises(NonPrimeModulus):
+        next(batch)
+    with pytest.raises(RamifiedPrime):
+        list(roots_mod_primes(g, [7, 2, 9]))
+    with pytest.raises(OutOfRangeParameter):
+        list(roots_mod_primes(g, [7, 2**63 + 1]))
+    assert list(roots_mod_primes(g, [])) == []
 
 
 def test_discriminant_detects_repeated_roots_mod_q():

@@ -444,17 +444,33 @@ def test_usage_error_exit_codes(capsys):
          "--config"),
         (["--config", "list.json", "roots", "--poly", "X^2-2", "--prime", "7"], "--config"),
         (["figure", "/nonexistent.csv"], "/nonexistent.csv"),
+        (["figure", "real.csv", "--bins", "0"], "--bins"),
+        (["figure", "real.csv", "--range", "-1"], "--range"),
+        (["weylcheck", "--poly", "X^3+X+3", "--alpha", "1,1,1",
+          "--prime-range", "30000:31000:-1"], "--prime-range"),
     ],
     ids=["poly-dangling-sign", "poly-not-monic", "poly-not-separable", "v-dangling-sign",
          "alpha-not-int", "prime-range-two-fields", "exponents-not-int", "config-last",
-         "config-missing-file", "config-json-list", "figure-missing-file"],
+         "config-missing-file", "config-json-list", "figure-missing-file", "figure-zero-bins",
+         "figure-negative-range", "prime-range-negative-count"],
 )
 def test_malformed_flag_text_is_usage_error(argv, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "real.csv").write_text("a,re,im\n0,0.5,0\n1,-0.25,0\n")
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("usage error: ") and named in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("descriptor", ["interval:abc", "subgroup:x", "image:X^^2"])
+def test_malformed_descriptor_is_domain_error(descriptor, capsys):
+    argv = ["condition", "--poly", "X^3+X+3", "--prime", "30223", "--descriptor", descriptor,
+            "--alpha", "1,1,1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("InvalidDescriptor: ") and descriptor in captured.err
     assert captured.out == ""
 
 

@@ -10,7 +10,7 @@ import scipy.stats
 
 from ultrashort import sums
 from ultrashort.arith import IntPoly, find_split_primes
-from ultrashort.errors import OutOfRangeParameter
+from ultrashort.errors import NonPrimeModulus, NotSplit, OutOfRangeParameter, RamifiedPrime
 from ultrashort.limitlaw import exact_mixed_moment, philox_generator
 from ultrashort.relations import additive_relations
 from ultrashort.stats import (
@@ -131,6 +131,25 @@ def test_stationarity_report_rejects_wrong_length_alpha():
     g = IntPoly.parse("X^5-1")
     with pytest.raises(OutOfRangeParameter):
         stationarity_report(g, [11], [[1, 1, 1]], additive_relations(g))
+
+
+@pytest.mark.parametrize(
+    "primes, alphas, error",
+    [
+        ([11, 13, 12], [[1, 1, 1, 1, 1]], NotSplit),  # 13 does not split X^5-1
+        ([11, 12, 13], [[1, 1, 1, 1, 1]], NonPrimeModulus),
+        ([11, 31, 5], [[1, 1, 1, 1, 1]], RamifiedPrime),
+        ([11, 12], [[1, 1, 1]], OutOfRangeParameter),  # the alpha fails at 11 first
+        ([12, 11], [[1, 1, 1]], NonPrimeModulus),
+        ([13, 11], [[1, 1, 1]], NotSplit),
+    ],
+)
+def test_stationarity_report_raises_in_prime_order(primes, alphas, error):
+    # the roots of all primes are found in one call, but each error is the
+    # one a prime-by-prime loop meets first
+    g = IntPoly.parse("X^5-1")
+    with pytest.raises(error):
+        stationarity_report(g, primes, alphas, additive_relations(g))
 
 
 def test_stationarity_report_fixture():

@@ -399,6 +399,15 @@ def test_condition_set_invalid_descriptors():
         make_condition_set(7, 1, "blah")
 
 
+@pytest.mark.parametrize(
+    "descriptor",
+    ["interval:abc", "subgroup:x", "image:X^^2", "image:X^-1+1", "image:", ("interval", "half")],
+)
+def test_condition_set_malformed_arguments(descriptor):
+    with pytest.raises(InvalidDescriptor, match="descriptor"):
+        make_condition_set(7, 1, descriptor)
+
+
 def test_weyl_sum_full_is_exact():
     g = IntPoly.parse("X^5-1")
     full = make_condition_set(11, 1, "full")
