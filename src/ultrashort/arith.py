@@ -603,17 +603,13 @@ def roots_mod_prime(g: IntPoly, q: int) -> RootList:
     return next(roots_mod_primes(g, [q]))
 
 
-def hensel_roots(g: IntPoly, q: int, n: int) -> RootList:
-    """Roots of g modulo q^n by Newton lifting of the simple mod-q roots."""
-    if n < 1:
-        raise OutOfRangeParameter("n must be >= 1")
-    base = roots_mod_prime(g, q)
-    if n == 1:
-        return base
+def _newton_lift(g: IntPoly, q: int, roots, n: int) -> RootList:
+    """The roots of g mod q (q unramified, so each is simple) lifted to its
+    roots modulo q^n by Newton steps that square the modulus."""
     mod = PrimePowerModulus(q, n)
     target = mod.modulus
     lifted = []
-    for r in base.roots:
+    for r in roots:
         m = q
         x = r
         while m < target:
@@ -623,6 +619,14 @@ def hensel_roots(g: IntPoly, q: int, n: int) -> RootList:
             x = (x - g.eval_mod(x, m) * pow(deriv, -1, m)) % m
         lifted.append(x)
     return RootList(mod, tuple(lifted))
+
+
+def hensel_roots(g: IntPoly, q: int, n: int) -> RootList:
+    """Roots of g modulo q^n by Newton lifting of the simple mod-q roots."""
+    if n < 1:
+        raise OutOfRangeParameter("n must be >= 1")
+    base = roots_mod_prime(g, q)
+    return base if n == 1 else _newton_lift(g, q, base.roots, n)
 
 
 _TRIAL_DIVISION_CAP = 1000

@@ -196,24 +196,37 @@ def exact_mixed_moment(module: RelationModule, m: int, n: int) -> int:
 
 
 def _sato_tate(count: int, seed: int, index: int = 0) -> np.ndarray:
-    """Exact Sato-Tate draws from the stream (seed, "sato-tate", index).
+    """Exact Sato-Tate draws 2*sqrt(U0)*cos(2*pi*U1) from the stream
+    (seed, "sato-tate", index).
 
-    A Sato-Tate variable is the trace of a Haar element of SU(2), and Haar
-    on SU(2) is the uniform law on S^3; for a standard Gaussian x in R^4,
-    x/|x| is uniform on S^3 and the trace is 2*x_0/|x|.
+    U0 and U1 are the two rows of one random((2, count)) draw, taken as two
+    consecutive random(count) calls (the same doubles) so that the result
+    owns its memory; the work is done in place.  Proof of the law: for U0,
+    U1 uniform on [0, 1), (sqrt(U0)*cos(2*pi*U1), sqrt(U0)*sin(2*pi*U1)) is
+    uniform on the unit disc (its radius has density 2r), so its first
+    coordinate x has density (2/pi)*sqrt(1 - x^2) on [-1, 1].  Then 2x has
+    density (1/pi)*sqrt(1 - t^2/4) on [-2, 2], the image of the density
+    (2/pi)*sin^2(theta) on [0, pi] under t = 2*cos(theta), which is the
+    Sato-Tate law.  sqrt(U0) and |cos| are at most 1 after rounding and the
+    doubling is exact, so every draw lies in [-2, 2].
     """
     if count < 1:
         raise OutOfRangeParameter("count must be >= 1")
-    x = philox_generator(seed, "sato-tate", index).standard_normal((4, count))
-    return 2.0 * x[0] / np.linalg.norm(x, axis=0)
+    rng = philox_generator(seed, "sato-tate", index)
+    t = np.sqrt(rng.random(count))
+    angle = rng.random(count)
+    angle *= 2.0 * np.pi
+    t *= np.cos(angle, out=angle)
+    t *= 2.0
+    return t
 
 
 def sato_tate_samples(count: int, seed: int) -> SampleBatch:
     """Draws of 2*cos(theta) with density (2/pi) sin^2(theta) on [0, pi].
 
-    Each draw is the trace 2*x_0/|x| of a uniform point of S^3 = SU(2),
-    x standard Gaussian in R^4: exact, and a deterministic function of the
-    seeded stream.
+    Each draw is twice the first coordinate of a uniform point of the unit
+    disc, 2*sqrt(U0)*cos(2*pi*U1) (see _sato_tate): exact, and a
+    deterministic function of the seeded stream.
     """
     return SampleBatch(_sato_tate(count, seed), seed, "sato-tate")
 

@@ -26,7 +26,7 @@ from .arith import (
     LaurentPoly,
     PrimePowerModulus,
     _dense_coeffs,
-    hensel_roots,
+    _newton_lift,
     is_prime,
     multiplicative_generator,
     roots_mod_primes,
@@ -105,9 +105,10 @@ class ConditionSet:
 
 
 def _split_roots(g: IntPoly, q: int, n: int = 1) -> list[int]:
-    """Sorted roots mod q^n after checking q is split and unramified."""
+    """Sorted roots mod q^n after checking q is split and unramified; the
+    mod-q roots are found once and Newton-lifted."""
     roots = next(_split_roots_each(g, [q]))[1]
-    return roots if n == 1 else list(hensel_roots(g, q, n).roots)
+    return roots if n == 1 else list(_newton_lift(g, q, roots, n).roots)
 
 
 def _split_roots_each(g: IntPoly, qs):

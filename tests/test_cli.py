@@ -536,7 +536,7 @@ GRID_CSV = ["sums", "--poly", "X^3+X+3", "--prime", "30223", "--out", "g.csv"]
          "b50a5e86cb0a366d9ab00e802e883e80ee2ad0b6a41b5d711627d8a43eb436c4"),
         ([["limit", "--law", "st", "--count", "3000", "--seed", "4", "--out", "st.csv"],
           ["figure", "st.csv", "--bins", "30"]], ["st.csv", "st.svg"],
-         "42d1d0378847a3d42a8177951c45ce0287f2e922aa6c1f6d4e2c6212a38dfdba"),
+         "1209b85fd4156e36079912587429a0fc1f1069bc86db013abe1eb7c90010a633"),
         ([["limit", "--law", "usp:2", "--count", "3000", "--seed", "2", "--out", "usp.csv"]],
          ["usp.csv"],
          "8f0d73f765b75e734070d30adbccfe67dfa3a548b13f5dbf7354bd12eec6a718"),

@@ -313,13 +313,40 @@ def test_moment_table_json():
 # Sato-Tate
 
 
+def _gaussian_sato_tate(count, seed):
+    """Reference Sato-Tate draws by the Gaussian route: the trace 2*x_0/|x|
+    of the uniform point x/|x| of S^3 = SU(2), x standard Gaussian in R^4."""
+    x = philox_generator(seed, "sato-tate-reference").standard_normal((4, count))
+    return 2.0 * x[0] / np.linalg.norm(x, axis=0)
+
+
 def test_sato_tate_moments_and_support():
-    n = 400000
+    """The disc construction against the Gaussian one (two-sample KS at
+    significance 1e-4), E t^(2k) against the Catalan numbers and the odd
+    moments against 0 (each within 5 standard errors), and |t| <= 2."""
+    n = 10**6
     t = sato_tate_samples(n, 21).samples
-    assert np.all(np.abs(t) <= 2.0)
-    assert abs(t.mean()) <= 5 / math.sqrt(n)
-    assert abs((t**2).mean() - 1.0) <= 5 / math.sqrt(n)
-    assert abs((t**4).mean() - 2.0) <= 20 / math.sqrt(n)
+    assert np.abs(t).max() <= 2.0
+    ks_bound = math.sqrt(-math.log(1e-4 / 2) / n)  # two samples of n at significance 1e-4
+    assert ks_distance(t, _gaussian_sato_tate(n, 21)) <= ks_bound
+    catalan = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
+    for k in range(1, 5):
+        even = math.sqrt((catalan[2 * k] - catalan[k] ** 2) / n)
+        assert abs((t ** (2 * k)).mean() - catalan[k]) <= 5 * even
+        assert abs((t ** (2 * k - 1)).mean()) <= 5 * math.sqrt(catalan[2 * k - 1] / n)
+
+
+def test_sato_tate_sum_holds_no_gaussian_scratch():
+    """The traced peak of sato_tate_sum_samples(3, 10^6, s) stays at most
+    48 MB: the Gaussian sampler peaked at 91.6 MB, the disc one holds the
+    sum and one term's two uniform rows (24 MB)."""
+    tracemalloc.start()
+    try:
+        sato_tate_sum_samples(3, 10**6, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 10**6
 
 
 def test_sato_tate_deterministic():

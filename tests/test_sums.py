@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
+import ultrashort.arith as arith
 import ultrashort.sums as sums
-from ultrashort.arith import IntPoly, find_split_primes
+from ultrashort.arith import IntPoly, find_split_primes, hensel_roots, roots_mod_primes
 from ultrashort.errors import (
     InvalidDescriptor,
     NotSplit,
@@ -62,6 +63,24 @@ def test_additive_grid_prime_power():
     assert len(grid.values) == 49
     expected = sum(cmath.exp(2j * cmath.pi * r / 49) for r in (10, 39))
     assert abs(grid.values[1] - expected) < 1e-12
+
+
+def test_prime_power_grid_finds_the_mod_q_roots_once(monkeypatch):
+    """A grid mod q^n finds the roots mod q in one batch and lifts those,
+    giving hensel_roots' roots; the NotSplit check used to find them again."""
+    g, q = IntPoly.parse("X^3+X+3"), 193
+    want = list(hensel_roots(g, q, 2).roots)
+    batches = []
+
+    def spy(g, qs):
+        batches.append(list(qs))
+        return roots_mod_primes(g, qs)
+
+    monkeypatch.setattr(sums, "roots_mod_primes", spy)
+    monkeypatch.setattr(arith, "roots_mod_primes", spy)
+    additive_sum_grid(g, q, 2)
+    assert batches == [[q]]
+    assert sums._split_roots(g, q, 2) == want
 
 
 def test_additive_grid_threads_deterministic():
