@@ -203,7 +203,7 @@ def _write_grid(grid, out: str | None) -> None:
 def cmd_sums(args) -> int:
     g = _poly(args)
     v = _laurent(args.v) if args.v else None
-    grid = sums.additive_sum_grid(g, args.prime, args.power, v, threads=args.threads)
+    grid = sums.additive_sum_grid(g, args.prime, args.power, v)
     _write_grid(grid, args.out)
     return 0
 
@@ -265,7 +265,7 @@ def cmd_limit(args) -> int:
 
 def cmd_moments(args) -> int:
     g = _poly(args)
-    grid = sums.additive_sum_grid(g, args.prime, args.power, threads=args.threads)
+    grid = sums.additive_sum_grid(g, args.prime, args.power)
     module = _module(args, g)
     empirical = stats.moment_table(grid, args.max_order)
     exact = {
@@ -513,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sums", help="full additive-character grid")
     common(p)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--prime", type=int)
     p.add_argument("--power", type=int, default=1)
     p.add_argument("--v", help="Laurent polynomial (default X)")
@@ -545,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moments", help="empirical vs exact mixed moments")
     common(p)
     bounds(p)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--prime", type=int)
     p.add_argument("--power", type=int, default=1)
     p.add_argument("--max-order", type=int, default=4)

@@ -2,7 +2,7 @@
 
 All randomness flows through a counter-based 64-bit generator (Philox) with
 streams keyed by (seed, operation, stream index), so every sampler is a pure
-function of its seed and identical across platforms and thread counts.
+function of its seed.
 """
 
 from __future__ import annotations
@@ -40,13 +40,9 @@ class SampleBatch:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def real(self) -> np.ndarray:
-        return np.real(self.samples)
-
     def write_csv(self, path) -> None:
         """`re,im` rows through the columnar sums.write_columns; a real batch
-        (the Sato-Tate laws) writes its zero imaginary column as 0.0."""
+        (the Sato-Tate and USp laws) writes its zero imaginary column as 0.0."""
         with open(path, "w") as fh:
             write_columns(fh, "re,im\n", self.samples.real, self.samples.imag)
 
@@ -261,76 +257,83 @@ def _parse_group(group) -> tuple[str, int]:
     return name, r
 
 
-def _su_traces(r: int, count: int, rng) -> np.ndarray:
-    """Traces of Haar-random SU(r) matrices.
-
-    U(r) Haar via QR of a complex Ginibre matrix with the R-diagonal phase
-    fix; multiplying by det^(-1/r) (principal branch) lands Haar on SU(r),
-    and only rescales the trace.
-    """
-    z = rng.normal(size=(count, r, r)) + 1j * rng.normal(size=(count, r, r))
-    qm, rm = np.linalg.qr(z)
-    diag = np.einsum("...ii->...i", rm)
-    qm = qm * (diag / np.abs(diag))[:, None, :]
-    det = np.linalg.det(qm)
-    scale = np.exp(-np.log(det) / r)
-    return np.einsum("...ii->...", qm) * scale
-
-
-def _usp_matrices(r: int, count: int, rng) -> np.ndarray:
-    """Haar-random USp(r) matrices (r even), complex representation.
-
-    Quaternion Gram-Schmidt: each accepted unit column v gets the partner
-    -J*conj(v) (automatically a unit vector orthogonal to v and to all
-    previously accepted pairs), which is exactly the column structure
-    [[A, B], [-conj(B), conj(A)]] of the compact symplectic group.  Starting
-    from Gaussian columns the construction is equivariant under left USp
-    multiplication, hence Haar.
-    """
-    m = r // 2
-
-    def partner(v):
-        w = np.empty_like(v)
-        w[:, :m] = -np.conj(v[:, m:])
-        w[:, m:] = np.conj(v[:, :m])
-        return w
-
-    cols: list[np.ndarray] = []
-    for _ in range(m):
-        v = rng.normal(size=(count, r)) + 1j * rng.normal(size=(count, r))
-        for _ in range(2):  # modified Gram-Schmidt, twice for stability
-            for c in cols:
-                proj = np.einsum("ij,ij->i", np.conj(c), v)
-                v = v - proj[:, None] * c
-        v = v / np.linalg.norm(v, axis=1)[:, None]
-        cols.append(v)
-        cols.append(partner(v))
-    # columns are ordered (v_1..v_m, w_1..w_m)
-    out = np.empty((count, r, r), dtype=np.complex128)
-    for j in range(m):
-        out[:, :, j] = cols[2 * j]
-        out[:, :, m + j] = cols[2 * j + 1]
-    return out
-
-
-def _usp_traces(r: int, count: int, rng) -> np.ndarray:
-    return np.einsum("...ii->...", _usp_matrices(r, count, rng))
-
-
-def haar_trace_samples(group, count: int, seed: int) -> SampleBatch:
-    """Draws of Tr(M) for M Haar on SU(r) or USp(r even), r <= 8."""
-    name, r = _parse_group(group)
+def _check_rank_and_count(r: int, count: int) -> None:
+    """The one domain check of both trace samplers: 1 <= r <= 8, count >= 1."""
     if count < 1:
         raise OutOfRangeParameter("count must be >= 1")
     if r < 1 or r > 8:
         raise OutOfRangeParameter("rank must be between 1 and 8")
+
+
+def _cmv_trace(alpha: np.ndarray) -> np.ndarray:
+    """Trace -sum_k a_{k-1} conj(a_k), a_{-1} = -1, of the CMV matrix of each
+    column of the (N, count) Verblunsky coefficients alpha.
+
+    C = L*M, L = T_0 + T_2 + ..., M = 1 + T_1 + T_3 + ... (direct sums of
+    T_k = [[conj a_k, p_k], [p_k, -a_k]] on indices k, k+1, p_k^2 = 1 -
+    |a_k|^2, and of the 1x1 conj(a_{N-1})).  The blocks of L and M holding
+    index k overlap only in k, so C_kk = L_kk*M_kk = conj(a_k)*(-a_{k-1}).
+    The N-1 blocks T_k have determinant -1: det C = (-1)^(N-1) conj(a_{N-1}).
+    """
+    trace = np.conj(alpha[0])
+    trace -= (alpha[:-1] * np.conj(alpha[1:])).sum(axis=0)
+    return trace
+
+
+def _su_traces(r: int, count: int, rng) -> np.ndarray:
+    """Traces of Haar SU(r) matrices from r Verblunsky coefficients.
+
+    Killip and Nenciu (Matrix models for circular ensembles, IMRN 2004,
+    Theorem 1, beta = 2): with a_0..a_{r-2} independent and rotation
+    invariant, |a_k|^2 ~ Beta(1, r-k-1) (drawn as 1 - V^(1/(r-k-1))), and
+    a_{r-1} uniform on the circle, the CMV eigenvalues have the law of those
+    of a Haar U(r) matrix U, so (Tr C, det C) ~ (Tr U, det U).  U*det(U)^(-1/r)
+    (principal branch) has determinant 1 and a law invariant under U -> SU
+    for S in SU(r) (same determinant), so it is Haar on SU(r).
+    """
+    exponents = 1.0 / np.arange(r - 1, 0, -1.0)[:, None]
+    modulus = np.sqrt(1.0 - rng.random((r - 1, count)) ** exponents)
+    alpha = np.exp(2j * np.pi * rng.random((r, count)))
+    alpha[:-1] *= modulus
+    det = (-1) ** (r - 1) * np.conj(alpha[-1])
+    return _cmv_trace(alpha) * np.exp(-np.log(det) / r)
+
+
+def _usp_verblunsky(r: int, count: int, rng) -> np.ndarray:
+    """(r, count) real Verblunsky coefficients whose CMV traces are traces of
+    Haar USp(r) matrices, r = 2n.
+
+    Killip and Nenciu (IMRN 2004, Theorem 2 at beta = 2, a = b = 1/2): for
+    independent a_k ~ B(h + o, h - o), h = (r-k+1)/2, o = k mod 2 (their
+    (2n-k-2)/2 + 3/2 twice for even k; (2n-k-3)/2 + 3 and (2n-k-1)/2 for
+    odd k), a_{r-1} = -1, and B(s, t) the law of 1 - 2U, U ~ Beta(s, t),
+    the CMV eigenvalues are e^(+-i theta_j), and x_j = 2 cos theta_j has
+    density prod_{j<k} |x_j - x_k|^2 prod_j (4 - x_j^2)^(1/2): the USp(2n)
+    Weyl density prod (cos theta_j - cos theta_k)^2 prod sin^2 theta_j after
+    dx = -2 sin theta dtheta.  So Tr C = sum_j 2 cos theta_j is the USp(r)
+    trace; for n = 1 it is 2*a_0, a_0 ~ B(3/2, 3/2): Sato-Tate.
+    """
+    alpha = np.full((r, count), -1.0)
+    for k in range(r - 1):
+        half, odd = (r - k + 1) / 2, k % 2
+        alpha[k] = 1.0 - 2.0 * rng.beta(half + odd, half - odd, size=count)
+    return alpha
+
+
+def haar_trace_samples(group, count: int, seed: int) -> SampleBatch:
+    """Draws of Tr(M) for M Haar on SU(r) or USp(r even), r <= 8: the laws of
+    rank-r Kloosterman sums, USp(r) for even r and SU(r) for odd r (Katz,
+    Gauss Sums, Kloosterman Sums, and Monodromy Groups, 1988).  Each draw is
+    a CMV trace; USp traces are float64."""
+    name, r = _parse_group(group)
+    _check_rank_and_count(r, count)
     rng = philox_generator(seed, f"haar-{name}{r}")
     if name == "SU":
         traces = _su_traces(r, count, rng)
     else:
         if r % 2:
             raise OutOfRangeParameter("USp needs even rank")
-        traces = _usp_traces(r, count, rng)
+        traces = _cmv_trace(_usp_verblunsky(r, count, rng))
     return SampleBatch(traces, seed, f"{name}({r})-trace")
 
 
@@ -340,10 +343,7 @@ def involution_sum_samples(
     """Draws of sum_x Tr(f(x)) when x -> -x pairs roots and forces
     f(-x) = conj(f(x)): each pair contributes Tr(M) + conj(Tr(M)) for one
     Haar SU(r) class M, unpaired roots contribute independent classes."""
-    if count < 1:
-        raise OutOfRangeParameter("count must be >= 1")
-    if r < 1:
-        raise OutOfRangeParameter("rank must be >= 1")
+    _check_rank_and_count(r, count)
     pairs = [(int(i), int(j)) for i, j in pairs]
     seen: set[int] = set()
     for i, j in pairs:

@@ -257,7 +257,7 @@ def test_limit_unknown_law_lists_every_law(capsys):
     assert "inv:R" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("args", [["inv:0"], ["inv:-1"], ["inv:2", "--count", "-5"],
+@pytest.mark.parametrize("args", [["inv:0"], ["inv:-1"], ["inv:9"], ["inv:2", "--count", "-5"],
                                   ["inv:2", "--count", "0"]])
 def test_limit_involution_out_of_range_is_domain_error(args, capsys):
     assert main(["limit", "--poly", "X^4+1", "--law", *args]) == 1
@@ -422,9 +422,10 @@ def test_usage_error_exit_codes(capsys):
     assert main(["roots", "--poly", "X^2-2"]) == 2  # missing --prime
     assert main(["limit", "--law", "sigma"]) == 2  # sigma needs --poly
     assert main(["weylcheck", "--poly", "X^5-1", "--alpha", "1,1,1,1,1"]) == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["klsums", "--poly", "X^2-2", "--prime", "7", "--threads", "2"])
-    assert exc.value.code == 2  # --threads only applies to sums and moments
+    for command in ("klsums", "sums", "moments"):  # no command takes --threads
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--poly", "X^2-2", "--prime", "7", "--threads", "2"])
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize(
@@ -492,20 +493,6 @@ def test_readme_command_lines_parse():
             assert getattr(args, name) not in (None, ""), (line, name)
 
 
-def test_sums_zero_threads_is_domain_error(capsys):
-    assert main(["sums", "--poly", "X^3+X+3", "--prime", "30223", "--threads", "0"]) == 1
-    assert "OutOfRangeParameter" in capsys.readouterr().err
-
-
-def test_threads_flag_same_output(tmp_path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    main(["sums", "--poly", "X^3+X+3", "--prime", "30223", "--out", str(a)])
-    main(["sums", "--poly", "X^3+X+3", "--prime", "30223", "--threads", "4",
-          "--out", str(b)])
-    assert a.read_text() == b.read_text()
-
-
 def test_cli_import_loads_only_numpy_and_mpmath():
     """A fresh interpreter imports the CLI with no third-party package but
     the two runtime dependencies."""
@@ -539,12 +526,14 @@ GRID_CSV = ["sums", "--poly", "X^3+X+3", "--prime", "30223", "--out", "g.csv"]
          "1209b85fd4156e36079912587429a0fc1f1069bc86db013abe1eb7c90010a633"),
         ([["limit", "--law", "usp:2", "--count", "3000", "--seed", "2", "--out", "usp.csv"]],
          ["usp.csv"],
-         "8f0d73f765b75e734070d30adbccfe67dfa3a548b13f5dbf7354bd12eec6a718"),
+         "04321b86db52ad5930c55e2647bad5ff8e4c420399e346655f99742a5ce4ab35"),
         ([["limit", "--law", "sigma", "--poly", "X^3+X+3", "--count", "20000", "--seed", "1",
            "--out", "sig.csv"]], ["sig.csv"],
          "a409af0bc677f850e4932e64719d46372f8def81665c6d2ff082f36888002ba9"),
         ([["limit", "--law", "su:3", "--count", "2000", "--seed", "3"]], ["-"],
-         "16e8031a8cd51c61629f24bd9363494e8c17e1f72af4d0540d2deaf6d5e52d53"),
+         "847c9abd301be5dbe84d75f18322469cf9d497c9ae1d0eb19c302b4fe7ce0f90"),
+        ([["limit", "--law", "inv:3", "--poly", "X^4-10X^2+1", "--count", "2000", "--seed", "3"]],
+         ["-"], "0984479a99a9fcec0d5d44e4310d3afa1b436b4c05a64bda5c759d8b4f7212d0"),
         ([["klsums", "--poly", "X^3-9X-1", "--prime", "8089", "--mode", "translate",
            "--out", "kl.csv"]], ["kl.csv", "kl.json"],
          "a8499a63644705958180b33998b2f5288c1e23af84ce21523c519a1ba27819e1"),
@@ -552,7 +541,7 @@ GRID_CSV = ["sums", "--poly", "X^3+X+3", "--prime", "30223", "--out", "g.csv"]
          "eb5f8d48a7aa3b2b63226158d62c39f4101339ab3b4365fc55ccf82e7daf6570"),
     ],
     ids=["sums-csv", "sums-stdout", "figure-scatter", "limit-st-and-histogram", "limit-usp",
-         "limit-sigma", "limit-stdout", "klsums-excluded", "prime-sweep-stdout"],
+         "limit-sigma", "limit-stdout", "limit-inv", "klsums-excluded", "prime-sweep-stdout"],
 )
 def test_written_bytes_are_pinned(steps, outputs, digest, tmp_path, monkeypatch, capsys):
     """CSV, JSON, SVG and stdout bytes of the writers and readers, pinned by

@@ -15,6 +15,7 @@ from ultrashort.errors import InvalidPairing, OutOfRangeParameter, TooLarge
 from ultrashort.limitlaw import (
     MomentTable,
     SampleBatch,
+    _cmv_trace,
     exact_mixed_moment,
     haar_trace_samples,
     involution_sum_samples,
@@ -396,18 +397,106 @@ def test_su_matrices_have_unit_determinant_effect():
     assert np.allclose(ones.samples, 1.0)
 
 
-def test_usp_structural_properties():
-    from ultrashort.limitlaw import _usp_matrices
+def _cmv_matrix(alpha):
+    """Dense CMV matrix L*M of one coefficient vector: the block of index k
+    goes into L for even k and into M for odd k, and M[0, 0] = 1."""
+    n = len(alpha)
+    lm = [np.zeros((n, n), dtype=complex) for _ in range(2)]
+    lm[1][0, 0] = 1.0
+    for k, a in enumerate(alpha):
+        factor = lm[k % 2]
+        if k == n - 1:
+            factor[k, k] = np.conj(a)
+        else:
+            rho = math.sqrt(1 - abs(a) ** 2)
+            factor[k : k + 2, k : k + 2] = [[np.conj(a), rho], [rho, -a]]
+    return lm[0] @ lm[1]
 
-    rng = philox_generator(1, "structure")
-    mats = _usp_matrices(4, 64, rng)
-    j = np.zeros((4, 4))
-    j[0, 2] = j[1, 3] = 1
-    j[2, 0] = j[3, 1] = -1
-    for m in mats:
-        assert np.abs(np.conj(m.T) @ m - np.eye(4)).max() < 1e-12
-        assert np.abs(m.T @ j @ m - j).max() < 1e-12
-        assert abs(np.linalg.det(m) - 1) < 1e-12
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 8])
+def test_cmv_trace_and_determinant_formulas(n):
+    rng = np.random.default_rng(n)
+    alpha = np.exp(2j * np.pi * rng.random(n)) * rng.random(n)
+    alpha[-1] /= abs(alpha[-1])
+    c = _cmv_matrix(alpha)
+    assert np.abs(np.conj(c.T) @ c - np.eye(n)).max() < 1e-12
+    assert abs(_cmv_trace(alpha[:, None])[0] - np.trace(c)) < 1e-12
+    assert abs(np.linalg.det(c) - (-1) ** (n - 1) * np.conj(alpha[-1])) < 1e-12
+
+
+def _assert_mean(values, exact):
+    """Sample mean within 5 standard errors (estimated from the sample), plus
+    1e-12 for rounding: the SU(2) trace is real only up to rounding, so the
+    imaginary part of its square has a standard error below its roundoff."""
+    se = values.std() / math.sqrt(len(values))
+    assert abs(values.mean() - exact) <= 5 * se + 1e-12, (values.mean(), exact, se)
+
+
+@pytest.mark.parametrize("r", [2, 3, 5])
+def test_su_trace_moments_are_exact(r):
+    """E|T|^2k = k! for k <= r (Diaconis-Shahshahani) and E T^r = 1 (the
+    one SU(r)-invariant line, the determinant, in V^(tensor r))."""
+    t = haar_trace_samples(("SU", r), 200000, 21).samples
+    for k in range(1, r + 1):
+        _assert_mean(np.abs(t) ** (2 * k), math.factorial(k))
+    _assert_mean((t**r).real, 1.0)
+    _assert_mean((t**r).imag, 0.0)
+
+
+@pytest.mark.parametrize(
+    "r, m4, m6", [(2, 2, 5), (4, 3, 14), (6, 3, 15), (8, 3, 15)]
+)
+def test_usp_trace_moments_are_exact(r, m4, m6):
+    t = haar_trace_samples(("USp", r), 200000, 22).samples
+    assert t.dtype == np.float64 and np.all(t.imag == 0)
+    _assert_mean(t**2, 1.0)
+    _assert_mean(t**4, m4)
+    _assert_mean(t**6, m6)
+
+
+def _qr_su_traces(r, count, rng):
+    """Reference SU(r) traces from whole matrices: QR of a complex Ginibre
+    matrix with the R-diagonal phase fix, scaled by det^(-1/r)."""
+    z = rng.normal(size=(count, r, r)) + 1j * rng.normal(size=(count, r, r))
+    qm, rm = np.linalg.qr(z)
+    diag = np.einsum("...ii->...i", rm)
+    qm = qm * (diag / np.abs(diag))[:, None, :]
+    return np.einsum("...ii->...", qm) * np.exp(-np.log(np.linalg.det(qm)) / r)
+
+
+def _gram_schmidt_usp_traces(r, count, rng):
+    """Reference USp(r) traces from whole matrices: quaternion Gram-Schmidt of
+    Gaussian columns, each unit column v followed by its partner -J*conj(v)."""
+    m = r // 2
+    cols = []
+    for _ in range(m):
+        v = rng.normal(size=(count, r)) + 1j * rng.normal(size=(count, r))
+        for _ in range(2):
+            for c in cols:
+                v = v - np.einsum("ij,ij->i", np.conj(c), v)[:, None] * c
+        v = v / np.linalg.norm(v, axis=1)[:, None]
+        w = np.concatenate([-np.conj(v[:, m:]), np.conj(v[:, :m])], axis=1)
+        cols += [v, w]
+    # column j of the matrix is v_j and column m + j is w_j
+    return sum(cols[2 * j][:, j] + cols[2 * j + 1][:, m + j] for j in range(m))
+
+
+def _ks_threshold(n, m, alpha=1e-4):
+    """Two-sample KS critical value at significance alpha (asymptotic)."""
+    return math.sqrt(-math.log(alpha / 2) / 2) * math.sqrt((n + m) / (n * m))
+
+
+@pytest.mark.parametrize(
+    "name, r, part",
+    [("SU", 3, "real"), ("SU", 3, "imag"), ("SU", 5, "real"), ("USp", 4, "real"),
+     ("USp", 8, "real")],
+)
+def test_haar_traces_match_the_matrix_constructions(name, r, part):
+    n = 100000
+    new = getattr(haar_trace_samples((name, r), n, 23).samples, part)
+    old_traces = _qr_su_traces if name == "SU" else _gram_schmidt_usp_traces
+    old = getattr(old_traces(r, n, philox_generator(24, "matrix")), part)
+    assert ks_distance(new, old) <= _ks_threshold(n, n)
 
 
 def test_haar_trace_rejects_bad_groups():
@@ -458,7 +547,7 @@ def test_involution_invalid_pairings():
         involution_sum_samples(2, [(0, 5)], 3, 10, 1)
 
 
-@pytest.mark.parametrize("r, count", [(0, 10), (-1, 10), (2, 0), (2, -5)])
+@pytest.mark.parametrize("r, count", [(0, 10), (-1, 10), (9, 10), (2, 0), (2, -5)])
 def test_involution_rejects_bad_rank_and_count(r, count):
     with pytest.raises(OutOfRangeParameter):
         involution_sum_samples(2, [(0, 1)], r, count, 1)
