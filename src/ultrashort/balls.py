@@ -11,7 +11,9 @@ midpoint-radius interval arithmetic", IEEE Trans. Comput. 66, 2017):
 - every radius and every magnitude bound is a 53-bit mpf computed through
   mpmath.libmp with directed rounding, round_up for upper bounds and
   round_down for lower bounds.  |c| is bounded from the 53-bit roundings
-  of Re c and Im c, so no operation takes a full-precision abs.
+  of Re c and Im c, so no operation takes a full-precision abs;
+- `disjoint_from` rounds nothing: centers and radii are dyadic, so it
+  compares |c1 - c2|^2 with (r1 + r2)^2 on integers (`dyadic`).
 
 Rounding of the center is covered by one pad, eps * |c~| rounded up, with
 eps = 2^(4-p) and c~ the computed center.  Each center is one mpmath
@@ -59,6 +61,22 @@ from mpmath.libmp import (
 )
 
 RADIUS_BITS = 53
+
+
+def dyadic(c) -> tuple[int, int, int]:
+    """(X, Y, s) with c = (X + iY) 2^-s and the least s >= 0, for a finite
+    raw mpc c: every finite mpf is an integer times a power of two.
+
+    >>> dyadic(mpc(0.75, -2)._mpc_)
+    (3, -8, 2)
+    """
+    (rsign, rman, rexp, rbc), (isign, iman, iexp, ibc) = c
+    if rbc < 0 or ibc < 0:
+        raise ValueError("c must be finite")
+    s = max(0, -rexp if rman else 0, -iexp if iman else 0)
+    x = (-rman if rsign else rman) << (rexp + s)
+    y = (-iman if isign else iman) << (iexp + s)
+    return x, y, s
 
 
 def _abs(z, rnd) -> tuple:
@@ -190,10 +208,16 @@ class Ball:
         return mp.make_mpf(self._abs_lower())
 
     def disjoint_from(self, other: "Ball") -> bool:
-        # the centers' difference is exact (precision 0), so only its
-        # 53-bit modulus is rounded, downward
-        gap = _abs(mpc_sub(self._c, other._c, 0), round_down)
-        return mpf_gt(gap, _add_up(self._r, other._r))
+        # exact: the centers' difference (X + iY) 2^-s and the radii's sum
+        # m 2^e (precision 0) are dyadic, and |X + iY|^2 > m^2 2^(2(e+s))
+        # is decided on integers
+        x, y, s = dyadic(mpc_sub(self._c, other._c, 0))
+        _, m, e, bc = mpf_add(self._r, other._r, 0)
+        if bc < 0:
+            return False  # an infinite radius
+        k = e + s
+        gap = x * x + y * y
+        return gap > (m << k) ** 2 if k >= 0 else gap << (-2 * k) > m * m
 
 
 def ball_sum(balls) -> Ball:

@@ -290,13 +290,19 @@ def _su_traces(r: int, count: int, rng) -> np.ndarray:
     of a Haar U(r) matrix U, so (Tr C, det C) ~ (Tr U, det U).  U*det(U)^(-1/r)
     (principal branch) has determinant 1 and a law invariant under U -> SU
     for S in SU(r) (same determinant), so it is Haar on SU(r).
+
+    SU(1) = {1}, and an SU(2) trace 2 cos(theta) is real, so for r <= 2 the
+    rounding noise of the formula is dropped: traces 1 + 0j, and real + 0j.
     """
+    if r == 1:
+        return np.ones(count, dtype=np.complex128)
     exponents = 1.0 / np.arange(r - 1, 0, -1.0)[:, None]
     modulus = np.sqrt(1.0 - rng.random((r - 1, count)) ** exponents)
     alpha = np.exp(2j * np.pi * rng.random((r, count)))
     alpha[:-1] *= modulus
     det = (-1) ** (r - 1) * np.conj(alpha[-1])
-    return _cmv_trace(alpha) * np.exp(-np.log(det) / r)
+    trace = _cmv_trace(alpha) * np.exp(-np.log(det) / r)
+    return trace.real + 0j if r == 2 else trace
 
 
 def _usp_verblunsky(r: int, count: int, rng) -> np.ndarray:

@@ -47,7 +47,7 @@ from mpmath.libmp import from_man_exp, fzero
 
 from . import lattice
 from .arith import IntPoly, LaurentPoly
-from .balls import RADIUS_BITS, Ball, ball_sum, eval_laurent_ball, eval_poly_ball
+from .balls import RADIUS_BITS, Ball, ball_sum, dyadic, eval_laurent_ball, eval_poly_ball
 from .errors import (
     OutOfRangeParameter,
     PrecisionExhausted,
@@ -110,13 +110,6 @@ class CertifiedBoxList:
 
     def centers(self) -> list[complex]:
         return [complex(b.center) for b in self.boxes]
-
-
-def _eval_poly(coeffs, z):
-    acc = mpmath.mpc(0)
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
 
 
 def _float_seed(g: IntPoly):
@@ -195,15 +188,57 @@ class _CertificationFailed(Exception):
     pass
 
 
-def _newton(g: IntPoly, deriv, z, steps: int, tol):
-    """Newton's iteration from z, stopped once |dz| <= tol * (1 + |z|) or
-    after `steps` steps; it only moves the center, which is then certified."""
+def _fixed_horner(coeffs, x: int, y: int, w: int) -> tuple[int, int]:
+    """p(z) 2^w for z = (x + iy) 2^-w, in fixed point: Horner on Gaussian
+    integers, each product truncated by >> w."""
+    re, im = int(coeffs[-1]) << w, 0
+    for c in reversed(coeffs[:-1]):
+        re, im = ((re * x - im * y) >> w) + (int(c) << w), (re * y + im * x) >> w
+    return re, im
+
+
+def _newton(coeffs, deriv, z, w: int, steps: int):
+    """Newton's iteration for p from the dyadic mpc z, in fixed point on
+    Gaussian integers; coeffs and deriv are the integer coefficients of p
+    and p', lowest first.
+
+    z is held as (X + iY) 2^-w; p(z) and p'(z) come from `_fixed_horner`,
+    and dz from one Gaussian division rounded to nearest.  The iteration
+    stops once |dz| <= 2^(8-w) (1 + |z|), decided on integers, or after
+    `steps` steps; it raises ZeroDivisionError when p'(z) evaluates to 0.
+    Its error is absolute, about 2^-w, the kind the absolute radius of
+    `_certify_boxes` needs whatever the size of the roots.  It only moves
+    the center: `_certify_boxes` then bounds the distance from the returned
+    center to a root exactly, so no rounding here can weaken a certificate.
+
+    >>> w = 256
+    >>> z = _newton([-2, 0, 1], [0, 2], mpmath.mpc(1.5), w, 16)
+    >>> with workprec(2 * w):
+    ...     print(abs(z - mpmath.sqrt(2)) <= mpf(2) ** (8 - w))
+    True
+    """
+    x, y, s = dyadic(z._mpc_)
+    if s <= w:
+        x, y = x << (w - s), y << (w - s)
+    else:
+        x, y = x >> (s - w), y >> (s - w)
     for _ in range(steps):
-        dz = g(z) / _eval_poly(deriv, z)
-        z -= dz
-        if abs(dz) <= tol * (1 + abs(z)):
+        gr, gi = _fixed_horner(coeffs, x, y, w)
+        pr, pi = _fixed_horner(deriv, x, y, w)
+        den = pr * pr + pi * pi
+        if not den:
+            raise ZeroDivisionError("p'(z) = 0")
+        # dz 2^w = p(z) conj(p'(z)) 2^w / |p'(z)|^2, rounded to nearest
+        dx = (((gr * pr + gi * pi) << (w + 1)) + den) // (2 * den)
+        dy = (((gi * pr - gr * pi) << (w + 1)) + den) // (2 * den)
+        x, y = x - dx, y - dy
+        # |dz| <= 2^(8-w) (1 + |z|) is 2^(w-8) sqrt(a) <= 2^w + sqrt(b) for
+        # a = dX^2 + dY^2, b = X^2 + Y^2; squared, it is excess <= 2^(w+1) sqrt(b)
+        b = x * x + y * y
+        excess = ((dx * dx + dy * dy) << (2 * w - 16)) - (1 << (2 * w)) - b
+        if excess <= 0 or excess * excess <= b << (2 * w + 2):
             break
-    return z
+    return mp.make_mpc((from_man_exp(x, -w), from_man_exp(y, -w)))
 
 
 def _sqrt_bounds(n: int, shift: int) -> tuple:
@@ -240,12 +275,7 @@ def _abs_poly_bounds(coeffs, z) -> tuple[mpf, mpf]:
     ...     print(lo < mpmath.sqrt(8) < hi, hi - lo == mpf(2) ** -51)
     True True
     """
-    (rsign, rman, rexp, rbc), (isign, iman, iexp, ibc) = z._mpc_
-    if rbc < 0 or ibc < 0:
-        raise ValueError("z must be finite")
-    s = max(0, -rexp if rman else 0, -iexp if iman else 0)
-    x = (-rman if rsign else rman) << (rexp + s)
-    y = (-iman if isign else iman) << (iexp + s)
+    x, y, s = dyadic(z._mpc_)
     n = len(coeffs) - 1
     re, im = int(coeffs[n]), 0
     for j in range(n - 1, -1, -1):
@@ -264,17 +294,19 @@ def _certify_boxes(g: IntPoly, approx, radius_bits: int) -> tuple[Ball, ...]:
     (`_abs_poly_bounds`): |g(c)| rounded up and |g'(c)| rounded down to 53
     bits, then d*|g(c)| and the quotient each rounded up, give a radius at
     least d*|g(c)/g'(c)| with no ball padding.  With d pairwise disjoint
-    disks each containing a root, every disk contains exactly one and
-    together they exhaust the roots.
+    disks (`Ball.disjoint_from`, exact) each containing a root, every disk
+    contains exactly one and together they exhaust the roots.
+
+    The certificate never trusts Newton (`_newton`, fixed point at the
+    working precision): it holds at whatever center Newton returns, and a
+    center that Newton left far from its root only fails the radius bound.
     """
     d = g.degree
     work = 2 * radius_bits + 16 * d + 96
     target = mpf(2) ** (-radius_bits)
     deriv = g.derivative_coeffs()
     steps = int(math.log2(max(radius_bits, 64))) + 8
-    with workprec(work):
-        tol = mpf(2) ** (8 - work)
-        zs = [_newton(g, deriv, z, steps, tol) for z in approx]
+    zs = [_newton(g.coeffs, deriv, z, work, steps) for z in approx]
     boxes = []
     for z in zs:
         low = _abs_poly_bounds(deriv, z)[0]

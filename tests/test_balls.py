@@ -6,6 +6,7 @@ balls, evaluated at 4p bits, must land in the result ball.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from mpmath import mpc, mpf, workprec
@@ -153,6 +154,44 @@ def test_touching_balls_are_not_disjoint():
             assert not Ball(0, mpf(1) / 2).disjoint_from(Ball(1, mpf(1) / 2))
             assert not Ball(mpc(0, 1), 3).disjoint_from(Ball(mpc(4, 1), 1))
             assert Ball(0, mpf(1) / 2).disjoint_from(Ball(1, mpf(1) / 4))
+
+
+def test_disks_touching_at_one_point_are_not_disjoint():
+    # |3 + 4i| = 2 + 3 exactly, at scale 1 and at scale 2^-10, where the
+    # 53-bit radius 3 * 2^-10 has ulp 2^-61 and so can shrink by 2^-60
+    unit = mpf(2) ** -10
+    for scale in (mpf(1), unit):
+        a, b = Ball(0, 2 * scale), Ball(mpc(3, 4) * scale, 3 * scale)
+        assert not a.disjoint_from(b) and not b.disjoint_from(a)
+    a, shrunk = Ball(0, 2 * unit), Ball(mpc(3, 4) * unit, 3 * unit - mpf(2) ** -60)
+    assert shrunk.radius < 3 * unit
+    assert a.disjoint_from(shrunk) and shrunk.disjoint_from(a)
+
+
+def _fraction(x):
+    sign, man, exp, _ = x._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_disjointness_is_decided_exactly(seed):
+    # dyadic centers of up to 200 bits, 53-bit radii summing to within a few
+    # ulps of the exact gap, against the same comparison on Fractions
+    rng = random.Random(seed)
+    for _ in range(200):
+        s = rng.randint(0, 200)
+        parts = [mpf(rng.randint(-(2**200), 2**200)) * mpf(2) ** -s for _ in range(4)]
+        a_center, b_center = mpc(parts[0], parts[1]), mpc(parts[2], parts[3])
+        with workprec(256):
+            gap = abs(a_center - b_center)
+        share = gap * mpf(rng.random())
+        ra = mpf(share, prec=RADIUS_BITS)
+        rb = mpf(gap - ra, prec=RADIUS_BITS) * (1 + rng.randint(-4, 4) * mpf(2) ** -52)
+        a, b = Ball(a_center, ra), Ball(b_center, rb)
+        dx = _fraction(a_center.real) - _fraction(b_center.real)
+        dy = _fraction(a_center.imag) - _fraction(b_center.imag)
+        expected = dx * dx + dy * dy > (_fraction(a.radius) + _fraction(b.radius)) ** 2
+        assert a.disjoint_from(b) == expected == b.disjoint_from(a)
 
 
 def test_centers_are_kept_exactly_and_rounded_by_the_first_operation():

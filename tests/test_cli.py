@@ -246,6 +246,11 @@ def test_limit_usp_law(tmp_path):
     assert len(vals) == 200 and all(abs(v) <= 2 + 1e-9 for v in vals)
 
 
+def test_limit_su1_writes_exact_ones(capsys):
+    assert main(["limit", "--law", "su:1", "--count", "4", "--seed", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["1.0,0.0"] * 4
+
+
 @pytest.mark.parametrize("law", ["st-sum:x", "su:x", "usp:", "inv:x", "su:2:3"])
 def test_limit_non_integer_law_suffix_is_usage_error(law, capsys):
     assert main(["limit", "--law", law, "--poly", "X^4+1", "--count", "5"]) == 2

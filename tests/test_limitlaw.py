@@ -397,6 +397,13 @@ def test_su_matrices_have_unit_determinant_effect():
     assert np.allclose(ones.samples, 1.0)
 
 
+def test_su2_traces_are_exactly_real():
+    t = haar_trace_samples(("SU", 2), 100000, 4).samples
+    assert np.all(t.imag == 0) and not np.signbit(t.imag).any()
+    inv = involution_sum_samples(3, [(0, 2)], 2, 1000, 4).samples
+    assert np.all(inv.imag == 0)
+
+
 def _cmv_matrix(alpha):
     """Dense CMV matrix L*M of one coefficient vector: the block of index k
     goes into L for even k and into M for odd k, and M[0, 0] = 1."""
@@ -425,11 +432,9 @@ def test_cmv_trace_and_determinant_formulas(n):
 
 
 def _assert_mean(values, exact):
-    """Sample mean within 5 standard errors (estimated from the sample), plus
-    1e-12 for rounding: the SU(2) trace is real only up to rounding, so the
-    imaginary part of its square has a standard error below its roundoff."""
+    """Sample mean within 5 standard errors (estimated from the sample)."""
     se = values.std() / math.sqrt(len(values))
-    assert abs(values.mean() - exact) <= 5 * se + 1e-12, (values.mean(), exact, se)
+    assert abs(values.mean() - exact) <= 5 * se, (values.mean(), exact, se)
 
 
 @pytest.mark.parametrize("r", [2, 3, 5])

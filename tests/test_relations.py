@@ -109,31 +109,41 @@ SEPTICS = [IntPoly.parse("X^7-1"), _seeded_septic(11)]
 def test_newton_from_the_stable_base_stops_once_converged(g, monkeypatch):
     # the base is the centers of boxes certified at radius 2^-66 and a
     # working precision of 340 bits, so at radius_bits <= 128 Newton
-    # converges within a step or two and then stops
+    # converges within a step or two and then stops; each step evaluates
+    # g and g' once by fixed-point Horner
     import ultrashort.relations as R
 
     base = R._stable_base(g)
     calls = []
     per_root = []
-    real_eval, real_newton = R._eval_poly, R._newton
+    real_horner, real_newton = R._fixed_horner, R._newton
 
-    def eval_spy(coeffs, z):
+    def horner_spy(*args):
         calls.append(1)
-        return real_eval(coeffs, z)
+        return real_horner(*args)
 
     def newton_spy(*args):
         before = len(calls)
         z = real_newton(*args)
-        per_root.append(len(calls) - before)
+        evaluations = len(calls) - before
+        assert evaluations % 2 == 0
+        per_root.append(evaluations // 2)
         return z
 
-    monkeypatch.setattr(R, "_eval_poly", eval_spy)
+    monkeypatch.setattr(R, "_fixed_horner", horner_spy)
     monkeypatch.setattr(R, "_newton", newton_spy)
     for bits in (64, 96, 128):
         per_root.clear()
         R._certify_boxes(g, base, bits)
         assert len(per_root) == g.degree
-        assert max(per_root) <= 3, (bits, per_root)
+        assert 1 <= min(per_root) and max(per_root) <= 3, (bits, per_root)
+
+
+def _horner(coeffs, z):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
 
 
 @pytest.mark.parametrize("g", SEPTICS, ids=str)
@@ -153,8 +163,27 @@ def test_certified_radius_bounds_the_nearest_root_estimate(g):
             assert isinstance(box.radius, mpf)
             with mpmath.workprec(4 * work):
                 z = box.center
-                exact = d * abs(g(z)) / abs(R._eval_poly(deriv, z))
+                exact = d * abs(_horner(g.coeffs, z)) / abs(_horner(deriv, z))
                 assert box.radius >= exact
+
+
+@pytest.mark.parametrize("g", SEPTICS, ids=str)
+def test_a_center_newton_left_unconverged_fails_certification(g, monkeypatch):
+    # the certificate never trusts Newton: a kernel that moves each start by
+    # 2^-40 and stops leaves radii near d 2^-40, far above 2^-128
+    import mpmath
+
+    import ultrashort.relations as R
+
+    base = R._stable_base(g)
+
+    def off_by_2_to_minus_40(coeffs, deriv, z, w, steps):
+        with mpmath.workprec(4096):
+            return z + mpmath.ldexp(1, -40)
+
+    monkeypatch.setattr(R, "_newton", off_by_2_to_minus_40)
+    with pytest.raises(R._CertificationFailed):
+        R._certify_boxes(g, base, 128)
 
 
 CLUSTER = IntPoly.parse(
