@@ -30,6 +30,9 @@ class UsageError(Exception):
 
 CACHE_ENV = "ULTRASHORT_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".ultrashort-cache"
+# Part of every cache key: raise it whenever the stored entry or the way a
+# module is computed changes, so entries written before become misses.
+CACHE_VERSION = 1
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -77,6 +80,7 @@ def _cache_dir(args) -> str:
 def _cache_key(g: IntPoly, kind: str, v, exponents, coeff_cap, degree_bound) -> str:
     blob = json.dumps(
         {
+            "version": CACHE_VERSION,
             "poly": g.key(),
             "kind": kind,
             "v": v.key() if v is not None else None,

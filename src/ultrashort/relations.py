@@ -42,12 +42,24 @@ from functools import lru_cache
 
 import mpmath
 import numpy as np
-from mpmath import mp, mpf, workprec
-from mpmath.libmp import from_man_exp, fzero
+from mpmath import mpf, workprec
 
 from . import lattice
 from .arith import IntPoly, LaurentPoly
-from .balls import RADIUS_BITS, Ball, ball_sum, dyadic, eval_laurent_ball, eval_poly_ball
+from .balls import (
+    ONE,
+    Ball,
+    add_up,
+    ball_sum,
+    below_half_inverse,
+    div_up,
+    dyadic,
+    eval_laurent_ball,
+    eval_poly_ball,
+    mul_up,
+    power_bounds,
+    sqrt_bounds,
+)
 from .errors import (
     OutOfRangeParameter,
     PrecisionExhausted,
@@ -197,10 +209,10 @@ def _fixed_horner(coeffs, x: int, y: int, w: int) -> tuple[int, int]:
     return re, im
 
 
-def _newton(coeffs, deriv, z, w: int, steps: int):
+def _newton(coeffs, deriv, z, w: int, steps: int) -> tuple[int, int]:
     """Newton's iteration for p from the dyadic mpc z, in fixed point on
     Gaussian integers; coeffs and deriv are the integer coefficients of p
-    and p', lowest first.
+    and p', lowest first.  Returns (X, Y), the last iterate (X + iY) 2^-w.
 
     z is held as (X + iY) 2^-w; p(z) and p'(z) come from `_fixed_horner`,
     and dz from one Gaussian division rounded to nearest.  The iteration
@@ -212,9 +224,9 @@ def _newton(coeffs, deriv, z, w: int, steps: int):
     center to a root exactly, so no rounding here can weaken a certificate.
 
     >>> w = 256
-    >>> z = _newton([-2, 0, 1], [0, 2], mpmath.mpc(1.5), w, 16)
+    >>> x, y = _newton([-2, 0, 1], [0, 2], mpmath.mpc(1.5), w, 16)
     >>> with workprec(2 * w):
-    ...     print(abs(z - mpmath.sqrt(2)) <= mpf(2) ** (8 - w))
+    ...     print(y == 0 and abs(mpmath.ldexp(x, -w) - mpmath.sqrt(2)) <= mpf(2) ** (8 - w))
     True
     """
     x, y, s = dyadic(z._mpc_)
@@ -238,50 +250,35 @@ def _newton(coeffs, deriv, z, w: int, steps: int):
         excess = ((dx * dx + dy * dy) << (2 * w - 16)) - (1 << (2 * w)) - b
         if excess <= 0 or excess * excess <= b << (2 * w + 2):
             break
-    return mp.make_mpc((from_man_exp(x, -w), from_man_exp(y, -w)))
+    return x, y
 
 
-def _sqrt_bounds(n: int, shift: int) -> tuple:
-    """sqrt(n) * 2^shift for an integer n >= 0, rounded down and up to 53
-    bits, as raw mpfs.
+def _abs_poly_bounds(coeffs, x: int, y: int, s: int):
+    """Lower and upper bounds of |p(z)| and of |p'(z)| at z = (x + iy) 2^-s
+    (s >= 0) for integer coefficients (lowest first), each modulus rounded
+    once to 53 bits: ((lo, hi), (lo', hi')) as dyadics (m, e) = m 2^e.
 
-    With 2t = bit_length(n) - 105 or - 106, q = isqrt(n / 4^t) has exactly
-    53 bits (floor(sqrt(floor(x))) = floor(sqrt(x)), so n / 4^t may be
-    truncated), and q * 2^t <= sqrt(n) <= (q + [q^2 4^t != n]) * 2^t are the
-    directed roundings of sqrt(n) itself.
+    G = 2^(sn) p(z) and G' = 2^(s(n-1)) p'(z) are Gaussian integers,
+    computed exactly by one Horner pass on Z = x + iy: B_n = c_n, C_n = 0,
+    B_j = B_(j+1) Z + c_j 2^(s(n-j)) and C_j = C_(j+1) Z + B_(j+1) give
+    G = B_0 and G' = C_0.  |p(z)| = sqrt(Re G^2 + Im G^2) 2^-(sn), and
+    |p'(z)| likewise, are then bounded by `sqrt_bounds` with no further
+    error.
+
+    >>> value, slope = _abs_poly_bounds([-3, 0, 1], 1, 0, 1)  # z = 1/2
+    >>> [m * 2.0**e for m, e in value + slope]  # |0.25 - 3| and |2z|, exact
+    [2.75, 2.75, 1.0, 1.0]
+    >>> ((lo, e), (hi, f)), _ = _abs_poly_bounds([-2, 0, 1], 1, 1, 0)  # |2i - 2|
+    >>> lo * lo < 8 * 4**-e and hi * hi > 8 * 4**-f, hi - lo, e == f == -51
+    (True, 1, True)
     """
-    if n == 0:
-        return fzero, fzero
-    t = (n.bit_length() - 105) // 2
-    m = n >> (2 * t) if t >= 0 else n << (-2 * t)
-    q = math.isqrt(m)
-    exact = (q * q << (2 * t)) == n if t >= 0 else q * q == m
-    return from_man_exp(q, t + shift), from_man_exp(q if exact else q + 1, t + shift)
-
-
-def _abs_poly_bounds(coeffs, z) -> tuple[mpf, mpf]:
-    """Lower and upper bounds of |p(z)| for integer coefficients (lowest
-    first) and a finite mpc z, each |p(z)| rounded once to 53 bits.
-
-    z is dyadic, z = (X + iY) 2^-s with integers X, Y and s >= 0, so
-    G = sum c_j (X + iY)^j 2^(s(n-j)) = 2^(sn) p(z) is a Gaussian integer,
-    computed exactly by Horner; |p(z)| = sqrt(Re G^2 + Im G^2) 2^-(sn) is
-    then bounded by `_sqrt_bounds` with no further error.
-
-    >>> _abs_poly_bounds([-3, 0, 1], mpmath.mpc(0.5))  # |0.25 - 3|, exact
-    (mpf('2.75'), mpf('2.75'))
-    >>> lo, hi = _abs_poly_bounds([-2, 0, 1], mpmath.mpc(1, 1))  # |2i - 2|
-    >>> with workprec(200):
-    ...     print(lo < mpmath.sqrt(8) < hi, hi - lo == mpf(2) ** -51)
-    True True
-    """
-    x, y, s = dyadic(z._mpc_)
     n = len(coeffs) - 1
     re, im = int(coeffs[n]), 0
+    dre = dim = 0
     for j in range(n - 1, -1, -1):
+        dre, dim = dre * x - dim * y + re, dre * y + dim * x + im
         re, im = re * x - im * y + (int(coeffs[j]) << (s * (n - j))), re * y + im * x
-    lo, hi = _sqrt_bounds(re * re + im * im, -s * n)
-    return mp.make_mpf(lo), mp.make_mpf(hi)
+    return sqrt_bounds(re * re + im * im, -s * n), sqrt_bounds(dre * dre + dim * dim, s - s * n)
 
 
 def _certify_boxes(g: IntPoly, approx, radius_bits: int) -> tuple[Ball, ...]:
@@ -290,12 +287,13 @@ def _certify_boxes(g: IntPoly, approx, radius_bits: int) -> tuple[Ball, ...]:
 
     The radius bound is the classical nearest-root estimate: g'(c)/g(c) is
     the sum of 1/(c - x_k), so some root lies within d*|g(c)/g'(c)| of c.
-    The center c is dyadic, so g(c) and g'(c) are evaluated exactly
-    (`_abs_poly_bounds`): |g(c)| rounded up and |g'(c)| rounded down to 53
-    bits, then d*|g(c)| and the quotient each rounded up, give a radius at
-    least d*|g(c)/g'(c)| with no ball padding.  With d pairwise disjoint
-    disks (`Ball.disjoint_from`, exact) each containing a root, every disk
-    contains exactly one and together they exhaust the roots.
+    The center c = (X + iY) 2^-w is Newton's fixed-point iterate, so g(c)
+    and g'(c) are evaluated exactly (`_abs_poly_bounds`): |g(c)| rounded up
+    and |g'(c)| rounded down to 53 bits, then d*|g(c)| and the quotient each
+    rounded up, give a radius at least d*|g(c)/g'(c)| with no ball padding.
+    With d pairwise disjoint disks (`Ball.disjoint_from`, exact) each
+    containing a root, every disk contains exactly one and together they
+    exhaust the roots.
 
     The certificate never trusts Newton (`_newton`, fixed point at the
     working precision): it holds at whatever center Newton returns, and a
@@ -303,19 +301,19 @@ def _certify_boxes(g: IntPoly, approx, radius_bits: int) -> tuple[Ball, ...]:
     """
     d = g.degree
     work = 2 * radius_bits + 16 * d + 96
-    target = mpf(2) ** (-radius_bits)
     deriv = g.derivative_coeffs()
     steps = int(math.log2(max(radius_bits, 64))) + 8
-    zs = [_newton(g.coeffs, deriv, z, work, steps) for z in approx]
+    centers = [_newton(g.coeffs, deriv, z, work, steps) for z in approx]
     boxes = []
-    for z in zs:
-        low = _abs_poly_bounds(deriv, z)[0]
-        if low <= 0:
+    for x, y in centers:
+        (_, high), (low, _) = _abs_poly_bounds(g.coeffs, x, y, work)
+        if not low[0]:
             raise _CertificationFailed
-        up = mpmath.fmul(d, _abs_poly_bounds(g.coeffs, z)[1], prec=RADIUS_BITS, rounding="u")
-        boxes.append(Ball(z, mpmath.fdiv(up, low, prec=RADIUS_BITS, rounding="u")))
-    if any(b.radius > target for b in boxes):
-        raise _CertificationFailed
+        m, e = div_up(mul_up((d, 0), high), low)
+        k = e + radius_bits  # the radius m 2^e must be <= 2^-radius_bits
+        if m > (1 >> k if k >= 0 else 1 << -k):
+            raise _CertificationFailed
+        boxes.append(Ball.from_dyadic(x, y, work, (m, e)))
     for i in range(d):
         for j in range(i + 1, d):
             if not boxes[i].disjoint_from(boxes[j]):
@@ -383,22 +381,18 @@ def _real_parts_equal(g, i, j, pi, degree_bound) -> bool:
 
 def _try_order(g, boxes, pi, degree_bound):
     d = len(boxes)
-    # interval ends are computed exactly, so the comparisons below are exact
-    re_lo = [mpmath.fsub(b.center.real, b.radius, exact=True) for b in boxes]
-    re_hi = [mpmath.fadd(b.center.real, b.radius, exact=True) for b in boxes]
-    im_lo = [mpmath.fsub(b.center.imag, b.radius, exact=True) for b in boxes]
-    im_hi = [mpmath.fadd(b.center.imag, b.radius, exact=True) for b in boxes]
+    # `left_of` and `below` compare the disks' interval ends exactly
     less: dict[tuple[int, int], bool] = {}
     for i in range(d):
         for j in range(i + 1, d):
-            if re_hi[i] < re_lo[j]:
+            if boxes[i].left_of(boxes[j]):
                 less[i, j] = True
-            elif re_hi[j] < re_lo[i]:
+            elif boxes[j].left_of(boxes[i]):
                 less[i, j] = False
             elif _real_parts_equal(g, i, j, pi, degree_bound):
-                if im_hi[i] < im_lo[j]:
+                if boxes[i].below(boxes[j]):
                     less[i, j] = True
-                elif im_hi[j] < im_lo[i]:
+                elif boxes[j].below(boxes[i]):
                     less[i, j] = False
                 else:
                     return None  # equal Re, Im intervals not yet separated
@@ -457,20 +451,22 @@ def _zero_test(alpha, degree_bound, enclose) -> bool:
     """Certified test that gamma = 0, for the gamma that enclose describes.
 
     enclose(bits, D) encloses gamma in a ball, from root boxes with radii
-    <= 2^-bits, and returns it with a lower bound L on |gamma| valid for a
-    nonzero gamma with at most D conjugates (`_sum_enclosure`,
-    `_product_enclosure`).  Each gamma is built from values at the roots
-    that the Galois group of g's splitting field permutes, except that an
-    entry may be fixed (the constant 1 of `index_ind`): sigma moves the
-    value at root i to the value at root s(i) for one permutation s fixing
-    such entries, so each conjugate of gamma is gamma's expression in a
-    rearrangement of alpha, and gamma has at most
+    <= 2^-bits, and returns it with a lower bound L = 1 / (base^n tail) on
+    |gamma| valid for a nonzero gamma with at most D conjugates, as
+    (ball, base, n, tail) with dyadics base, tail >= 1 given as (m, e)
+    (`_sum_enclosure`, `_product_enclosure`).  Each gamma is built from
+    values at the roots that the Galois group of g's splitting field
+    permutes, except that an entry may be fixed (the constant 1 of
+    `index_ind`): sigma moves the value at root i to the value at root s(i)
+    for one permutation s fixing such entries, so each conjugate of gamma is
+    gamma's expression in a rearrangement of alpha, and gamma has at most
     D = min(degree_bound, orbit(alpha)) conjugates.  A ball excluding 0
     decides False; a ball inside |z| < L/2 decides True.  Otherwise the
     boxes are refined to max(2 * bits, 64 - log2 L) bits, or to 2 * bits
-    when a ball still meets 0 where a value must be inverted.  D only sets
-    where refinement may stop; for the all-ones vector D = 1, and a sum is
-    decided at the first level.
+    when a ball still meets 0 where a value must be inverted.  Both
+    decisions are exact on integers (`Ball.abs_bounds`,
+    `below_half_inverse`).  D only sets where refinement may stop; for the
+    all-ones vector D = 1, and a sum is decided at the first level.
     """
     if not any(alpha):
         return True
@@ -479,14 +475,17 @@ def _zero_test(alpha, degree_bound, enclose) -> bool:
     while bits <= PRECISION_CAP_BITS:
         with workprec(2 * bits + 64):
             try:
-                ball, lbound = enclose(bits, degree_bound)
-                if ball.abs_lower() > 0:
-                    return False
-                if ball.abs_upper() < lbound / 2:
-                    return True
-                needed = int(-mpmath.log(lbound, 2)) + 64
+                ball, base, n, tail = enclose(bits, degree_bound)
             except ZeroDivisionError:
                 needed = 2 * bits
+            else:
+                lower, upper = ball.abs_bounds()
+                if lower[0]:
+                    return False
+                below, log2_inverse = below_half_inverse(upper, base, n, tail)
+                if below:
+                    return True
+                needed = log2_inverse + 64
         bits = max(2 * bits, needed)
     raise PrecisionExhausted(
         f"zero test undecided below {PRECISION_CAP_BITS} bits (alpha={list(alpha)})"
@@ -501,17 +500,31 @@ def _sum_enclosure(alpha, make_balls):
     so M = max(1, max |y_i|) bounds them all and each conjugate of gamma has
     absolute value <= ||alpha||_1 * M.  A nonzero gamma is an algebraic
     integer whose norm is a nonzero rational integer and a product of at
-    most D conjugates, so |gamma| >= (||alpha||_1 * M)^-(D - 1).
+    most D conjugates, so |gamma| >= (||alpha||_1 * M)^-(D - 1), with M the
+    largest 53-bit upper bound of the |y_i| and ||alpha||_1 * M exact.
     """
     a1 = sum(abs(int(a)) for a in alpha)
 
     def enclose(bits, degree_bound):
         balls = make_balls(bits)
-        m = max([mpf(1)] + [b.abs_upper() for b in balls])
-        lbound = mpf(2) ** (-(degree_bound - 1) * mpmath.log(a1 * m, 2))
-        return ball_sum(b * int(a) for a, b in zip(alpha, balls) if a), lbound
+        m, e = _largest([ONE] + [b.abs_bounds()[1] for b in balls])
+        gamma = ball_sum(b * int(a) for a, b in zip(alpha, balls) if a)
+        return gamma, (a1 * m, e), degree_bound - 1, ONE
 
     return enclose
+
+
+def _scaled(values) -> list[int]:
+    """Dyadics (m, e) as the integers m 2^(e - E) on one scale 2^E, so that
+    they add and compare exactly."""
+    low = min(e for _, e in values)
+    return [m << (e - low) for m, e in values]
+
+
+def _largest(values):
+    """The largest of some dyadics, compared exactly."""
+    scaled = _scaled(values)
+    return values[max(range(len(values)), key=scaled.__getitem__)]
 
 
 def gamma_is_zero(
@@ -803,7 +816,8 @@ def _product_enclosure(g, v, order, alpha):
     M = max_i max(|u_i|, |u_i|^-1, |t_i|, |t_i|^-1, 1) over all conjugates
     (the Galois action permutes the u's and the t's), so a nonzero rational
     integer norm forces
-        |beta - 1| >= (M^C * (1 + M^C))^-(D-1) * M^-C.
+        |beta - 1| >= (M^C * (1 + M^C))^-(D-1) * M^-C,
+    which stays a lower bound with M^C and M^C * (1 + M^C) rounded up.
     A Galois element moves u_i to u_{s(i)} and t_i to t_{s(i)} by one
     permutation s, so P*(beta-1) has at most orbit(alpha) conjugates.  For
     polynomial v (e = 0) this is the plain bound with M = M_v.
@@ -816,18 +830,18 @@ def _product_enclosure(g, v, order, alpha):
         factors = [eval_poly_ball(vt, boxes[i]) for i in order]
         if e_shift:
             factors += [boxes[i] for i in order]
-        m = mpf(1)
+        bounds = [ONE]
         for b in factors:
-            lo = b.abs_lower()
-            if lo <= 0:
+            lo, hi = b.abs_bounds()
+            if not lo[0]:
                 raise ZeroDivisionError
-            m = max(m, b.abs_upper(), mpmath.fdiv(1, lo, prec=RADIUS_BITS, rounding="u"))
-        mc = m**cc
+            bounds += [hi, div_up(ONE, lo)]
+        mc = power_bounds(_largest(bounds), cc)[1]
         beta = Ball(1)
         for a, i in zip(alpha, order):
             if a:
                 beta = beta * eval_laurent_ball(v.terms, boxes[i]).power(int(a))
-        return beta - Ball(1), (mc * (1 + mc)) ** (-(degree_bound - 1)) / mc
+        return beta - Ball(1), mul_up(mc, add_up(ONE, mc)), degree_bound - 1, mc
 
     return enclose
 
@@ -870,13 +884,14 @@ def dominant_root_holds(g: IntPoly, degree_bound: int | None = None) -> bool:
     if d < 2:
         raise ValueError("dominant root criterion needs degree >= 2")
     degree_bound = _degree_bound(g, degree_bound)
-    add = functools.partial(mpmath.fadd, exact=True)  # bounds stay bounds
     real_tie_tested = False
     for bits, boxes in _box_levels(g):
-        ups = [b.abs_upper() for b in boxes]
-        los = [b.abs_lower() for b in boxes]
-        lo_sum = functools.reduce(add, los)
-        if all(add(up, lo) < lo_sum for up, lo in zip(ups, los)):
+        # the bounds of |x|, on one scale, add and compare exactly
+        bounds = [b.abs_bounds() for b in boxes]
+        scaled = _scaled([lo for lo, _ in bounds] + [up for _, up in bounds])
+        los, ups = scaled[:d], scaled[d:]
+        lo_sum = sum(los)
+        if all(up + lo < lo_sum for up, lo in zip(ups, los)):
             return False
         pi = _conjugation_pairing(boxes)
         neg = _negation_partners(g, boxes, degree_bound)
@@ -896,8 +911,8 @@ def dominant_root_holds(g: IntPoly, degree_bound: int | None = None) -> bool:
         if len(top) >= 2:
             return False  # two roots share the maximal modulus exactly
         x0 = top[0]
-        rest_up = functools.reduce(add, [ups[j] for j in range(d) if j != x0])
-        rest_lo = functools.reduce(add, [los[j] for j in range(d) if j != x0])
+        rest_up = sum(ups) - ups[x0]
+        rest_lo = lo_sum - los[x0]
         if los[x0] > rest_up:
             return True
         if ups[x0] < rest_lo:
@@ -912,18 +927,18 @@ def dominant_root_holds(g: IntPoly, degree_bound: int | None = None) -> bool:
     raise PrecisionExhausted("dominant root comparison is a genuine tie")
 
 
+_ORIGIN = Ball(0)
+
+
 def _real_root_signs(g, boxes) -> list[int] | None:
     """Certified sign of each real root (0 for an exact root 0), or None while
     a box of a nonzero root still meets the imaginary axis.
 
     A real root lies within its box's radius of the center's real part, so
-    |Re c| > r fixes its sign; the root 0 (when g(0) = 0) leaves exactly one
-    box undecided.
+    a box wholly left or right of 0 fixes its sign; the root 0 (when
+    g(0) = 0) leaves exactly one box undecided.
     """
-    signs = [
-        (1 if b.center.real > 0 else -1) if abs(b.center.real) > b.radius else 0
-        for b in boxes
-    ]
+    signs = [1 if _ORIGIN.left_of(b) else -1 if b.left_of(_ORIGIN) else 0 for b in boxes]
     if signs.count(0) != (g.coeffs[0] == 0):
         return None
     return signs

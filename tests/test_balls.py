@@ -1,17 +1,28 @@
-"""Enclosure checks for the ball arithmetic.
+"""Enclosure and exactness checks for the ball arithmetic.
 
 Every operation runs at a working precision p of 64, 192 or 1000 bits on
 seeded random balls; the same operation on random points of the operand
-balls, evaluated at 4p bits, must land in the result ball.
+balls, evaluated at 4p bits, must land in the result ball.  The exact parts
+(centers of sums and int multiples, radius and modulus roundings, the
+disjointness and zero-test comparisons) are checked against Fractions.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from mpmath import mpc, mpf, workprec
 
-from ultrashort.balls import RADIUS_BITS, Ball, ball_sum, eval_laurent_ball, eval_poly_ball
+from ultrashort.balls import (
+    RADIUS_BITS,
+    Ball,
+    ball_sum,
+    below_half_inverse,
+    eval_laurent_ball,
+    eval_poly_ball,
+    power_bounds,
+)
 
 PRECISIONS = (64, 192, 1000)
 TRIALS = 25
@@ -203,9 +214,15 @@ def test_centers_are_kept_exactly_and_rounded_by_the_first_operation():
         assert Ball(z).center == z
         assert Ball(3**60).center == 3**60
         assert Ball(3**60).radius == 0
-        for ball, value in ((Ball(z) * 1, z), (Ball(3**60) + 0, 3**60), (Ball(z) * Ball(1), z)):
-            assert ball.radius > 0
-            assert _encloses(ball, value, 128)
+        # an int multiple and an int sum are exact: no rounding, no pad
+        for ball, value in ((Ball(z) * 1, z), (Ball(3**60) + 0, 3**60)):
+            assert ball.center == value
+            assert ball.radius == 0
+        # a product of balls rounds its center to 64 bits and pads the radius
+        product = Ball(z) * Ball(1)
+        assert product.center != z
+        assert product.radius > 0
+        assert _encloses(product, z, 128)
 
 
 def test_inverse_of_a_ball_around_zero_raises():
@@ -214,3 +231,157 @@ def test_inverse_of_a_ball_around_zero_raises():
             Ball(mpf(1) / 8, mpf(1) / 4).inverse()
         with pytest.raises(ZeroDivisionError):
             Ball(mpf(1) / 8, mpf(1) / 4).power(-2)
+
+
+def _parts(ball):
+    """The exact center (two Fractions) and radius (a Fraction) of a ball."""
+    c = ball.center
+    return _fraction(c.real), _fraction(c.imag), _fraction(ball.radius)
+
+
+def _binade(q):
+    """e with 2^e <= q < 2^(e+1), for a Fraction q > 0."""
+    e = q.numerator.bit_length() - q.denominator.bit_length()
+    return e - 1 if Fraction(2) ** e > q else e
+
+
+def _round53(q, up):
+    """The Fraction q >= 0 rounded to 53 bits, upward or downward."""
+    if q == 0:
+        return q
+    ulp = Fraction(2) ** (_binade(q) - 52)
+    n = q / ulp
+    m = n.numerator // n.denominator
+    return (m + (up and m != n)) * ulp
+
+
+def _sqrt53(n, up):
+    """sqrt(n) rounded to 53 bits, upward or downward, for a Fraction n >= 0."""
+    if n == 0:
+        return n
+    ulp = Fraction(2) ** (_binade(n) // 2 - 52)
+    scaled = n / ulp**2
+    m = math.isqrt(scaled.numerator // scaled.denominator)
+    return (m + (up and m * m != scaled)) * ulp
+
+
+@pytest.mark.parametrize("prec", PRECISIONS)
+def test_exact_operations_keep_the_center_and_round_the_radius_once(prec):
+    # add, sub and int multiples give the exact center whatever the working
+    # precision, and a radius that is one upward 53-bit rounding of r1 + r2
+    # or |k| r
+    rng = random.Random(10 * prec + 5)
+    for _ in range(TRIALS):
+        a, b = _rand_ball(rng, prec), _rand_ball(rng, prec)
+        k = rng.choice([0, 1, -1, 3, rng.randint(-(10**6), 10**6), rng.randint(-(2**80), 2**80)])
+        (ax, ay, ar), (bx, by, br) = _parts(a), _parts(b)
+        with workprec(53):
+            results = (a + b, a - b, a * k, k * a, a + k, -a, a.conjugate())
+        expected = (
+            (ax + bx, ay + by, _round53(ar + br, up=True)),
+            (ax - bx, ay - by, _round53(ar + br, up=True)),
+            (ax * k, ay * k, _round53(abs(k) * ar, up=True)),
+            (ax * k, ay * k, _round53(abs(k) * ar, up=True)),
+            (ax + k, ay, ar),
+            (-ax, -ay, ar),
+            (ax, -ay, ar),
+        )
+        for ball, want in zip(results, expected):
+            assert _parts(ball) == want
+            assert ball.radius._mpf_[3] <= RADIUS_BITS
+
+
+@pytest.mark.parametrize("prec", PRECISIONS)
+def test_abs_bounds_are_the_directed_roundings_of_the_modulus(prec):
+    # |c| rounded down and up to 53 bits; the radius is then subtracted
+    # (clipped at 0) or added with one more rounding in the same direction
+    rng = random.Random(10 * prec + 6)
+    for _ in range(TRIALS):
+        a = _rand_ball(rng, prec)
+        x, y, r = _parts(a)
+        norm = x * x + y * y
+        low, high = _sqrt53(norm, up=False), _sqrt53(norm, up=True)
+        point = Ball(a.center)
+        assert (_fraction(point.abs_lower()), _fraction(point.abs_upper())) == (low, high)
+        assert _fraction(a.abs_upper()) == _round53(high + r, up=True)
+        assert _fraction(a.abs_lower()) == _round53(max(low - r, Fraction(0)), up=False)
+
+
+def _threshold_cases(rng):
+    """(u, base, n, tail, threshold) with u just below, just above, on and
+    far from the threshold 1 / (2 base^n tail), for n + 1 = D up to 5040."""
+    for d in (1, 2, 6, 120, 720, 2520, 5040, rng.randint(1, 5040)):
+        a1 = rng.randint(1, 64)
+        base = (a1 * rng.randint(2**52, 2**53 - 1), rng.randint(-52, -50))
+        tail = (1, 0) if rng.random() < 0.5 else (rng.randint(2**52, 2**53 - 1), -52)
+        n = d - 1
+        threshold = 1 / (2 * _dyadic(base) ** n * _dyadic(tail))
+        k = 200 - _binade(threshold)
+        below = (threshold * 2**k).numerator // (threshold * 2**k).denominator
+        for u in ((below, -k), (below + 1, -k), (rng.randint(1, 2**53), -k - rng.randint(-8, 8))):
+            yield u, base, n, tail, threshold
+    # exact ties: base^n tail a power of two
+    for n in (0, 1, 5039):
+        yield (1, -2 * n - 1), (4, 0), n, (1, 0), Fraction(1, 2 ** (2 * n + 1))
+        yield (2**200 - 1, -2 * n - 201), (4, 0), n, (1, 0), Fraction(1, 2 ** (2 * n + 1))
+
+
+def _dyadic(pair):
+    m, e = pair
+    return Fraction(m) * Fraction(2) ** e
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_the_zero_test_threshold_is_decided_exactly(seed):
+    # u < L/2 for L = 1 / (base^n tail), against the same comparison on
+    # Fractions, including u within 2^-200 of the threshold and on it
+    rng = random.Random(seed)
+    for u, base, n, tail, threshold in _threshold_cases(rng):
+        verdict, k = below_half_inverse(u, base, n, tail)
+        assert verdict == (_dyadic(u) < threshold), (u, base, n, tail)
+        lo, hi = power_bounds(base, n)
+        exact = _dyadic(base) ** n
+        slack = Fraction(2 * (n + n.bit_length()), 2**63)
+        assert exact * (1 - slack) <= _dyadic(lo) <= exact <= _dyadic(hi) <= exact * (1 + slack)
+        assert 2**k <= _dyadic(hi) * _dyadic(tail) < 2 ** (k + 1)
+
+
+@pytest.mark.parametrize(
+    "center, radius",
+    [
+        (1, -5),
+        (1, -(mpf(2) ** -60)),
+        (1, -0.25),
+        (1, float("nan")),
+        (1, mpf("nan")),
+        (1, float("inf")),
+        (1, mpf("inf")),
+        (float("nan"), 0),
+        (complex(1, float("-inf")), 0),
+        (mpf("-inf"), 0),
+        (mpc(1, mpf("nan")), 0),
+    ],
+    ids=lambda v: repr(v),
+)
+def test_a_negative_or_non_finite_radius_and_a_non_finite_center_are_rejected(center, radius):
+    with pytest.raises(ValueError):
+        Ball(center, radius)
+
+
+@pytest.mark.parametrize("parts", [(1, 0, -1, (0, 0)), (1, 0, 0, (-1, 0)), (1, 0, 0, (2**53, 0))])
+def test_from_dyadic_rejects_a_negative_scale_or_a_radius_not_53_bits(parts):
+    with pytest.raises(ValueError):
+        Ball.from_dyadic(*parts)
+
+
+def test_left_of_and_below_compare_the_interval_ends_exactly():
+    # the real (imaginary) intervals [c - r, c + r] of radii 3u and 2u touch
+    # when the centers are 5u apart, and separate 2^-200 further on
+    unit = mpf(2) ** -70
+    a = Ball(0, 3 * unit)
+    with workprec(256):
+        gaps = ((5 * unit, False), (5 * unit + mpf(2) ** -200, True))
+        for gap, separated in gaps:
+            right, above = Ball(mpc(gap, 1), 2 * unit), Ball(mpc(1, gap), 2 * unit)
+            assert a.left_of(right) is separated and not right.left_of(a)
+            assert a.below(above) is separated and not above.below(a)

@@ -146,6 +146,29 @@ def test_equivalent_degree_bounds_share_one_cache_entry(tmp_path, capsys):
     assert "OutOfRangeParameter" in capsys.readouterr().err
 
 
+def test_an_entry_stored_under_the_unversioned_key_is_recomputed(tmp_path, capsys):
+    # the key before CACHE_VERSION: the same blob without "version"; a stale
+    # (wrong) basis stored under it must not be served
+    from ultrashort.arith import IntPoly
+    from ultrashort.cli import _cache_key
+
+    g = IntPoly.parse("X^3+X+3")
+    blob = json.dumps({"poly": g.key(), "kind": "additive", "v": None, "exponents": None,
+                       "coeff_cap": 64, "degree_bound": 6}, sort_keys=True)
+    old_key = hashlib.sha256(blob.encode()).hexdigest()
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    stale = cache / (old_key + ".json")
+    stale.write_text(json.dumps({"d": 3, "basis": [[1, -1, 0]], "precision_bits": 96,
+                                 "kind": "additive"}))
+    assert main(["relations", "--poly", "X^3+X+3", "--cache-dir", str(cache)]) == 0
+    assert json.loads(capsys.readouterr().out)["basis"] == [[1, 1, 1]]
+    new_key = _cache_key(g, "additive", None, None, 64, 6)
+    assert new_key != old_key
+    assert sorted(p.name for p in cache.glob("*.json")) == sorted(
+        [stale.name, new_key + ".json"])
+
+
 def test_relations_cache_key_depends_on_caps(tmp_path):
     cache = tmp_path / "cache"
     base = ["relations", "--poly", "X^3+X+3", "--cache-dir", str(cache)]

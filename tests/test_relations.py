@@ -171,15 +171,14 @@ def test_certified_radius_bounds_the_nearest_root_estimate(g):
 def test_a_center_newton_left_unconverged_fails_certification(g, monkeypatch):
     # the certificate never trusts Newton: a kernel that moves each start by
     # 2^-40 and stops leaves radii near d 2^-40, far above 2^-128
-    import mpmath
-
     import ultrashort.relations as R
+    from ultrashort.balls import dyadic
 
     base = R._stable_base(g)
 
     def off_by_2_to_minus_40(coeffs, deriv, z, w, steps):
-        with mpmath.workprec(4096):
-            return z + mpmath.ldexp(1, -40)
+        x, y, s = dyadic(z._mpc_)
+        return (x << (w - s)) + (1 << (w - 40)), y << (w - s)
 
     monkeypatch.setattr(R, "_newton", off_by_2_to_minus_40)
     with pytest.raises(R._CertificationFailed):
@@ -264,16 +263,15 @@ def test_irrational_roots_beyond_the_float_range_are_isolated_promptly(monkeypat
         assert abs(lo.center + root) <= lo.radius and abs(hi.center - root) <= hi.radius
 
 
-def _fraction(x):
-    man, exp = x.man_exp
+def _fraction(bound):
+    man, exp = bound
     return Fraction(man) * Fraction(2) ** exp
 
 
 def _dyadic_points(seed):
-    """0, integer-valued, real, imaginary and negative-exponent points z,
-    each with its exact value as a pair of Fractions."""
-    import mpmath
-
+    """0, integer-valued, real, imaginary and negative-exponent points
+    z = (x + iy) 2^-s, each as (x, y, s) and its exact value as a pair of
+    Fractions."""
     rng = random.Random(seed)
     parts = [(0, 0, 0), (3, 0, 0), (-7, 2, 0), (0, -5, 0)]
     for _ in range(12):
@@ -281,9 +279,7 @@ def _dyadic_points(seed):
         x, y = rng.randint(-(2**60), 2**60), rng.randint(-(2**60), 2**60)
         parts += [(x, y, s), (x, 0, s), (0, y, s)]
     for x, y, s in parts:
-        with mpmath.workprec(128):
-            z = mpmath.mpc(mpmath.ldexp(x, -s), mpmath.ldexp(y, -s))
-        yield z, Fraction(x, 2**s), Fraction(y, 2**s)
+        yield (x, y, s), Fraction(x, 2**s), Fraction(y, 2**s)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -295,19 +291,20 @@ def test_exact_abs_bounds_are_the_directed_53_bit_roundings(seed):
              for _ in range(4)]
     polys.append(list(_seeded_septic(11).coeffs))
     for coeffs in polys:
+        deriv = [j * c for j, c in enumerate(coeffs)][1:]
         for z, x, y in _dyadic_points(seed):
-            re, im = Fraction(0), Fraction(0)
-            for c in reversed(coeffs):
-                re, im = re * x - im * y + c, re * y + im * x
-            norm = re * re + im * im  # |p(z)|^2, exact
-            lower, upper = R._abs_poly_bounds(coeffs, z)
-            lo, hi = _fraction(lower), _fraction(upper)
-            assert lo * lo <= norm <= hi * hi
-            for bound in (lower, upper):
-                assert abs(bound.man_exp[0]).bit_length() <= 53
-            if lo != hi:
-                man, exp = lower.man_exp
-                assert hi - lo == Fraction(2) ** (exp + abs(man).bit_length() - 53)
+            for poly, (lower, upper) in zip((coeffs, deriv), R._abs_poly_bounds(coeffs, *z)):
+                re, im = Fraction(0), Fraction(0)
+                for c in reversed(poly):
+                    re, im = re * x - im * y + c, re * y + im * x
+                norm = re * re + im * im  # |p(z)|^2 or |p'(z)|^2, exact
+                lo, hi = _fraction(lower), _fraction(upper)
+                assert lo * lo <= norm <= hi * hi
+                for bound in (lower, upper):
+                    assert 0 <= bound[0] < 2**53
+                if lo != hi:
+                    man, exp = lower
+                    assert hi - lo == Fraction(2) ** (exp + abs(man).bit_length() - 53)
 
 
 # ---------------------------------------------------------------------------
