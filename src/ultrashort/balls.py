@@ -322,6 +322,11 @@ class Ball:
         return mp.make_mpc((from_man_exp(self._x, -self._s), from_man_exp(self._y, -self._s)))
 
     @property
+    def dyadic_center(self) -> tuple[int, int, int]:
+        """The center as (X, Y, s), the point (X + iY) 2^-s, exactly."""
+        return self._x, self._y, self._s
+
+    @property
     def radius(self) -> mpf:
         return mp.make_mpf(from_man_exp(*self._r))
 
@@ -405,14 +410,6 @@ class Ball:
         dyadics (m, e) rounded down and up."""
         low, high = self._abs_center()
         return _sub_down(low, self._r), add_up(high, self._r)
-
-    def abs_upper(self) -> mpf:
-        """Upper bound of |z| over the ball, a 53-bit mpf rounded up."""
-        return mp.make_mpf(from_man_exp(*self.abs_bounds()[1]))
-
-    def abs_lower(self) -> mpf:
-        """Lower bound (>= 0) of |z| over the ball, a 53-bit mpf rounded down."""
-        return mp.make_mpf(from_man_exp(*self.abs_bounds()[0]))
 
     def disjoint_from(self, other: "Ball") -> bool:
         # exact: |c1 - c2|^2 > (r1 + r2)^2 on the integers of the centers'

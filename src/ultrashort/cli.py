@@ -163,11 +163,11 @@ def _module(args, g: IntPoly, kind: str = "additive"):
         relations._degree_bound(g, args.degree_bound or None),
         relations.default_degree_bound(g.degree),
     )
-    key = _cache_key(g, kind, v, exponents, args.coeff_cap, bound)
+    cap = relations._coeff_cap(args.coeff_cap)
+    key = _cache_key(g, kind, v, exponents, cap, bound)
     directory = _cache_dir(args)
     module = None if args.no_cache else cache_get(directory, key)
     if module is None:
-        cap = args.coeff_cap
         if kind == "additive":
             module = relations.additive_relations(g, cap, bound)
         elif kind == "value":

@@ -3,7 +3,7 @@
 The additive, value and ind(g) lattices are one object, the kernel of
 alpha -> sum alpha_i y_i for algebraic integers y_i, computed by one engine
 (`_linear_relations`) from a ball factory enclosing the y_i: the sorted
-roots x_i (`_sorted_root_balls`), the values v(x_i) scaled to algebraic
+roots x_i (`_sorted_boxes`), the values v(x_i) scaled to algebraic
 integers (`_integral_value_balls`), or the sorted roots with 1 appended
 (`index_ind`).  The engine, like the multiplicative variant with its
 log/arg columns and winding row, runs:
@@ -27,9 +27,12 @@ log/arg columns and winding row, runs:
 Completeness is therefore asserted by stability, not by a proven height
 bound; every reported basis vector is individually certified, and vectors
 with sup-norm above the coefficient cap are simply not searched.  The
-certificate attached to each module records all of this.  The root order,
-the negation pairing and the dominant-root criterion decide their ties by
-the same zero test, on boxes refined along one ladder (`_box_levels`).
+certificate attached to each module records all of this.  Every root box
+comes from one cache (`_boxes_at`): the certified base, at a radius of
+2^-128 or finer, serves every coarser request, and each finer radius is
+Newton-refined from the base centers once.  The root order, the negation
+pairing and the dominant-root criterion decide their ties by the same zero
+test, on boxes refined along one ladder (`_box_levels`).
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ from .balls import (
     ball_sum,
     below_half_inverse,
     div_up,
-    dyadic,
     eval_laurent_ball,
     eval_poly_ball,
     mul_up,
@@ -93,6 +95,14 @@ def _degree_bound(g: IntPoly, degree_bound: int | None) -> int:
     return int(degree_bound)
 
 
+def _coeff_cap(coeff_cap: int) -> int:
+    """The largest sup-norm of a searched vector.  Below 1 no nonzero vector
+    is searched and every module would come out empty, so it is rejected."""
+    if coeff_cap < 1:
+        raise OutOfRangeParameter(f"coeff_cap must be >= 1, got {coeff_cap}")
+    return int(coeff_cap)
+
+
 def _orbit_size(alpha) -> int:
     """Number of distinct rearrangements of alpha: len! / prod (multiplicity)!."""
     n = math.factorial(len(alpha))
@@ -117,9 +127,6 @@ class CertifiedBoxList:
     precision_bits: int
     boxes: tuple[Ball, ...]
 
-    def balls(self) -> list[Ball]:
-        return list(self.boxes)
-
     def centers(self) -> list[complex]:
         return [complex(b.center) for b in self.boxes]
 
@@ -143,12 +150,13 @@ def _float_seed(g: IntPoly):
         return None
     if not np.isfinite(roots).all():
         return None
-    return tuple(mpmath.mpc(complex(r)) * 2**k for r in roots)
+    return tuple(Ball(complex(r)) * 2**k for r in roots)
 
 
 def _seeds(g: IntPoly):
-    """Root approximations for _stable_base, cheapest first: the float seed,
-    then mpmath.polyroots at 256, 512, ... bits up to the precision cap."""
+    """Root approximations for _stable_base as exact balls, cheapest first:
+    the float seed, then mpmath.polyroots at 256, 512, ... bits up to the
+    precision cap."""
     seed = _float_seed(g)
     if seed is not None:
         yield seed
@@ -158,41 +166,42 @@ def _seeds(g: IntPoly):
         try:
             with workprec(prec):
                 roots = mpmath.polyroots(monic, maxsteps=400, extraprec=prec)
-                seed = tuple(mpmath.mpc(r) for r in roots)
         except mpmath.libmp.NoConvergence:
             pass
         else:
-            yield seed
+            yield tuple(Ball(r) for r in roots)
         prec *= 2
 
 
+def _base_bits(g: IntPoly) -> int:
+    """B of the base radius 2^-B: 128, the first level of every search, or
+    64 + bit_length(1 + max |c_i|) when that is more.  The latter is relative
+    to the Cauchy bound on the roots, so the working precision of
+    `_certify_boxes`, which grows with radius_bits, grows with their size."""
+    return max(128, 64 + (1 + max(abs(c) for c in g.coeffs)).bit_length())
+
+
 @lru_cache(maxsize=None)
-def _stable_base(g: IntPoly) -> tuple:
-    """Root approximations anchoring the identity (index) of every root of g.
+def _stable_base(g: IntPoly) -> tuple[Ball, ...]:
+    """The first box level: certified boxes of radius <= 2^-B (`_base_bits`)
+    that fix the identity (index) of every root of g.
 
     The seeds of `_seeds` are tried in turn, and the first whose boxes
     `_certify_boxes` certifies wins.  A double-precision seed (Edelman and
-    Murakami, Math. Comp. 64, 1995) is enough for most g; a cluster closer
-    than its accuracy, or coefficients beyond the float range, fall through
-    to mpmath.polyroots.  The base is the centers of the certified boxes,
-    not the seed, so it lies within the certified radius of its root;
-    every refinement Newton-iterates from these fixed starting points,
-    needs a step or two, and indices never change between precisions.
-
-    The radius is relative to the Cauchy bound 1 + max |c_i| on the roots,
-    2^-(64 + bit_length(1 + max |c_i|)): the working precision of
-    `_certify_boxes` grows with radius_bits, so it then grows with the size
-    of the roots, which a fixed absolute radius would outgrow.
+    Murakami, Math. Comp. 64, 1995) is enough for most g, a linear g
+    included, whose Newton step from any seed lands on its root exactly; a
+    cluster closer than its accuracy, or coefficients beyond the float
+    range, fall through to mpmath.polyroots.  Every finer level
+    Newton-iterates from the centers of these boxes, not from the seed, so
+    it starts within 2^-B of its root, needs a step or two, and indices
+    never change between precisions.
     """
-    if g.degree == 1:
-        return (mpmath.mpc(-g.coeffs[0]),)
-    radius_bits = 64 + (1 + max(abs(c) for c in g.coeffs)).bit_length()
+    bits = _base_bits(g)
     for seed in _seeds(g):
         try:
-            boxes = _certify_boxes(g, seed, radius_bits)
+            return _certify_boxes(g, seed, bits)
         except (_CertificationFailed, ZeroDivisionError):
             continue  # ZeroDivisionError: Newton met a critical point of g
-        return tuple(b.center for b in boxes)
     raise PrecisionExhausted("cannot isolate the roots of g")
 
 
@@ -209,10 +218,11 @@ def _fixed_horner(coeffs, x: int, y: int, w: int) -> tuple[int, int]:
     return re, im
 
 
-def _newton(coeffs, deriv, z, w: int, steps: int) -> tuple[int, int]:
-    """Newton's iteration for p from the dyadic mpc z, in fixed point on
-    Gaussian integers; coeffs and deriv are the integer coefficients of p
-    and p', lowest first.  Returns (X, Y), the last iterate (X + iY) 2^-w.
+def _newton(coeffs, deriv, start, w: int, steps: int) -> tuple[int, int]:
+    """Newton's iteration for p from the dyadic start (X, Y, s), the point
+    (X + iY) 2^-s, in fixed point on Gaussian integers; coeffs and deriv are
+    the integer coefficients of p and p', lowest first.  Returns (X, Y), the
+    last iterate (X + iY) 2^-w.
 
     z is held as (X + iY) 2^-w; p(z) and p'(z) come from `_fixed_horner`,
     and dz from one Gaussian division rounded to nearest.  The iteration
@@ -224,12 +234,12 @@ def _newton(coeffs, deriv, z, w: int, steps: int) -> tuple[int, int]:
     center to a root exactly, so no rounding here can weaken a certificate.
 
     >>> w = 256
-    >>> x, y = _newton([-2, 0, 1], [0, 2], mpmath.mpc(1.5), w, 16)
+    >>> x, y = _newton([-2, 0, 1], [0, 2], (3, 0, 1), w, 16)  # from 3/2
     >>> with workprec(2 * w):
     ...     print(y == 0 and abs(mpmath.ldexp(x, -w) - mpmath.sqrt(2)) <= mpf(2) ** (8 - w))
     True
     """
-    x, y, s = dyadic(z._mpc_)
+    x, y, s = start
     if s <= w:
         x, y = x << (w - s), y << (w - s)
     else:
@@ -282,8 +292,8 @@ def _abs_poly_bounds(coeffs, x: int, y: int, s: int):
 
 
 def _certify_boxes(g: IntPoly, approx, radius_bits: int) -> tuple[Ball, ...]:
-    """Newton-refine fixed starting points and certify disjoint disks with
-    radii <= 2^-radius_bits.
+    """Newton-refine the centers of the balls approx, fixed starting points,
+    and certify disjoint disks with radii <= 2^-radius_bits.
 
     The radius bound is the classical nearest-root estimate: g'(c)/g(c) is
     the sum of 1/(c - x_k), so some root lies within d*|g(c)/g'(c)| of c.
@@ -303,7 +313,7 @@ def _certify_boxes(g: IntPoly, approx, radius_bits: int) -> tuple[Ball, ...]:
     work = 2 * radius_bits + 16 * d + 96
     deriv = g.derivative_coeffs()
     steps = int(math.log2(max(radius_bits, 64))) + 8
-    centers = [_newton(g.coeffs, deriv, z, work, steps) for z in approx]
+    centers = [_newton(g.coeffs, deriv, b.dyadic_center, work, steps) for b in approx]
     boxes = []
     for x, y in centers:
         (_, high), (low, _) = _abs_poly_bounds(g.coeffs, x, y, work)
@@ -323,10 +333,14 @@ def _certify_boxes(g: IntPoly, approx, radius_bits: int) -> tuple[Ball, ...]:
 
 @lru_cache(maxsize=None)
 def _boxes_at(g: IntPoly, radius_bits: int) -> tuple[Ball, ...]:
-    """Certified boxes in base order with radii <= 2^-radius_bits."""
+    """Certified boxes in base order with radii <= 2^-radius_bits: the base
+    up to its radius, else Newton-refined from the base centers, a radius
+    that fails to certify being retried at twice the bits."""
     if radius_bits > PRECISION_CAP_BITS:
         raise PrecisionExhausted("root refinement beyond the precision cap")
     base = _stable_base(g)
+    if radius_bits <= _base_bits(g):
+        return base
     bits = radius_bits
     while bits <= PRECISION_CAP_BITS:
         try:
@@ -337,10 +351,10 @@ def _boxes_at(g: IntPoly, radius_bits: int) -> tuple[Ball, ...]:
 
 
 def _box_levels(g: IntPoly):
-    """(bits, boxes) with radii <= 2^-bits for bits = 128, 256, ... up to the
-    precision cap: the one refinement ladder of every search that waits for
-    the boxes to separate."""
-    bits = 128
+    """(bits, boxes) with radii <= 2^-bits for bits = B, 2B, ... up to the
+    precision cap, from the base radius 2^-B: the one refinement ladder of
+    every search that waits for the boxes to separate."""
+    bits = _base_bits(g)
     while bits <= PRECISION_CAP_BITS:
         yield bits, _boxes_at(g, bits)
         bits *= 2
@@ -422,25 +436,18 @@ def _order_map(g: IntPoly) -> tuple[int, ...]:
     raise PrecisionExhausted("cannot certify the lexicographic root order")
 
 
+def _sorted_boxes(g: IntPoly, bits: int) -> list[Ball]:
+    """The root boxes of g sorted by (Re, Im), radii <= 2^-bits."""
+    boxes = _boxes_at(g, bits)
+    return [boxes[i] for i in _order_map(g)]
+
+
 def certified_complex_roots(g: IntPoly, precision_bits: int) -> CertifiedBoxList:
-    """All d roots of g as certified disjoint boxes, radii <= 2^(-precision_bits/2),
-    sorted lexicographically by (Re, Im) of the true roots."""
+    """All d roots of g as certified disjoint boxes, radii <= 2^(-precision_bits/2)
+    (the base's below 256 bits), sorted by (Re, Im) of the true roots."""
     if precision_bits < 64:
         raise ValueError("precision_bits must be at least 64")
-    order = _order_map(g)
-    boxes = _boxes_at(g, precision_bits // 2 + 1)
-    return CertifiedBoxList(g, precision_bits, tuple(boxes[i] for i in order))
-
-
-def _sorted_root_balls(g: IntPoly):
-    """Ball factory for the roots of g in sorted order, radii <= 2^-bits."""
-    order = _order_map(g)
-
-    def mk(bits):
-        boxes = _boxes_at(g, bits)
-        return [boxes[i] for i in order]
-
-    return mk
+    return CertifiedBoxList(g, precision_bits, tuple(_sorted_boxes(g, precision_bits // 2 + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +468,8 @@ def _zero_test(alpha, degree_bound, enclose) -> bool:
     for one permutation s fixing such entries, so each conjugate of gamma is
     gamma's expression in a rearrangement of alpha, and gamma has at most
     D = min(degree_bound, orbit(alpha)) conjugates.  A ball excluding 0
-    decides False; a ball inside |z| < L/2 decides True.  Otherwise the
+    decides False; a ball inside |z| < L/2 decides True.  The first level
+    is 128 bits, which the base serves (`_boxes_at`).  Otherwise the
     boxes are refined to max(2 * bits, 64 - log2 L) bits, or to 2 * bits
     when a ball still meets 0 where a value must be inverted.  Both
     decisions are exact on integers (`Ball.abs_bounds`,
@@ -471,7 +479,7 @@ def _zero_test(alpha, degree_bound, enclose) -> bool:
     if not any(alpha):
         return True
     degree_bound = min(degree_bound, _orbit_size(alpha))
-    bits = 192
+    bits = 128
     while bits <= PRECISION_CAP_BITS:
         with workprec(2 * bits + 64):
             try:
@@ -535,7 +543,8 @@ def gamma_is_zero(
     if len(alpha) != g.degree:
         raise ValueError("alpha must have one entry per root")
     degree_bound = _degree_bound(g, degree_bound)
-    return _zero_test(alpha, degree_bound, _sum_enclosure(alpha, _sorted_root_balls(g)))
+    enclose = _sum_enclosure(alpha, functools.partial(_sorted_boxes, g))
+    return _zero_test(alpha, degree_bound, enclose)
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +658,7 @@ def _linear_relations(g, mk, dim, kind, coeff_cap, degree_bound) -> RelationModu
     every conjugate; degree_bound defaults to d! with d = deg g.
     """
     degree_bound = _degree_bound(g, degree_bound)
+    coeff_cap = _coeff_cap(coeff_cap)
 
     def build(bits):
         with workprec(4 * bits + 128):
@@ -675,7 +685,7 @@ def additive_relations(
 ) -> RelationModule:
     """HNF basis of {alpha in Z^d : sum alpha_i x_i = 0}, roots in box order."""
     return _linear_relations(
-        g, _sorted_root_balls(g), g.degree, "additive", coeff_cap, degree_bound
+        g, functools.partial(_sorted_boxes, g), g.degree, "additive", coeff_cap, degree_bound
     )
 
 
@@ -686,11 +696,9 @@ def _integral_value_balls(g: IntPoly, v: LaurentPoly):
     so max_i |y_i| bounds every conjugate of every y_i."""
     e, _ = v.integralized()
     clear = ((-1) ** g.degree * g.coeffs[0]) ** e
-    order = _order_map(g)
 
     def mk(bits):
-        boxes = _boxes_at(g, bits)
-        return [eval_laurent_ball(v.terms, boxes[i]) * clear for i in order]
+        return [eval_laurent_ball(v.terms, b) * clear for b in _sorted_boxes(g, bits)]
 
     return mk
 
@@ -704,7 +712,7 @@ def value_relations(
 ) -> RelationModule:
     """HNF basis of {alpha : sum alpha_i v(x_i) = 0}."""
     if v.is_constant:
-        raise ValueError("v must be nonconstant")
+        raise OutOfRangeParameter("v must be nonconstant")
     if v.min_exp < 0 and g.coeffs[0] == 0:
         raise ZeroRootWithNegativeExponent(
             "v has negative exponents but 0 is a root of g"
@@ -723,13 +731,12 @@ def joint_power_relations(
 ) -> RelationModule:
     """Intersection over i of {alpha : sum alpha_j x_j^(m_i) = 0}."""
     exponents = tuple(int(m) for m in exponents)
-    if not exponents:
-        raise ValueError("need at least one exponent")
-    if len(set(exponents)) != len(exponents):
-        raise ValueError("exponents must be distinct")
+    if not exponents or len(set(exponents)) != len(exponents):
+        raise OutOfRangeParameter("exponents must be a nonempty distinct list")
     if any(m < 0 for m in exponents) and g.coeffs[0] == 0:
         raise ZeroRootWithNegativeExponent("negative exponent but 0 is a root of g")
     bound = _degree_bound(g, degree_bound)
+    coeff_cap = _coeff_cap(coeff_cap)
     d = g.degree
     basis = None
     bits_used = 0
@@ -765,11 +772,11 @@ def multiplicative_relations(
     """
     d = g.degree
     degree_bound = _degree_bound(g, degree_bound)
+    coeff_cap = _coeff_cap(coeff_cap)
     if v.min_exp < 0 and g.coeffs[0] == 0:
         raise ZeroRootWithNegativeExponent(
             "v has negative exponents but 0 is a root of g"
         )
-    order = _order_map(g)
 
     # reject v vanishing at a root (certified, using the integralized values)
     mk_int = _integral_value_balls(g, v)
@@ -780,11 +787,11 @@ def multiplicative_relations(
             raise VanishingValue(f"v vanishes at root #{i} of g")
 
     def build(bits):
-        boxes = _boxes_at(g, 2 * bits + 32)
+        boxes = _sorted_boxes(g, 2 * bits + 32)
         with workprec(4 * bits + 128):
             rows = []
-            for k, i in enumerate(order):
-                b = eval_laurent_ball(v.terms, boxes[i])
+            for k, box in enumerate(boxes):
+                b = eval_laurent_ball(v.terms, box)
                 rows.append(
                     _ident(k, d + 1)
                     + [
@@ -796,7 +803,7 @@ def multiplicative_relations(
         return rows
 
     def certify(alpha):
-        return _zero_test(alpha, degree_bound, _product_enclosure(g, v, order, alpha))
+        return _zero_test(alpha, degree_bound, _product_enclosure(g, v, alpha))
 
     basis, bits, capped = _detect_module(d, build, certify, coeff_cap, saturate=False)
     return RelationModule(
@@ -804,7 +811,7 @@ def multiplicative_relations(
     )
 
 
-def _product_enclosure(g, v, order, alpha):
+def _product_enclosure(g, v, alpha):
     """enclose(bits, D) of `_zero_test` for beta - 1, beta = prod v(x_i)^alpha_i.
 
     Write e = e_shift, u_i = (X^e v)(x_i), t_i = x_i; then
@@ -826,10 +833,10 @@ def _product_enclosure(g, v, order, alpha):
     cc = sum(abs(int(a)) for a in alpha) * (1 + e_shift)
 
     def enclose(bits, degree_bound):
-        boxes = _boxes_at(g, bits)
-        factors = [eval_poly_ball(vt, boxes[i]) for i in order]
+        boxes = _sorted_boxes(g, bits)
+        factors = [eval_poly_ball(vt, b) for b in boxes]
         if e_shift:
-            factors += [boxes[i] for i in order]
+            factors += boxes
         bounds = [ONE]
         for b in factors:
             lo, hi = b.abs_bounds()
@@ -838,9 +845,9 @@ def _product_enclosure(g, v, order, alpha):
             bounds += [hi, div_up(ONE, lo)]
         mc = power_bounds(_largest(bounds), cc)[1]
         beta = Ball(1)
-        for a, i in zip(alpha, order):
+        for a, b in zip(alpha, boxes):
             if a:
-                beta = beta * eval_laurent_ball(v.terms, boxes[i]).power(int(a))
+                beta = beta * eval_laurent_ball(v.terms, b).power(int(a))
         return beta - Ball(1), mul_up(mc, add_up(ONE, mc)), degree_bound - 1, mc
 
     return enclose
@@ -859,9 +866,8 @@ def index_ind(
     sum alpha_i x_i + c = 0 exhibits -c as an attained integer, and the set
     of attained integers is the gcd ideal of the basis' last coordinates.
     """
-    roots = _sorted_root_balls(g)
     module = _linear_relations(
-        g, lambda bits: roots(bits) + [Ball(1)], g.degree + 1, "index",
+        g, lambda bits: _sorted_boxes(g, bits) + [Ball(1)], g.degree + 1, "index",
         coeff_cap, degree_bound,
     )
     consts = [abs(row[-1]) for row in module.basis if row[-1] != 0]
@@ -894,7 +900,7 @@ def dominant_root_holds(g: IntPoly, degree_bound: int | None = None) -> bool:
         if all(up + lo < lo_sum for up, lo in zip(ups, los)):
             return False
         pi = _conjugation_pairing(boxes)
-        neg = _negation_partners(g, boxes, degree_bound)
+        neg = _negation_partners(boxes, functools.partial(_boxes_at, g), degree_bound)
         if pi is None or neg is None:
             continue
         # conjugation and negation commute, so the class of root i is its
@@ -944,9 +950,9 @@ def _real_root_signs(g, boxes) -> list[int] | None:
     return signs
 
 
-def _negation_partners(g, boxes, degree_bound):
+def _negation_partners(boxes, make_boxes, degree_bound):
     """neg[i] = j when -x_i = x_j (certified), None entry when -x_i is not a
-    root; returns None overall while boxes are too coarse to decide."""
+    root; None overall while boxes, a level of make_boxes, are too coarse."""
     d = len(boxes)
     neg: list[int | None] = []
     for i in range(d):
@@ -961,8 +967,7 @@ def _negation_partners(g, boxes, degree_bound):
         alpha = [0] * d
         alpha[i] += 1
         alpha[j] += 1
-        enclose = _sum_enclosure(alpha, functools.partial(_boxes_at, g))
-        if _zero_test(alpha, degree_bound, enclose):
+        if _zero_test(alpha, degree_bound, _sum_enclosure(alpha, make_boxes)):
             neg.append(j)
         else:
             neg.append(None)
@@ -972,26 +977,12 @@ def _negation_partners(g, boxes, degree_bound):
 def negation_pairing(g: IntPoly, degree_bound: int | None = None):
     """(pairs, unpaired) of sorted-root indices under x -> -x, certified."""
     degree_bound = _degree_bound(g, degree_bound)
-    order = _order_map(g)
-    for _, boxes in _box_levels(g):
-        raw = _negation_partners(g, boxes, degree_bound)
-        if raw is not None:
-            inv = {b: k for k, b in enumerate(order)}
-            pairs = []
-            unpaired = []
-            seen = set()
-            for k, i in enumerate(order):
-                if k in seen:
-                    continue
-                j = raw[i]
-                if j is None:
-                    unpaired.append(k)
-                    seen.add(k)
-                else:
-                    partner = inv[j]
-                    if partner == k:
-                        raise ZeroRoot("0 is a root of g")
-                    pairs.append((k, partner))
-                    seen.update((k, partner))
-            return pairs, unpaired
+    make_boxes = functools.partial(_sorted_boxes, g)
+    for bits, _ in _box_levels(g):
+        neg = _negation_partners(make_boxes(bits), make_boxes, degree_bound)
+        if neg is not None:
+            if any(j == k for k, j in enumerate(neg)):
+                raise ZeroRoot("0 is a root of g")
+            pairs = [(k, j) for k, j in enumerate(neg) if j is not None and k < j]
+            return pairs, [k for k, j in enumerate(neg) if j is None]
     raise PrecisionExhausted("negation pairing undecided")

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mpc, mpf, workprec
+from mpmath import ldexp, mpc, mpf, workprec
 
 from ultrashort.balls import (
     RADIUS_BITS,
@@ -131,8 +131,7 @@ def test_abs_bounds_enclose_the_modulus(prec):
     rng = random.Random(10 * prec + 3)
     for _ in range(TRIALS):
         a = _rand_ball(rng, prec)
-        with workprec(prec):
-            lo, hi = a.abs_lower(), a.abs_upper()
+        lo, hi = (ldexp(m, e) for m, e in a.abs_bounds())  # exact
         assert 0 <= lo <= hi
         for z in [a.center] + [_point_in(rng, a, prec) for _ in range(4)]:
             with workprec(4 * prec):
@@ -301,10 +300,10 @@ def test_abs_bounds_are_the_directed_roundings_of_the_modulus(prec):
         x, y, r = _parts(a)
         norm = x * x + y * y
         low, high = _sqrt53(norm, up=False), _sqrt53(norm, up=True)
-        point = Ball(a.center)
-        assert (_fraction(point.abs_lower()), _fraction(point.abs_upper())) == (low, high)
-        assert _fraction(a.abs_upper()) == _round53(high + r, up=True)
-        assert _fraction(a.abs_lower()) == _round53(max(low - r, Fraction(0)), up=False)
+        lower, upper = (_dyadic(b) for b in a.abs_bounds())
+        assert tuple(_dyadic(b) for b in Ball(a.center).abs_bounds()) == (low, high)
+        assert upper == _round53(high + r, up=True)
+        assert lower == _round53(max(low - r, Fraction(0)), up=False)
 
 
 def _threshold_cases(rng):

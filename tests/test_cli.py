@@ -438,6 +438,24 @@ def test_domain_error_exit_code(capsys):
     assert "NotSplit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["index", "--poly", "X-3", "--coeff-cap", "0"],
+        ["relations", "--poly", "X^2+1", "--coeff-cap", "0"],
+        ["relations", "--poly", "X^2+1", "--kind", "value", "--v", "5"],
+        ["relations", "--poly", "X^2+1", "--kind", "joint", "--exponents", "1,1"],
+    ],
+    ids=["index-cap-0", "relations-cap-0", "constant-v", "repeated-exponents"],
+)
+def test_out_of_range_relation_input_is_domain_error(argv, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    assert main(argv + ["--cache-dir", str(cache)] if argv[0] == "relations" else argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("OutOfRangeParameter: ") and captured.out == ""
+    assert not cache.exists()
+
+
 def test_limit_st_sum_bad_count_is_domain_error(capsys):
     assert main(["limit", "--law", "st-sum:3", "--count", "-5"]) == 1
     assert "OutOfRangeParameter" in capsys.readouterr().err

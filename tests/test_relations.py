@@ -46,6 +46,12 @@ def test_certified_roots_sqrt2():
 def test_certified_roots_linear():
     boxes = certified_complex_roots(IntPoly.parse("X-5"), 64)
     assert boxes.centers() == [5.0]
+    # one Newton step from the float seed lands on -c exactly, even where c
+    # is beyond the float range or not a float
+    for c in (10**400, -(3**500)):
+        (box,) = certified_complex_roots(IntPoly((c, 1)), 128).boxes
+        x, y, s = box.dyadic_center
+        assert (x, y) == (-c << s, 0) and box.radius == 0
 
 
 def test_certified_roots_cube_roots_of_unity_order():
@@ -68,7 +74,7 @@ def test_certified_roots_refinable_same_order():
 
 def test_boxes_pairwise_disjoint():
     boxes = certified_complex_roots(IntPoly.parse("X^5-1"), 128)
-    balls = boxes.balls()
+    balls = boxes.boxes
     for i in range(5):
         for j in range(i + 1, 5):
             assert balls[i].disjoint_from(balls[j])
@@ -107,8 +113,8 @@ SEPTICS = [IntPoly.parse("X^7-1"), _seeded_septic(11)]
 
 @pytest.mark.parametrize("g", SEPTICS, ids=str)
 def test_newton_from_the_stable_base_stops_once_converged(g, monkeypatch):
-    # the base is the centers of boxes certified at radius 2^-66 and a
-    # working precision of 340 bits, so at radius_bits <= 128 Newton
+    # the base is boxes certified at radius 2^-128 and a working precision
+    # of 464 bits, so from their centers at radius_bits <= 128 Newton
     # converges within a step or two and then stops; each step evaluates
     # g and g' once by fixed-point Horner
     import ultrashort.relations as R
@@ -137,6 +143,58 @@ def test_newton_from_the_stable_base_stops_once_converged(g, monkeypatch):
         R._certify_boxes(g, base, bits)
         assert len(per_root) == g.degree
         assert 1 <= min(per_root) and max(per_root) <= 3, (bits, per_root)
+
+
+@pytest.fixture
+def certified_radii(monkeypatch):
+    """The radius_bits of every `_certify_boxes` call, on box caches emptied
+    for this test only."""
+    import functools
+
+    import ultrashort.relations as R
+
+    for name in ("_stable_base", "_boxes_at", "_order_map"):
+        fresh = functools.lru_cache(maxsize=None)(getattr(R, name).__wrapped__)
+        monkeypatch.setattr(R, name, fresh)
+    radii = []
+    real = R._certify_boxes
+
+    def spy(g, approx, radius_bits):
+        radii.append(radius_bits)
+        return real(g, approx, radius_bits)
+
+    monkeypatch.setattr(R, "_certify_boxes", spy)
+    return radii
+
+
+def test_certified_roots_below_256_bits_reuse_the_boxes_of_the_root_order(certified_radii):
+    import ultrashort.relations as R
+
+    g = IntPoly.parse("X^7-1")
+    R._order_map(g)
+    before = len(certified_radii)
+    assert before >= 1
+    for bits in (128, 255):
+        roots = certified_complex_roots(g, bits)
+        assert all(b.radius <= mpf(2) ** -128 for b in roots.boxes)
+    assert len(certified_radii) == before
+
+
+def test_no_radius_is_certified_twice_or_below_the_base(certified_radii):
+    # detection, then the certify steps: roots, zero tests, negation and the
+    # dominant-root criterion; the base (2^-128 for X^7-1) comes first and
+    # serves every coarser request
+    g = IntPoly.parse("X^7-1")
+    assert additive_relations.__wrapped__(g).basis == ((1,) * 7,)
+    roots = certified_complex_roots(g, 128)
+    assert gamma_is_zero([1] * 7, roots)
+    assert not gamma_is_zero([1] * 6 + [0], roots)
+    assert not gamma_is_zero([1, -1, 2, 0, 0, 3, -3], roots)
+    assert negation_pairing(g) == ([], list(range(7)))
+    assert dominant_root_holds(g) is False
+    assert certified_radii[0] == 128
+    assert min(certified_radii) == 128
+    assert len(set(certified_radii)) == len(certified_radii), certified_radii
 
 
 def _horner(coeffs, z):
@@ -172,12 +230,11 @@ def test_a_center_newton_left_unconverged_fails_certification(g, monkeypatch):
     # the certificate never trusts Newton: a kernel that moves each start by
     # 2^-40 and stops leaves radii near d 2^-40, far above 2^-128
     import ultrashort.relations as R
-    from ultrashort.balls import dyadic
 
     base = R._stable_base(g)
 
-    def off_by_2_to_minus_40(coeffs, deriv, z, w, steps):
-        x, y, s = dyadic(z._mpc_)
+    def off_by_2_to_minus_40(coeffs, deriv, start, w, steps):
+        x, y, s = start
         return (x << (w - s)) + (1 << (w - 40)), y << (w - s)
 
     monkeypatch.setattr(R, "_newton", off_by_2_to_minus_40)
@@ -343,27 +400,22 @@ def test_orbit_size_counts_distinct_rearrangements():
 
 def test_all_ones_zero_test_decides_at_the_first_level(monkeypatch):
     # gamma = x_1 + ... + x_7 is a rational integer (orbit 1), so the first
-    # 192-bit enclosure of |gamma| < 1 already certifies it, whatever the
-    # degree bound (d! = 5040 here)
+    # 128-bit enclosure of |gamma| < 1, the base's, already certifies it,
+    # whatever the degree bound (d! = 5040 here)
     import ultrashort.relations as R
 
     g = IntPoly.parse("X^7-1")
     roots = certified_complex_roots(g, 128)
     levels = []
-    real = R._sorted_root_balls
+    real = R._sorted_boxes
 
-    def spy(poly):
-        mk = real(poly)
+    def spy(poly, bits):
+        levels.append(bits)
+        return real(poly, bits)
 
-        def make_balls(bits):
-            levels.append(bits)
-            return mk(bits)
-
-        return make_balls
-
-    monkeypatch.setattr(R, "_sorted_root_balls", spy)
+    monkeypatch.setattr(R, "_sorted_boxes", spy)
     assert gamma_is_zero([1] * 7, roots)
-    assert levels == [192]
+    assert levels == [128]
 
 
 def test_seeded_non_relations_test_false():
@@ -391,6 +443,24 @@ def test_degree_bound_below_one_is_rejected():
             gamma_is_zero([1, 1, 1], roots, degree_bound=bound)
         with pytest.raises(OutOfRangeParameter):
             joint_power_relations(g, (0,), degree_bound=bound)
+
+
+def test_coeff_cap_below_one_is_rejected():
+    # a cap below 1 searches no vector, so every module would come out empty
+    # and ind(X - 3) would read 0 instead of 3
+    g = IntPoly.parse("X^2+1")
+    for cap in (0, -3):
+        with pytest.raises(OutOfRangeParameter):
+            additive_relations(g, cap)
+        with pytest.raises(OutOfRangeParameter):
+            value_relations(g, X, cap)
+        with pytest.raises(OutOfRangeParameter):
+            joint_power_relations(g, (0,), cap)
+        with pytest.raises(OutOfRangeParameter):
+            multiplicative_relations(g, X, cap)
+        with pytest.raises(OutOfRangeParameter):
+            index_ind(IntPoly.parse("X-3"), cap)
+    assert index_ind(IntPoly.parse("X-3")) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +648,10 @@ def test_value_relations_rank_identity_prime_cyclotomic():
 
 
 def test_value_relations_preconditions():
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRangeParameter):
         value_relations(IntPoly.parse("X^2-2"), LaurentPoly.parse("7"))
+    with pytest.raises(OutOfRangeParameter):
+        joint_power_relations(IntPoly.parse("X^2-2"), (1, 1))
     with pytest.raises(ZeroRootWithNegativeExponent):
         value_relations(IntPoly.parse("X^2-X"), LaurentPoly.parse("X^-1"))
 
