@@ -285,6 +285,16 @@ def _generator_powers(gen: int, q: int) -> np.ndarray:
     return powers
 
 
+def _check_kl_args(r: int, q: int) -> None:
+    """Rank r >= 2 and q a prime <= 2^26, shared by every Kloosterman entry point."""
+    if r < 2:
+        raise OutOfRangeParameter("rank r must be >= 2")
+    if q > PARAM_SPACE_CAP:
+        raise OutOfRangeParameter(f"q = {q} exceeds 2^26")
+    if not is_prime(q):
+        raise OutOfRangeParameter(f"{q} is not prime")
+
+
 def kloosterman_table(r: int, q: int) -> np.ndarray:
     """Kl_r(b; q) for every b in [0, q), by FFT over discrete logarithms.
 
@@ -292,41 +302,66 @@ def kloosterman_table(r: int, q: int) -> np.ndarray:
     e((x_1 + ... + x_r)/q) is an r-fold multiplicative convolution.  Indexing
     F_q^* by discrete log to the smallest primitive root gen (Rader's
     re-indexing) makes it cyclic: with w[i] = e(gen^i/q),
-    S_r(gen^k) = ifft(fft(w)^r)[k], and Kl_r = q^(-(r-1)/2) S_r.  Cost
-    O(q log q) per (r, q).  The entry at b = 0 is the value
-    (-1)^(r-1) q^(-(r-1)/2) of the free-variable form (non-lisse point;
-    grids exclude it).  Tables are memoised per (r, q) and read-only.
+    S_r(gen^k) = ifft(fft(w)^r)[k], and Kl_r = q^(-(r-1)/2) S_r =
+    sqrt(q) * ifft((fft(w)/sqrt(q))^r).  Cost O(q log q) per (r, q).
+
+    The normalised spectrum stays in the unit disc, so no rank overflows:
+    fft(w)[j] = sum over x in F_q^* of e(x/q) * chi_j(x)^-1 with chi_j the
+    character gen^i -> e(i*j/(q-1)).  For j = 0 this is -1; for j != 0 it is
+    a Gauss sum of modulus sqrt(q).  Every entry of fft(w)/sqrt(q) thus has
+    modulus 1 or 1/sqrt(q), its r-th power has modulus at most 1 (up to
+    rounding), and each entry of the ifft is at most 1 before the factor
+    sqrt(q).
+
+    For even r the table is exactly real (the real part, imaginary part
+    +0.0): substituting x_i -> -x_i gives conj Kl_r(a) = Kl_r((-1)^r a).
+    The entry at b = 0 is the value (-1)^(r-1) q^(-(r-1)/2) of the
+    free-variable form (non-lisse point; grids exclude it).  Tables are
+    memoised per (r, q) and read-only.
     """
-    if r < 2:
-        raise OutOfRangeParameter("rank r must be >= 2")
-    if q > PARAM_SPACE_CAP:
-        raise OutOfRangeParameter(f"q = {q} exceeds 2^26")
-    if not is_prime(q):
-        raise OutOfRangeParameter(f"{q} is not prime")
     key = (r, q)
-    if key in _KL_TABLES:
+    if key in _KL_TABLES:  # only checked (r, q) are ever stored
         return _KL_TABLES[key]
+    _check_kl_args(r, q)
     powers = _generator_powers(multiplicative_generator(q), q)
-    spectrum = np.fft.fft(_exp_of_residues(powers, q))
-    scale = q ** (-(r - 1) / 2)
+    root_q = math.sqrt(q)
+    spectrum = np.fft.fft(_exp_of_residues(powers, q)) / root_q
     table = np.empty(q, dtype=np.complex128)
-    table[powers] = np.fft.ifft(spectrum**r) * scale
-    table[0] = (-1) ** (r - 1) * scale
+    table[powers] = np.fft.ifft(spectrum**r) * root_q
+    table[0] = (-1) ** (r - 1) * q ** (-(r - 1) / 2)
+    if r % 2 == 0:
+        table = table.real.astype(np.complex128)
     table.flags.writeable = False
     _KL_TABLES[key] = table
     return table
 
 
 def hyper_kloosterman(r: int, a: int, q: int) -> complex:
-    """Normalized hyper-Kloosterman sum Kl_r(a; q), read from the table.
+    """Normalized hyper-Kloosterman sum Kl_r(a; q), for 1 <= a <= q-1.
 
     Kl_r(a;q) = q^(-(r-1)/2) * sum over x_1..x_(r-1) in F_q^* of
-    e((x_1 + ... + x_(r-1) + a/(x_1...x_(r-1)))/q); the value is entry a of
-    kloosterman_table(r, q), which validates r and q.
+    e((x_1 + ... + x_(r-1) + a/(x_1...x_(r-1)))/q).  For r = 2 this is one
+    O(q) pass in Rader's index, with no FFT and no table:
+    q^(-1/2) * sum over k of cos(2*pi*((gen^k + a*gen^(-k)) mod q)/q), gen
+    the primitive root of kloosterman_table, and the value is real.  For
+    r >= 3 any one entry needs the whole (r-1)-fold convolution, so the
+    value is entry a of the memoised kloosterman_table(r, q).  Either way it
+    depends only on (r, a, q).
+
+    >>> import math
+    >>> want = (2 + 2 * math.cos(4 * math.pi / 5)) / math.sqrt(5)
+    >>> abs(hyper_kloosterman(2, 1, 5) - want) < 1e-15
+    True
     """
     if not 1 <= a <= q - 1:
         raise OutOfRangeParameter("need 1 <= a <= q-1")
-    return complex(kloosterman_table(r, q)[a])
+    if r != 2:
+        return complex(kloosterman_table(r, q)[a])
+    _check_kl_args(r, q)
+    powers = _generator_powers(multiplicative_generator(q), q)
+    # gen^(-k) = powers[-k mod (q-1)]; a, powers < q <= 2^26, so int64 holds a*powers
+    ks = (powers + a * np.roll(powers[::-1], 1)) % q
+    return complex(np.cos((2 * np.pi / q) * ks).sum() / math.sqrt(q), 0.0)
 
 
 def trace_sum_grid(g: IntPoly, q: int, r: int = 2, mode: str = "dilate") -> SumGrid:

@@ -277,3 +277,53 @@ def test_criterion_8_sampler_self_consistency():
         worst = max(worst, diff)
     checks.append((worst < 1e-9, f"Kl3 conjugation symmetry, worst dev {worst:.2e}"))
     _report(8, "sampler self-consistency", started, 120.0, checks)
+
+
+def test_criterion_9_higher_rank_kloosterman():
+    """Sum_i Kl_r(a*x_i) over the roots of X^3-9X-1 against a sum of three
+    independent Haar traces: SU(3) for r = 3, USp(4) for r = 4 (Katz).
+
+    Tolerance rule, fixed before the grid is computed: each statistic must
+    be at most twice the same statistic between two independent sampler
+    sets of the grid's size.  The grid is then compared with a third
+    sampler set of that size, so it is held to the spread of the sampler
+    against itself.
+    """
+    started = time.time()
+    checks = []
+    g = IntPoly.parse("X^3-9X-1")
+    q = 10099  # split, and the only prime used here
+    d, n = g.degree, q - 1
+
+    def traces(group, seed):
+        return haar_trace_samples(group, d * n, seed).samples.reshape(d, n).sum(axis=0)
+
+    for r, group, stats in [
+        (3, "SU(3)", ("binned L1",)),
+        (4, "USp(4)", ("binned L1", "KS on the real part")),
+    ]:
+        bound = float(r * d)  # Deligne: |Kl_r| <= r
+
+        def statistic(name, a, b):
+            if name == "binned L1":
+                return binned_l1_2d(a, b, 40, bound=bound)
+            return ks_distance(a.real, b.real)
+
+        first, second, third = (traces(group, seed) for seed in (91, 92, 93))
+        tolerances = {name: 2 * statistic(name, first, second) for name in stats}
+        values = trace_sum_grid(g, q, r=r, mode="dilate").values
+        if r % 2 == 0:
+            checks.append(((values.imag == 0).all(), f"r={r}: grid exactly real"))
+        mean_square = (np.abs(values) ** 2).mean()
+        checks.append(
+            (abs(mean_square - d) < 0.1, f"r={r}: E|S|^2 = {mean_square:.4f} = {d} +- 0.1")
+        )
+        for name in stats:
+            got = statistic(name, values, third)
+            checks.append(
+                (
+                    got <= tolerances[name],
+                    f"r={r} vs {d} {group} traces: {name} {got:.4f} <= {tolerances[name]:.4f}",
+                )
+            )
+    _report(9, "higher-rank Kloosterman grids vs Haar trace sums", started, 60.0, checks)

@@ -223,6 +223,17 @@ def test_sums_writes_csv_and_meta(tmp_path):
     assert meta["family"] == "additive" and meta["d"] == 3
 
 
+def test_klsums_high_rank_writes_finite_real_rows(tmp_path):
+    # sqrt(8089)^200 is far above the float range
+    out = tmp_path / "kl.csv"
+    assert main(["klsums", "--poly", "X^3-9X-1", "--prime", "8089", "--rank", "200",
+                 "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 8088
+    assert all(math.isfinite(float(re)) and im == "0.0" for _, re, im in rows)
+    assert max(abs(float(re)) for _, re, _ in rows) <= 3 * 200
+
+
 def test_figure_scatter_svg(tmp_path):
     csv = tmp_path / "grid.csv"
     svg = tmp_path / "grid.svg"
@@ -582,7 +593,7 @@ GRID_CSV = ["sums", "--poly", "X^3+X+3", "--prime", "30223", "--out", "g.csv"]
          ["-"], "0984479a99a9fcec0d5d44e4310d3afa1b436b4c05a64bda5c759d8b4f7212d0"),
         ([["klsums", "--poly", "X^3-9X-1", "--prime", "8089", "--mode", "translate",
            "--out", "kl.csv"]], ["kl.csv", "kl.json"],
-         "a8499a63644705958180b33998b2f5288c1e23af84ce21523c519a1ba27819e1"),
+         "49f552097edf82b8c14b1bc5bcf0de5c3e7190a78305421a1794391f83067a77"),
         ([["prime-sweep", "--poly", "X^2-2", "--limit", "3000"]], ["-"],
          "eb5f8d48a7aa3b2b63226158d62c39f4101339ab3b4365fc55ccf82e7daf6570"),
     ],

@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -284,7 +285,7 @@ def test_kl2_oracle_value():
 
 def test_kl2_real_and_weil_bound():
     table = kloosterman_table(2, 197)
-    assert np.abs(table[1:].imag).max() < 1e-12
+    assert (table.imag == 0).all()
     assert np.abs(table[1:]).max() <= 2.0 + 1e-9
 
 
@@ -321,7 +322,57 @@ def test_kl_table_is_read_only():
     with pytest.raises(ValueError):
         table[5] = 99
     assert kloosterman_table(2, 101)[5] == before
-    assert hyper_kloosterman(2, 5, 101) == before
+    # single r = 2 values are a direct sum, not a table read
+    assert abs(hyper_kloosterman(2, 5, 101) - before) < 1e-12
+
+
+def _kl2_fsum(a, q):
+    """Kl_2(a; q) from the definition, summed exactly rounded by math.fsum."""
+    terms = (math.cos(2 * math.pi * ((x + a * pow(x, -1, q)) % q) / q) for x in range(1, q))
+    return math.fsum(terms) / math.sqrt(q)
+
+
+# 10007 - 1 = 2 * 5003 has a large prime factor; 10369 - 1 = 2^7 * 3^4 is smooth
+@pytest.mark.parametrize("q", [10007, 10369])
+def test_kl2_single_value_matches_fsum_oracle(q):
+    for a in (1, 2, 5003, q - 1):
+        value = hyper_kloosterman(2, a, q)
+        assert value.imag == 0.0
+        assert abs(value.real - _kl2_fsum(a, q)) < 1e-12
+
+
+def test_kl2_single_value_does_not_depend_on_the_memo(monkeypatch):
+    q, a = 10007, 4321
+    monkeypatch.setattr(sums, "_KL_TABLES", {})
+    first = hyper_kloosterman(2, a, q)
+    assert sums._KL_TABLES == {}
+    kloosterman_table(2, q)
+    assert hyper_kloosterman(2, a, q) == first
+    sums._KL_TABLES.clear()
+    assert hyper_kloosterman(2, a, q) == first
+
+
+def test_kl2_single_value_builds_no_table_and_calls_no_fft(monkeypatch):
+    def spy(*args, **kwargs):
+        raise AssertionError("np.fft called")
+
+    monkeypatch.setattr(np.fft, "fft", spy)
+    monkeypatch.setattr(np.fft, "ifft", spy)
+    monkeypatch.setattr(sums, "_KL_TABLES", {})
+    for q in (101, 10007):
+        hyper_kloosterman(2, 17, q)
+    assert sums._KL_TABLES == {}
+
+
+def test_kl_table_high_rank_is_finite_and_obeys_parseval():
+    # the unnormalised r-th power of the spectrum overflows once sqrt(q)^r > 1.8e308
+    q, r = 8089, 200
+    table = kloosterman_table(r, q)
+    assert np.isfinite(table).all()
+    assert np.abs(table[1:]).max() <= r
+    # sum over a != 0 of |S_r(a)|^2 = ((q - 2) q^r + 1) / (q - 1), S_r = q^((r-1)/2) Kl_r
+    want = Fraction((q - 2) * q**r + 1, (q - 1) * q ** (r - 1))
+    assert abs(math.fsum(np.abs(table[1:]) ** 2) - float(want)) < 1e-12 * float(want)
 
 
 def test_kl_table_rejects_q_above_grid_cap():
@@ -345,7 +396,7 @@ def test_kl3_conjugation_symmetry():
 
 def test_kl4_via_table_is_real():
     table = kloosterman_table(4, 53)
-    assert np.abs(table[1:].imag).max() < 1e-9  # even rank: symplectic, real
+    assert (table.imag == 0).all()  # even rank: symplectic, real
 
 
 def test_hyper_kloosterman_range_checks():
@@ -367,7 +418,7 @@ def test_trace_grid_single_root_is_kl2():
     table = kloosterman_table(2, q)
     assert grid.excluded == (0,)
     assert np.allclose(grid.values, table[grid.params])
-    assert np.abs(grid.values.imag).max() < 1e-9
+    assert (grid.values.imag == 0).all()
 
 
 def test_trace_grid_weil_bound_and_reality():
@@ -375,7 +426,7 @@ def test_trace_grid_weil_bound_and_reality():
     q = find_split_primes(g, 1000, 1200)[0]
     grid = trace_sum_grid(g, q, r=2, mode="dilate")
     assert np.abs(grid.values).max() <= 2 * g.degree + 1e-9
-    assert np.abs(grid.values.imag).max() < 1e-9
+    assert (grid.values.imag == 0).all()
 
 
 def test_trace_grid_translate_excludes_negated_roots():
