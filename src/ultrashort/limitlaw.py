@@ -73,7 +73,9 @@ class TorusSubgroup:
     With U*A*V = S the constraint A.theta in Z^r becomes s_i psi_i in Z for
     psi = V^-1 theta, so Haar on H is: psi_i = j_i/s_i with j_i uniform in
     [0, s_i) on the r torsion coordinates, uniform angles on the d-r free
-    ones, then theta = V psi.
+    ones, then theta = V psi.  Every sampler of H reads theta from
+    _theta_blocks, block by block, so none holds a (count, d) array besides
+    its output, and each gives the bytes of one unblocked draw.
     """
 
     d: int
@@ -85,25 +87,73 @@ class TorusSubgroup:
     def free_coordinates(self) -> int:
         return self.d - len(self.invariant_factors)
 
-    def _theta(self, count: int, seed: int) -> np.ndarray:
-        """(count, d) matrix of unreduced angles theta = V psi: the one place
-        that draws psi, so every sampler of H uses the same stream."""
+    def _theta_blocks(self, count: int, seed: int):
+        """Yield (start, theta): the unreduced angles theta = V psi of rows
+        start, start + 1, ... in blocks of sums._BLOCK_ROWS rows.  This is the
+        one place that draws psi, so every sampler of H reads one stream, and
+        theta is reused by the next block.
+
+        The stream is read in the order of one unblocked draw: first each
+        torsion column integers(0, s_i, count), in coordinate order (held for
+        the whole run as the smallest unsigned integers that fit s_i - 1, and
+        divided by s_i as doubles per block, as numpy's integer true division
+        does), then the free coordinates row by row, so each block's
+        random((rows, d - r)) continues where the previous block stopped.
+        theta_j is psi_k * V_jk summed with numpy multiply and add in
+        ascending k over the nonzero V_jk: no BLAS and no fused multiply-add,
+        so theta is the IEEE left-to-right sum on every machine.  A skipped
+        term is an exact zero, which can change only the sign of a zero
+        theta_j, and the reduction mod 1 maps both zeros to +0.0.
+        """
         rng = philox_generator(seed, "torus")
-        r = len(self.invariant_factors)
-        psi = np.empty((count, self.d), dtype=np.float64)
-        for i, s in enumerate(self.invariant_factors):
-            psi[:, i] = rng.integers(0, s, size=count) / s
-        if self.d > r:
-            psi[:, r:] = rng.random((count, self.d - r))
-        return psi @ self.v_matrix.T
+        torsion = [
+            (rng.integers(0, s, size=count).astype(np.min_scalar_type(s - 1)), float(s))
+            for s in self.invariant_factors
+        ]
+        rows = min(count, sums._BLOCK_ROWS)
+        free = np.empty((rows, self.d - len(torsion)))
+        theta = np.empty((rows, self.d))
+        term = np.empty(rows)
+        for start in range(0, count, sums._BLOCK_ROWS):
+            n = min(rows, count - start)
+            psi = [np.divide(j[start : start + n], s) for j, s in torsion]
+            psi += list(rng.random(out=free[:n]).T)
+            t = theta[:n]
+            for col, v in zip(t.T, self.v_matrix):
+                first, *rest = np.flatnonzero(v)
+                np.multiply(psi[first], v[first], out=col)
+                for k in rest:
+                    col += np.multiply(psi[k], v[k], out=term[:n])
+            yield start, t
 
     def sample_angles(self, count: int, seed: int) -> np.ndarray:
         """(count, d) matrix of angles theta in [0,1)^d, Haar on H."""
-        return self._theta(count, seed) % 1.0
+        out = np.empty((count, self.d))
+        for start, theta in self._theta_blocks(count, seed):
+            np.remainder(theta, 1.0, out=out[start : start + len(theta)])
+        return out
 
     def sample(self, count: int, seed: int) -> np.ndarray:
         """(count, d) matrix of points z in H subset (S^1)^d."""
-        return np.exp(2j * np.pi * self.sample_angles(count, seed))
+        out = np.empty((count, self.d), dtype=np.complex128)
+        for start, theta in self._theta_blocks(count, seed):
+            _unit_points(theta, out[start : start + len(theta)])
+        return out
+
+
+def _unit_points(theta: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Fill z with exp(2*pi*i*(theta mod 1)) and return it.
+
+    The reduction theta - floor(theta), done in z.real, equals theta % 1.0
+    for every finite theta: numpy's remainder is fmod(theta, 1), which is
+    exact, plus 1 when that is negative, so both sides are one rounding of
+    the same real theta - floor(theta) (and +0.0 at integers).
+    """
+    np.floor(theta, out=z.real)
+    np.subtract(theta, z.real, out=z.real)
+    z.imag = 0.0
+    np.multiply(2j * np.pi, z, out=z)
+    return np.exp(z, out=z)
 
 
 def torus_subgroup(module: RelationModule) -> TorusSubgroup:
@@ -119,28 +169,19 @@ def torus_subgroup(module: RelationModule) -> TorusSubgroup:
 def sigma_samples(h: TorusSubgroup, count: int, seed: int) -> SampleBatch:
     """Draws of sigma(z) = z_1 + ... + z_d with z Haar on H.
 
-    Bit for bit h.sample(count, seed).sum(axis=1), streamed: after the one
-    product theta = V psi, each block of sums._BLOCK_ROWS rows is reduced,
-    multiplied by 2*pi*i, exponentiated and summed in one reused complex
-    (rows, d) buffer.  The reduction theta - floor(theta) equals theta % 1.0
-    for every finite theta: numpy's remainder is fmod(theta, 1), which is
-    exact, plus 1 when that is negative, so both sides are one rounding of
-    the same real theta - floor(theta) (and +0.0 at integers).
+    Bit for bit h.sample(count, seed).sum(axis=1), streamed: each theta block
+    of h._theta_blocks is reduced, multiplied by 2*pi*i, exponentiated and
+    summed in one reused complex (rows, d) buffer.  Besides the output, the
+    run holds the torsion columns (one byte a row for each invariant factor
+    up to 256) and a few block-sized arrays, whatever the count.
     """
     if count < 1:
         raise OutOfRangeParameter("count must be >= 1")
-    theta = h._theta(count, seed)
     out = np.empty(count, dtype=np.complex128)
     buf = np.empty((min(count, sums._BLOCK_ROWS), h.d), dtype=np.complex128)
-    for start in range(0, count, len(buf)):
-        t = theta[start : start + len(buf)]
-        z = buf[: len(t)]
-        np.floor(t, out=z.real)
-        np.subtract(t, z.real, out=z.real)
-        z.imag = 0.0
-        np.multiply(2j * np.pi, z, out=z)
-        np.exp(z, out=z)
-        z.sum(axis=1, out=out[start : start + len(t)])
+    for start, theta in h._theta_blocks(count, seed):
+        z = _unit_points(theta, buf[: len(theta)])
+        z.sum(axis=1, out=out[start : start + len(z)])
     return SampleBatch(out, seed, f"sigma[d={h.d},rank={h.relations.rank}]")
 
 
@@ -191,30 +232,34 @@ def exact_mixed_moment(module: RelationModule, m: int, n: int) -> int:
 # Sato-Tate and compact-group trace laws
 
 
-def _sato_tate(count: int, seed: int, index: int = 0) -> np.ndarray:
-    """Exact Sato-Tate draws 2*sqrt(U0)*cos(2*pi*U1) from the stream
-    (seed, "sato-tate", index).
+def _sato_tate(out: np.ndarray, seed: int, index: int = 0) -> np.ndarray:
+    """Fill out with exact Sato-Tate draws 2*sqrt(U0)*cos(2*pi*U1) from the
+    stream (seed, "sato-tate", index) and return it.
 
-    U0 and U1 are the two rows of one random((2, count)) draw, taken as two
-    consecutive random(count) calls (the same doubles) so that the result
-    owns its memory; the work is done in place.  Proof of the law: for U0,
-    U1 uniform on [0, 1), (sqrt(U0)*cos(2*pi*U1), sqrt(U0)*sin(2*pi*U1)) is
-    uniform on the unit disc (its radius has density 2r), so its first
-    coordinate x has density (2/pi)*sqrt(1 - x^2) on [-1, 1].  Then 2x has
-    density (1/pi)*sqrt(1 - t^2/4) on [-2, 2], the image of the density
+    U0 is one random(out=out) draw, square-rooted in place; U1 follows in
+    blocks of sums._BLOCK_ROWS, each drawn into one reused block array where
+    the previous block stopped, so U0 and U1 are the doubles of two
+    consecutive random(count) calls and each draw is the same double
+    whatever the block size.  Besides out, only that block array is held.
+    Proof of the law: for U0, U1 uniform on [0, 1), (sqrt(U0)*cos(2*pi*U1),
+    sqrt(U0)*sin(2*pi*U1)) is uniform on the unit disc (its radius has
+    density 2r), so its first coordinate x has density
+    (2/pi)*sqrt(1 - x^2) on [-1, 1].  Then 2x has density
+    (1/pi)*sqrt(1 - t^2/4) on [-2, 2], the image of the density
     (2/pi)*sin^2(theta) on [0, pi] under t = 2*cos(theta), which is the
     Sato-Tate law.  sqrt(U0) and |cos| are at most 1 after rounding and the
     doubling is exact, so every draw lies in [-2, 2].
     """
-    if count < 1:
-        raise OutOfRangeParameter("count must be >= 1")
     rng = philox_generator(seed, "sato-tate", index)
-    t = np.sqrt(rng.random(count))
-    angle = rng.random(count)
-    angle *= 2.0 * np.pi
-    t *= np.cos(angle, out=angle)
-    t *= 2.0
-    return t
+    np.sqrt(rng.random(out=out), out=out)
+    angle = np.empty(min(len(out), sums._BLOCK_ROWS))
+    for start in range(0, len(out), sums._BLOCK_ROWS):
+        t = out[start : start + len(angle)]
+        u = rng.random(out=angle[: len(t)])
+        u *= 2.0 * np.pi
+        t *= np.cos(u, out=u)
+        t *= 2.0
+    return out
 
 
 def sato_tate_samples(count: int, seed: int) -> SampleBatch:
@@ -222,22 +267,31 @@ def sato_tate_samples(count: int, seed: int) -> SampleBatch:
 
     Each draw is twice the first coordinate of a uniform point of the unit
     disc, 2*sqrt(U0)*cos(2*pi*U1) (see _sato_tate): exact, and a
-    deterministic function of the seeded stream.
+    deterministic function of the seeded stream.  The run holds the output
+    and one block of sums._BLOCK_ROWS angles.
     """
-    return SampleBatch(_sato_tate(count, seed), seed, "sato-tate")
+    if count < 1:
+        raise OutOfRangeParameter("count must be >= 1")
+    return SampleBatch(_sato_tate(np.empty(count), seed), seed, "sato-tate")
 
 
 def sato_tate_sum_samples(terms: int, count: int, seed: int) -> SampleBatch:
     """Draws of the sum of `terms` independent Sato-Tate variables.
 
     Term i is drawn as in sato_tate_samples from its own stream
-    (seed, "sato-tate", i), so terms=1 reproduces sato_tate_samples.
+    (seed, "sato-tate", i), so terms=1 reproduces sato_tate_samples.  Terms
+    1, 2, ... are drawn into one reused scratch array and added to term 0 in
+    that order, so the run holds the output, that count-sized scratch array
+    and one block of angles.
     """
     if terms < 1:
         raise OutOfRangeParameter("terms must be >= 1")
-    acc = _sato_tate(count, seed)
+    if count < 1:
+        raise OutOfRangeParameter("count must be >= 1")
+    acc = _sato_tate(np.empty(count), seed)
+    scratch = np.empty(count) if terms > 1 else None
     for i in range(1, terms):
-        acc += _sato_tate(count, seed, i)
+        acc += _sato_tate(scratch, seed, i)
     return SampleBatch(acc, seed, f"sato-tate-sum[{terms}]")
 
 
@@ -348,8 +402,15 @@ def involution_sum_samples(
 ) -> SampleBatch:
     """Draws of sum_x Tr(f(x)) when x -> -x pairs roots and forces
     f(-x) = conj(f(x)): each pair contributes Tr(M) + conj(Tr(M)) for one
-    Haar SU(r) class M, unpaired roots contribute independent classes."""
+    Haar SU(r) class M, unpaired roots contribute independent classes.
+
+    Only odd r: conj Kl_r(a) = Kl_r((-1)^r * a), so the pairing forces
+    conjugate values for odd r alone (Kl_2(1; 5) = 0.171 but
+    Kl_2(-1; 5) = 1.171), and even r raises OutOfRangeParameter.
+    """
     _check_rank_and_count(r, count)
+    if r % 2 == 0:
+        raise OutOfRangeParameter("the involution law needs odd rank")
     pairs = [(int(i), int(j)) for i, j in pairs]
     seen: set[int] = set()
     for i, j in pairs:

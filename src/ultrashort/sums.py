@@ -42,10 +42,12 @@ from .errors import (
 
 PARAM_SPACE_CAP = 1 << 26
 _ROWS_PER_WRITE = 1 << 16
-# Rows per block of the streaming statistics kernels (limitlaw.sigma_samples,
-# stats.binned_l1_2d, the stats moment kernel): each block's temporaries,
-# at most a few (rows, d) complex arrays, stay in cache, and no temporary
-# grows with the sample count or grid size.
+# Rows per block of the streaming samplers (the torus theta blocks behind
+# limitlaw.sigma_samples and TorusSubgroup.sample/sample_angles, the angles
+# of limitlaw._sato_tate) and statistics kernels (stats.binned_l1_2d, the
+# stats moment kernel): each block's temporaries, at most a few (rows, d)
+# complex arrays, stay in cache, and no temporary grows with the sample
+# count or grid size.
 _BLOCK_ROWS = 1 << 14
 
 

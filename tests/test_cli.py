@@ -296,8 +296,8 @@ def test_limit_unknown_law_lists_every_law(capsys):
     assert "inv:R" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("args", [["inv:0"], ["inv:-1"], ["inv:9"], ["inv:2", "--count", "-5"],
-                                  ["inv:2", "--count", "0"]])
+@pytest.mark.parametrize("args", [["inv:0"], ["inv:-1"], ["inv:9"], ["inv:3", "--count", "-5"],
+                                  ["inv:3", "--count", "0"], ["inv:2"], ["inv:4"]])
 def test_limit_involution_out_of_range_is_domain_error(args, capsys):
     assert main(["limit", "--poly", "X^4+1", "--law", *args]) == 1
     captured = capsys.readouterr()

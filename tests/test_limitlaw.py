@@ -217,25 +217,55 @@ def test_sigma_reduction_equals_mod_one(monkeypatch):
     t = theta.ravel()
     assert np.array_equal((t - np.floor(t)).view(np.int64), (t % 1.0).view(np.int64))
     h = torus_subgroup(_module(3, []))
-    monkeypatch.setattr(h, "_theta", lambda count, seed: theta)
+    blocks = ((start, theta[start : start + 64]) for start in range(0, len(theta), 64))
+    monkeypatch.setattr(h, "_theta_blocks", lambda count, seed: blocks)
     got = sigma_samples(h, len(theta), 0).samples
     want = np.exp(2j * np.pi * (theta % 1.0)).sum(axis=1)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_sigma_samples_hold_no_full_size_temporary():
-    """The traced peak of sigma_samples(h, 2^18, s) at d = 3 stays below its
-    output plus one (count, d) complex array (about 16 MiB); the unblocked
-    sampler peaked at 24.7 MiB, the blocked one at 12.7 MiB."""
-    h = torus_subgroup(additive_relations(IntPoly.parse("X^3+X+3")))
+    """The traced peak of sigma_samples(h, 2^18, s) at d = 3 and d = 5 stays
+    below its output plus 4 MiB: theta is drawn and summed block by block.
+    With theta = psi @ V.T over the whole count it peaked at 12.0 MiB (d = 3)
+    and 20.0 MiB (d = 5); with theta blocks, at 7.0 and 7.5 MiB."""
     count = 1 << 18
-    tracemalloc.start()
-    try:
-        batch = sigma_samples(h, count, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < batch.samples.nbytes + count * h.d * 16
+    for poly in ("X^3+X+3", "X^5-1"):
+        h = torus_subgroup(additive_relations(IntPoly.parse(poly)))
+        sigma_samples(h, 16, 3)  # one-time allocations of the first call
+        tracemalloc.start()
+        try:
+            batch = sigma_samples(h, count, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < batch.samples.nbytes + 4 * 2**20, (poly, peak)
+
+
+def test_theta_is_the_left_to_right_sum_on_every_machine(monkeypatch):
+    """sample_angles is theta_j = sum_k psi_k * V_jk added in ascending k in
+    Python floats, reduced mod 1, bit for bit: V has entries 2, 3 and 4,
+    whose products round, so a fused multiply-add or another summation order
+    (a BLAS product) changes about 2% of the angles."""
+    monkeypatch.setattr(sums, "_BLOCK_ROWS", 64)
+    h = torus_subgroup(_module(4, [[1, 2, 3, 4]]))
+    assert {2.0, 3.0, 4.0} <= set(np.abs(h.v_matrix).ravel())
+    count, seed = 20000, 5
+    rng = philox_generator(seed, "torus")
+    r = len(h.invariant_factors)
+    torsion = [(rng.integers(0, s, size=count) / s).tolist() for s in h.invariant_factors]
+    free = rng.random((count, h.d - r)).tolist()
+    v = h.v_matrix.tolist()
+    want = []
+    for n in range(count):
+        psi = [col[n] for col in torsion] + free[n]
+        for row in v:
+            acc = psi[0] * row[0]
+            for k in range(1, h.d):
+                acc += psi[k] * row[k]
+            want.append(acc % 1.0)
+    got = h.sample_angles(count, seed)
+    assert np.array_equal(got.ravel().view(np.int64), np.array(want).view(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -339,15 +369,48 @@ def test_sato_tate_moments_and_support():
 
 def test_sato_tate_sum_holds_no_gaussian_scratch():
     """The traced peak of sato_tate_sum_samples(3, 10^6, s) stays at most
-    48 MB: the Gaussian sampler peaked at 91.6 MB, the disc one holds the
-    sum and one term's two uniform rows (24 MB)."""
+    17 MB: the sum, one reused scratch term and one block of angles.  The
+    Gaussian sampler peaked at 91.6 MB, the disc one with a count-sized
+    angle row per term at 24 MB."""
     tracemalloc.start()
     try:
         sato_tate_sum_samples(3, 10**6, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 48 * 10**6
+    assert peak <= 17 * 10**6
+
+
+def test_sato_tate_samples_hold_one_block_of_angles():
+    """The traced peak of sato_tate_samples(10^6, s) stays at most 9 MB: the
+    output and one block of angles (16 MB with a count-sized angle row)."""
+    tracemalloc.start()
+    try:
+        sato_tate_samples(10**6, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 10**6
+
+
+@pytest.mark.parametrize(
+    "terms, digest",
+    [(None, "d4863668e843b1e3cd827559f66c69ce55ed9b71e6595e7f6b61176eed7d9fb0"),
+     (3, "b8319c3c19045799da9a2aa4b7626fba13bbb1ab03b89ef447df8c23add06e5e")],
+    ids=["st", "st-sum-3"],
+)
+def test_sato_tate_blocks_are_bitwise_unblocked(terms, digest, monkeypatch):
+    """With 64-row blocks, counts of one row, a partial block, one block,
+    one block and a row, and several blocks give the bytes of the unblocked
+    sampler (digests taken from two whole random(count) rows per term)."""
+    monkeypatch.setattr(sums, "_BLOCK_ROWS", 64)
+    counts = (1, 63, 64, 65, 3 * 64 + 7)
+    if terms is None:
+        batches = [sato_tate_samples(count, 11) for count in counts]
+    else:
+        batches = [sato_tate_sum_samples(terms, count, 11) for count in counts]
+    blob = b"".join(b.samples.tobytes() for b in batches)
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_sato_tate_deterministic():
@@ -400,8 +463,8 @@ def test_su_matrices_have_unit_determinant_effect():
 def test_su2_traces_are_exactly_real():
     t = haar_trace_samples(("SU", 2), 100000, 4).samples
     assert np.all(t.imag == 0) and not np.signbit(t.imag).any()
-    inv = involution_sum_samples(3, [(0, 2)], 2, 1000, 4).samples
-    assert np.all(inv.imag == 0)
+    with pytest.raises(OutOfRangeParameter):  # the pairing forces conjugates for odd r only
+        involution_sum_samples(3, [(0, 2)], 2, 1000, 4)
 
 
 def _cmv_matrix(alpha):
@@ -552,7 +615,9 @@ def test_involution_invalid_pairings():
         involution_sum_samples(2, [(0, 5)], 3, 10, 1)
 
 
-@pytest.mark.parametrize("r, count", [(0, 10), (-1, 10), (9, 10), (2, 0), (2, -5)])
+@pytest.mark.parametrize(
+    "r, count", [(0, 10), (-1, 10), (9, 10), (2, 0), (2, -5), (2, 10), (4, 10), (3, 0), (3, -5)]
+)
 def test_involution_rejects_bad_rank_and_count(r, count):
     with pytest.raises(OutOfRangeParameter):
         involution_sum_samples(2, [(0, 1)], r, count, 1)
