@@ -9,12 +9,12 @@ stderr.  A JSON config file can pre-set any flag; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
 import os
 import sys
-import tempfile
 import warnings
 
 import numpy as np
@@ -35,10 +35,20 @@ DEFAULT_CACHE_DIR = ".ultrashort-cache"
 CACHE_VERSION = 1
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report an OSError from creating or writing the artifact `path` as a
+    usage error naming it, as a missing input file is."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"{path}: {exc.strerror}") from None
+
+
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2)
     if out:
-        with open(out, "w") as fh:
+        with _writing(out), sums.replacing(out) as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -107,18 +117,12 @@ def cache_get(directory: str, key: str):
 
 
 def cache_put(directory: str, key: str, module) -> None:
-    """Write through a temp file in the same directory, then rename it into
-    place, so a reader never sees a half-written entry."""
+    """Write the entry through sums.replacing, so a reader never sees a
+    half-written entry."""
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=key + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(module.to_json_dict(), fh, indent=2)
-            fh.write("\n")
-        os.replace(tmp, os.path.join(directory, key + ".json"))
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with sums.replacing(os.path.join(directory, key + ".json")) as fh:
+        json.dump(module.to_json_dict(), fh, indent=2)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +199,10 @@ def cmd_index(args) -> int:
 
 def _write_grid(grid, out: str | None) -> None:
     if out:
-        grid.write_csv(out)
+        with _writing(out):
+            grid.write_csv(out)
         meta_path = os.path.splitext(out)[0] + ".json"
-        with open(meta_path, "w") as fh:
+        with _writing(meta_path), sums.replacing(meta_path) as fh:
             json.dump(grid.to_json_dict(), fh, indent=2)
             fh.write("\n")
     else:
@@ -261,7 +266,8 @@ def cmd_limit(args) -> int:
     else:
         raise UsageError(f"unknown law {law!r} (sigma | st | st-sum:K | su:R | usp:R | inv:R)")
     if args.out:
-        batch.write_csv(args.out)
+        with _writing(args.out):
+            batch.write_csv(args.out)
     else:
         sums.write_columns(sys.stdout, "", batch.samples.real, batch.samples.imag)
     return 0
@@ -331,7 +337,7 @@ def cmd_prime_sweep(args) -> int:
         zs[i] = sum(np.exp(2j * np.pi * ((args.a * r) % q) / q) for r in rl.roots)
     cols = (np.array(qs, dtype=np.int64), zs.real, zs.imag)
     if args.out:
-        with open(args.out, "w") as fh:
+        with _writing(args.out), sums.replacing(args.out) as fh:
             sums.write_columns(fh, "p,re,im\n", *cols)
     else:
         sums.write_columns(sys.stdout, "", *cols)
@@ -459,7 +465,7 @@ def cmd_figure(args) -> int:
     else:
         svg = render_histogram_svg(values, bound, args.bins)
     out = args.out or (os.path.splitext(args.input)[0] + ".svg")
-    with open(out, "w") as fh:
+    with _writing(out), sums.replacing(out) as fh:
         fh.write(svg)
     return 0
 

@@ -43,7 +43,7 @@ class SampleBatch:
     def write_csv(self, path) -> None:
         """`re,im` rows through the columnar sums.write_columns; a real batch
         (the Sato-Tate and USp laws) writes its zero imaginary column as 0.0."""
-        with open(path, "w") as fh:
+        with sums.replacing(path) as fh:
             write_columns(fh, "re,im\n", self.samples.real, self.samples.imag)
 
 
@@ -94,7 +94,8 @@ class TorusSubgroup:
         theta is reused by the next block.
 
         The stream is read in the order of one unblocked draw: first each
-        torsion column integers(0, s_i, count), in coordinate order (held for
+        torsion column integers(0, s_i, count), in coordinate order (drawn as
+        int64 in blocks, which continue the stream bit for bit, and held for
         the whole run as the smallest unsigned integers that fit s_i - 1, and
         divided by s_i as doubles per block, as numpy's integer true division
         does), then the free coordinates row by row, so each block's
@@ -106,11 +107,14 @@ class TorusSubgroup:
         theta_j, and the reduction mod 1 maps both zeros to +0.0.
         """
         rng = philox_generator(seed, "torus")
-        torsion = [
-            (rng.integers(0, s, size=count).astype(np.min_scalar_type(s - 1)), float(s))
-            for s in self.invariant_factors
-        ]
         rows = min(count, sums._BLOCK_ROWS)
+        torsion = []
+        for s in self.invariant_factors:
+            j = np.empty(count, dtype=np.min_scalar_type(s - 1))
+            for start in range(0, count, sums._BLOCK_ROWS):
+                block = j[start : start + sums._BLOCK_ROWS]
+                block[:] = rng.integers(0, s, size=len(block))
+            torsion.append((j, float(s)))
         free = np.empty((rows, self.d - len(torsion)))
         theta = np.empty((rows, self.d))
         term = np.empty(rows)

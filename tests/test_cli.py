@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import ultrashort
+from ultrashort import sums
 from ultrashort.cli import CACHE_ENV, _read_csv, main
 from ultrashort.limitlaw import sato_tate_sum_samples
 from ultrashort.sums import additive_sum_grid
@@ -347,14 +349,25 @@ def test_read_csv_reads_what_float_reads(text, want, tmp_path):
 def test_readme_file_pipeline_runs(tmp_path, monkeypatch):
     """The README's file-writing commands run end to end, at small counts:
     `sums --out` and each `limit --out`, each CSV then through `figure`, and
-    the CSVs read back bit for bit."""
-    import shlex
-
+    the CSVs read back bit for bit.  A second run in the same directory
+    rewrites every CSV, JSON and SVG file with the same bytes and leaves no
+    temp file."""
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme) as fh:
         lines = [line for line in fh if line.startswith(("ultrashort sums", "ultrashort limit"))]
     assert len(lines) == 3
     monkeypatch.chdir(tmp_path)
+    runs = [_run_readme_lines(lines, tmp_path) for _ in range(2)]
+    assert {p.suffix for p in runs[0]} >= {".csv", ".json", ".svg"}
+    assert runs[1] == runs[0]
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def _run_readme_lines(lines, tmp_path) -> dict:
+    """Run the README command lines in tmp_path and check their outputs;
+    return the bytes of every file there by relative path."""
+    import shlex
+
     for line in lines:
         argv = shlex.split(line, comments=True)[1:]
         if "--count" in argv:
@@ -374,6 +387,7 @@ def test_readme_file_pipeline_runs(tmp_path, monkeypatch):
             assert np.array_equal(values, want) and "<circle" not in svg
         else:
             assert svg.count("<circle") == len(values)
+    return {p.relative_to(tmp_path): p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
 
 
 def test_moments_negative_max_order_is_domain_error(tmp_path, capsys):
@@ -609,3 +623,136 @@ def test_written_bytes_are_pinned(steps, outputs, digest, tmp_path, monkeypatch,
     stdout = capsys.readouterr().out.encode()
     blob = b"".join(stdout if name == "-" else (tmp_path / name).read_bytes() for name in outputs)
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# every artifact is written as a new file and renamed into place
+
+WRITERS = {
+    "roots": ["roots", "--poly", "X^3+X+3", "--prime", "31"],
+    "sums": ["sums", "--poly", "X^3-1", "--prime", "7"],
+    "limit": ["limit", "--law", "st", "--count", "100", "--seed", "1"],
+    "prime-sweep": ["prime-sweep", "--poly", "X^2-2", "--limit", "300"],
+    "figure": ["figure", "in.csv"],
+}
+
+
+def _writer_argv(name, tmp_path, out):
+    argv = list(WRITERS[name])
+    if name == "figure":
+        (tmp_path / "in.csv").write_text("re,im\n0.5,0.25\n-1.0,2.0\n")
+        argv[1] = str(tmp_path / "in.csv")
+    return argv + ["--out", str(out)]
+
+
+@pytest.mark.parametrize("name", list(WRITERS))
+def test_out_in_a_missing_directory_is_usage_error(name, tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "x.out"
+    assert main(_writer_argv(name, tmp_path, out)) == 2
+    assert f"usage error: {out}: No such file or directory" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("name", list(WRITERS))
+def test_a_failed_write_is_usage_error_and_keeps_the_old_file(name, tmp_path):
+    """With the file size limit at 16 bytes (and SIGXFSZ ignored), writing
+    the artifact fails with EFBIG: the command exits 2 naming the path, the
+    old file keeps its bytes and no temp file is left."""
+    out = tmp_path / "x.out"
+    out.write_bytes(b"old bytes\n")
+    code = (
+        "import resource, signal, sys; signal.signal(signal.SIGXFSZ, signal.SIG_IGN); "
+        "resource.setrlimit(resource.RLIMIT_FSIZE, (16, 16)); "
+        "from ultrashort.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    src = os.path.dirname(os.path.dirname(ultrashort.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *_writer_argv(name, tmp_path, out)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert f"usage error: {out}: File too large" in proc.stderr
+    assert out.read_bytes() == b"old bytes\n"
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_rerun_gives_a_new_file_and_an_open_reader_keeps_the_old_one(tmp_path):
+    out = tmp_path / "grid.csv"
+    assert main(["sums", "--poly", "X^3-1", "--prime", "7", "--out", str(out)]) == 0
+    old, old_ino = out.read_bytes(), out.stat().st_ino
+    with open(out, "rb") as reader:
+        assert main(["sums", "--poly", "X^3-1", "--prime", "13", "--out", str(out)]) == 0
+        assert reader.read() == old
+    new = out.read_bytes()
+    assert new != old and new.count(b"\n") == 14
+    assert out.stat().st_ino != old_ino
+
+
+def test_interrupted_write_leaves_the_old_file(tmp_path, monkeypatch):
+    out = tmp_path / "grid.csv"
+    assert main(["sums", "--poly", "X^3-1", "--prime", "13", "--out", str(out)]) == 0
+    old = out.read_bytes()
+    write_columns = sums.write_columns
+
+    def half_then_interrupt(fh, header, *cols):
+        write_columns(fh, header, *(c[: len(c) // 2] for c in cols))
+        fh.flush()
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(sums, "write_columns", half_then_interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["sums", "--poly", "X^3-1", "--prime", "7", "--out", str(out)])
+    assert out.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.csv", "grid.json"]
+
+
+def test_symlinked_out_stays_a_symlink(tmp_path):
+    argv = ["limit", "--law", "st", "--count", "300", "--seed", "2", "--out"]
+    assert main(argv + [str(tmp_path / "want.csv")]) == 0
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    link.symlink_to(target.name)
+    assert main(argv + [str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_fifo_out_is_written_in_place(tmp_path):
+    import threading
+
+    argv = ["prime-sweep", "--poly", "X^2-2", "--limit", "3000", "--out"]
+    assert main(argv + [str(tmp_path / "want.csv")]) == 0
+    fifo = tmp_path / "fifo.csv"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(argv + [str(fifo)]) == 0
+    reader.join(30)
+    assert got == [(tmp_path / "want.csv").read_bytes()]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
+def test_new_files_take_the_umask_and_rewrites_keep_the_mode(tmp_path):
+    from ultrashort.cli import cache_put
+
+    class Module:
+        def to_json_dict(self):
+            return {"d": 1}
+
+    argv = ["roots", "--poly", "X^2-2", "--prime", "7", "--out"]
+    umask = os.umask(0o027)
+    try:
+        assert main(argv + [str(tmp_path / "new.json")]) == 0
+        cache_put(str(tmp_path / "cache"), "k", Module())
+        kept = tmp_path / "kept.json"
+        kept.write_text("old\n")
+        kept.chmod(0o600)
+        assert main(argv + [str(kept)]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE((tmp_path / "new.json").stat().st_mode) == 0o640
+    assert stat.S_IMODE((tmp_path / "cache" / "k.json").stat().st_mode) == 0o640
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o600
+    assert kept.read_bytes() == (tmp_path / "new.json").read_bytes()

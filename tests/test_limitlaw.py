@@ -226,9 +226,13 @@ def test_sigma_reduction_equals_mod_one(monkeypatch):
 
 def test_sigma_samples_hold_no_full_size_temporary():
     """The traced peak of sigma_samples(h, 2^18, s) at d = 3 and d = 5 stays
-    below its output plus 4 MiB: theta is drawn and summed block by block.
+    below its output, one byte a row for each torsion column, the block
+    arrays (32 d + 40 bytes a row: the complex buffer, theta, the free
+    coordinates, psi, the term and one int64 torsion draw) and 256 KiB.
     With theta = psi @ V.T over the whole count it peaked at 12.0 MiB (d = 3)
-    and 20.0 MiB (d = 5); with theta blocks, at 7.0 and 7.5 MiB."""
+    and 20.0 MiB (d = 5); with theta blocks but each torsion column drawn
+    whole as int64, at 7.0 and 7.5 MiB; with the torsion columns drawn in
+    blocks too, at 6.07 and 7.07 MiB."""
     count = 1 << 18
     for poly in ("X^3+X+3", "X^5-1"):
         h = torus_subgroup(additive_relations(IntPoly.parse(poly)))
@@ -239,7 +243,25 @@ def test_sigma_samples_hold_no_full_size_temporary():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < batch.samples.nbytes + 4 * 2**20, (poly, peak)
+        bound = (batch.samples.nbytes + count * len(h.invariant_factors)
+                 + sums._BLOCK_ROWS * (32 * h.d + 40) + 2**18)
+        assert peak < bound, (poly, peak, bound)
+
+
+@pytest.mark.parametrize("s", [2, 3, 5, 7, 255, 256, 1000, 65537, 2**31 + 11])
+def test_blocked_integer_draws_continue_the_stream(s):
+    """integers(0, s, n) drawn in blocks (of 64 rows, the last one short)
+    gives the int64 values of one unblocked call, and the random() draws
+    after it are the same doubles, so _theta_blocks may draw its torsion
+    columns block by block."""
+    count = 1000
+    whole = philox_generator(9, "torus")
+    want = whole.integers(0, s, size=count)
+    blocked = philox_generator(9, "torus")
+    got = np.concatenate([blocked.integers(0, s, size=min(64, count - i))
+                          for i in range(0, count, 64)])
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert blocked.random(99).tolist() == whole.random(99).tolist()
 
 
 def test_theta_is_the_left_to_right_sum_on_every_machine(monkeypatch):
