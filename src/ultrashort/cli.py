@@ -75,8 +75,10 @@ def _int_list(flag: str, text: str, sep: str = ",") -> list[int]:
 
 
 def _alpha_list(text: str) -> list[list[int]]:
-    chunks = [chunk.strip() for chunk in text.split(";")]
-    return [_int_list("--alpha", chunk) for chunk in chunks if chunk]
+    alphas = [_int_list("--alpha", chunk) for chunk in text.split(";") if chunk.strip()]
+    if not alphas:
+        raise UsageError(f"--alpha {text!r} names no vector")
+    return alphas
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +120,15 @@ def cache_get(directory: str, key: str):
 
 def cache_put(directory: str, key: str, module) -> None:
     """Write the entry through sums.replacing, so a reader never sees a
-    half-written entry."""
-    os.makedirs(directory, exist_ok=True)
-    with sums.replacing(os.path.join(directory, key + ".json")) as fh:
-        json.dump(module.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+    half-written entry; a failed write only warns, as cache_get does."""
+    path = os.path.join(directory, key + ".json")
+    try:
+        os.makedirs(directory, exist_ok=True)
+        with sums.replacing(path) as fh:
+            json.dump(module.to_json_dict(), fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        print(f"warning: cannot write cache entry {path}: {exc.strerror}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -236,9 +236,10 @@ def exact_mixed_moment(module: RelationModule, m: int, n: int) -> int:
 # Sato-Tate and compact-group trace laws
 
 
-def _sato_tate(out: np.ndarray, seed: int, index: int = 0) -> np.ndarray:
-    """Fill out with exact Sato-Tate draws 2*sqrt(U0)*cos(2*pi*U1) from the
-    stream (seed, "sato-tate", index) and return it.
+def _sato_tate(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Fill out with exact Sato-Tate draws 2*sqrt(U0)*cos(2*pi*U1) from rng
+    and return it.  The one Sato-Tate construction: sato_tate_sum_samples
+    (st, st-sum:K) and haar_trace_samples at rank 2 (su:2, usp:2) call it.
 
     U0 is one random(out=out) draw, square-rooted in place; U1 follows in
     blocks of sums._BLOCK_ROWS, each drawn into one reused block array where
@@ -251,10 +252,10 @@ def _sato_tate(out: np.ndarray, seed: int, index: int = 0) -> np.ndarray:
     (2/pi)*sqrt(1 - x^2) on [-1, 1].  Then 2x has density
     (1/pi)*sqrt(1 - t^2/4) on [-2, 2], the image of the density
     (2/pi)*sin^2(theta) on [0, pi] under t = 2*cos(theta), which is the
-    Sato-Tate law.  sqrt(U0) and |cos| are at most 1 after rounding and the
-    doubling is exact, so every draw lies in [-2, 2].
+    Sato-Tate law, that of the trace of a Haar SU(2) = USp(2) matrix.
+    sqrt(U0) and |cos| are at most 1 after rounding and the doubling is
+    exact, so every draw lies in [-2, 2].
     """
-    rng = philox_generator(seed, "sato-tate", index)
     np.sqrt(rng.random(out=out), out=out)
     angle = np.empty(min(len(out), sums._BLOCK_ROWS))
     for start in range(0, len(out), sums._BLOCK_ROWS):
@@ -267,35 +268,27 @@ def _sato_tate(out: np.ndarray, seed: int, index: int = 0) -> np.ndarray:
 
 
 def sato_tate_samples(count: int, seed: int) -> SampleBatch:
-    """Draws of 2*cos(theta) with density (2/pi) sin^2(theta) on [0, pi].
-
-    Each draw is twice the first coordinate of a uniform point of the unit
-    disc, 2*sqrt(U0)*cos(2*pi*U1) (see _sato_tate): exact, and a
-    deterministic function of the seeded stream.  The run holds the output
-    and one block of sums._BLOCK_ROWS angles.
-    """
-    if count < 1:
-        raise OutOfRangeParameter("count must be >= 1")
-    return SampleBatch(_sato_tate(np.empty(count), seed), seed, "sato-tate")
+    """Draws of 2*cos(theta) with density (2/pi) sin^2(theta) on [0, pi]:
+    the bytes of sato_tate_sum_samples(1, count, seed)."""
+    return replace(sato_tate_sum_samples(1, count, seed), law="sato-tate")
 
 
 def sato_tate_sum_samples(terms: int, count: int, seed: int) -> SampleBatch:
     """Draws of the sum of `terms` independent Sato-Tate variables.
 
-    Term i is drawn as in sato_tate_samples from its own stream
-    (seed, "sato-tate", i), so terms=1 reproduces sato_tate_samples.  Terms
-    1, 2, ... are drawn into one reused scratch array and added to term 0 in
-    that order, so the run holds the output, that count-sized scratch array
-    and one block of angles.
+    Term i is drawn by _sato_tate from its own stream (seed, "sato-tate", i).
+    Terms 1, 2, ... are drawn into one reused scratch array and added to
+    term 0 in that order, so the run holds the output, that count-sized
+    scratch array and one block of angles.
     """
     if terms < 1:
         raise OutOfRangeParameter("terms must be >= 1")
     if count < 1:
         raise OutOfRangeParameter("count must be >= 1")
-    acc = _sato_tate(np.empty(count), seed)
+    acc = _sato_tate(np.empty(count), philox_generator(seed, "sato-tate"))
     scratch = np.empty(count) if terms > 1 else None
     for i in range(1, terms):
-        acc += _sato_tate(scratch, seed, i)
+        acc += _sato_tate(scratch, philox_generator(seed, "sato-tate", i))
     return SampleBatch(acc, seed, f"sato-tate-sum[{terms}]")
 
 
@@ -349,8 +342,8 @@ def _su_traces(r: int, count: int, rng) -> np.ndarray:
     (principal branch) has determinant 1 and a law invariant under U -> SU
     for S in SU(r) (same determinant), so it is Haar on SU(r).
 
-    SU(1) = {1}, and an SU(2) trace 2 cos(theta) is real, so for r <= 2 the
-    rounding noise of the formula is dropped: traces 1 + 0j, and real + 0j.
+    SU(1) = {1} gives traces 1 + 0j.  Rank 2 never comes here: its traces
+    are real and haar_trace_samples draws them with _sato_tate.
     """
     if r == 1:
         return np.ones(count, dtype=np.complex128)
@@ -359,8 +352,7 @@ def _su_traces(r: int, count: int, rng) -> np.ndarray:
     alpha = np.exp(2j * np.pi * rng.random((r, count)))
     alpha[:-1] *= modulus
     det = (-1) ** (r - 1) * np.conj(alpha[-1])
-    trace = _cmv_trace(alpha) * np.exp(-np.log(det) / r)
-    return trace.real + 0j if r == 2 else trace
+    return _cmv_trace(alpha) * np.exp(-np.log(det) / r)
 
 
 def _usp_verblunsky(r: int, count: int, rng) -> np.ndarray:
@@ -375,7 +367,7 @@ def _usp_verblunsky(r: int, count: int, rng) -> np.ndarray:
     density prod_{j<k} |x_j - x_k|^2 prod_j (4 - x_j^2)^(1/2): the USp(2n)
     Weyl density prod (cos theta_j - cos theta_k)^2 prod sin^2 theta_j after
     dx = -2 sin theta dtheta.  So Tr C = sum_j 2 cos theta_j is the USp(r)
-    trace; for n = 1 it is 2*a_0, a_0 ~ B(3/2, 3/2): Sato-Tate.
+    trace.  haar_trace_samples calls this for r >= 4 only.
     """
     alpha = np.full((r, count), -1.0)
     for k in range(r - 1):
@@ -387,16 +379,19 @@ def _usp_verblunsky(r: int, count: int, rng) -> np.ndarray:
 def haar_trace_samples(group, count: int, seed: int) -> SampleBatch:
     """Draws of Tr(M) for M Haar on SU(r) or USp(r even), r <= 8: the laws of
     rank-r Kloosterman sums, USp(r) for even r and SU(r) for odd r (Katz,
-    Gauss Sums, Kloosterman Sums, and Monodromy Groups, 1988).  Each draw is
-    a CMV trace; USp traces are float64."""
+    Gauss Sums, Kloosterman Sums, and Monodromy Groups, 1988).  SU(2) =
+    USp(2): rank 2 of either group is drawn by _sato_tate, and every other
+    rank is a CMV trace.  Traces are float64, but complex for SU(r != 2)."""
     name, r = _parse_group(group)
     _check_rank_and_count(r, count)
+    if name == "USp" and r % 2:
+        raise OutOfRangeParameter("USp needs even rank")
     rng = philox_generator(seed, f"haar-{name}{r}")
-    if name == "SU":
+    if r == 2:
+        traces = _sato_tate(np.empty(count), rng)
+    elif name == "SU":
         traces = _su_traces(r, count, rng)
     else:
-        if r % 2:
-            raise OutOfRangeParameter("USp needs even rank")
         traces = _cmv_trace(_usp_verblunsky(r, count, rng))
     return SampleBatch(traces, seed, f"{name}({r})-trace")
 
@@ -425,11 +420,9 @@ def involution_sum_samples(
         seen.update((i, j))
     unpaired = [i for i in range(d) if i not in seen]
     total = np.zeros(count, dtype=np.complex128)
-    for k, _ in enumerate(pairs):
-        rng = philox_generator(seed, "involution-pair", k)
-        t = _su_traces(r, count, rng)
+    for k in range(len(pairs)):
+        t = _su_traces(r, count, philox_generator(seed, "involution-pair", k))
         total += t + np.conj(t)
-    for k, _ in enumerate(unpaired):
-        rng = philox_generator(seed, "involution-single", k)
-        total += _su_traces(r, count, rng)
+    for k in range(len(unpaired)):
+        total += _su_traces(r, count, philox_generator(seed, "involution-single", k))
     return SampleBatch(total, seed, f"involution[d={d},pairs={len(pairs)},r={r}]")

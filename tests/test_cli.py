@@ -131,6 +131,25 @@ def test_cache_put_leaves_no_temp_file(tmp_path):
     assert json.loads((cache / "k.json").read_text())["kind"] == "additive"
 
 
+def test_a_failed_cache_write_warns_and_prints_the_module(tmp_path, capsys):
+    """With the cache directory under a regular file, the entry cannot be
+    written: the command warns naming the entry and prints the module."""
+    from ultrashort.arith import IntPoly
+    from ultrashort.cli import _cache_key
+
+    (tmp_path / "F").write_text("")
+    base = ["relations", "--poly", "X^3+X+3"]
+    assert main(base + ["--no-cache"]) == 0
+    want = capsys.readouterr().out
+    assert main(base + ["--cache-dir", str(tmp_path / "F" / "cache")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == want
+    key = _cache_key(IntPoly.parse("X^3+X+3"), "additive", None, None, 64, 6)
+    entry = tmp_path / "F" / "cache" / (key + ".json")
+    assert f"warning: cannot write cache entry {entry}: Not a directory" in captured.err
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_degree_bound_below_one_is_domain_error(capsys):
     assert main(["relations", "--poly", "X^3+X+3", "--degree-bound", "-2",
                  "--no-cache"]) == 1
@@ -520,11 +539,15 @@ def test_usage_error_exit_codes(capsys):
         (["figure", "real.csv", "--range", "-1"], "--range"),
         (["weylcheck", "--poly", "X^3+X+3", "--alpha", "1,1,1",
           "--prime-range", "30000:31000:-1"], "--prime-range"),
+        (["weylcheck", "--poly", "X^3+X+3", "--alpha", ";", "--primes", "11"], "--alpha"),
+        (["condition", "--poly", "X^3+X+3", "--prime", "30223", "--descriptor", "full",
+          "--alpha", " ; "], "--alpha"),
     ],
     ids=["poly-dangling-sign", "poly-not-monic", "poly-not-separable", "v-dangling-sign",
          "alpha-not-int", "prime-range-two-fields", "exponents-not-int", "config-last",
          "config-missing-file", "config-json-list", "figure-missing-file", "figure-zero-bins",
-         "figure-negative-range", "prime-range-negative-count"],
+         "figure-negative-range", "prime-range-negative-count", "weylcheck-alpha-no-vector",
+         "condition-alpha-no-vector"],
 )
 def test_malformed_flag_text_is_usage_error(argv, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -597,7 +620,7 @@ GRID_CSV = ["sums", "--poly", "X^3+X+3", "--prime", "30223", "--out", "g.csv"]
          "1209b85fd4156e36079912587429a0fc1f1069bc86db013abe1eb7c90010a633"),
         ([["limit", "--law", "usp:2", "--count", "3000", "--seed", "2", "--out", "usp.csv"]],
          ["usp.csv"],
-         "04321b86db52ad5930c55e2647bad5ff8e4c420399e346655f99742a5ce4ab35"),
+         "8539280e1b98f394cb6bec7e27c81f080ffdd5864b4b122a9bcd88f2574fc19b"),
         ([["limit", "--law", "sigma", "--poly", "X^3+X+3", "--count", "20000", "--seed", "1",
            "--out", "sig.csv"]], ["sig.csv"],
          "a409af0bc677f850e4932e64719d46372f8def81665c6d2ff082f36888002ba9"),

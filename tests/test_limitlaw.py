@@ -16,6 +16,7 @@ from ultrashort.limitlaw import (
     MomentTable,
     SampleBatch,
     _cmv_trace,
+    _sato_tate,
     exact_mixed_moment,
     haar_trace_samples,
     involution_sum_samples,
@@ -403,12 +404,20 @@ def test_sato_tate_sum_holds_no_gaussian_scratch():
     assert peak <= 17 * 10**6
 
 
-def test_sato_tate_samples_hold_one_block_of_angles():
-    """The traced peak of sato_tate_samples(10^6, s) stays at most 9 MB: the
-    output and one block of angles (16 MB with a count-sized angle row)."""
+@pytest.mark.parametrize(
+    "draw",
+    [lambda n: sato_tate_samples(n, 5), lambda n: haar_trace_samples(("SU", 2), n, 5),
+     lambda n: haar_trace_samples(("USp", 2), n, 5)],
+    ids=["st", "su2", "usp2"],
+)
+def test_sato_tate_samples_hold_one_block_of_angles(draw):
+    """The traced peak of 10^6 Sato-Tate draws, as st or as rank-2 Haar
+    traces, stays at most 9 MB: the output and one block of angles (16 MB
+    with a count-sized angle row; 40 MB and 104 MB for the beta and CMV
+    rank-2 draws)."""
     tracemalloc.start()
     try:
-        sato_tate_samples(10**6, 5)
+        draw(10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -468,6 +477,16 @@ def test_usp2_matches_sato_tate():
     assert np.abs(usp.samples.imag).max() < 1e-12
     st = sato_tate_samples(100000, 6)
     assert ks_distance(usp.samples.real, st.samples) <= 0.01
+
+
+@pytest.mark.parametrize("name", ["SU", "USp"])
+def test_rank_two_haar_traces_are_the_sato_tate_sampler(name):
+    """SU(2) = USp(2): rank 2 of either group is _sato_tate on the group's
+    own stream, float64 and bit for bit."""
+    n = 1000
+    t = haar_trace_samples((name, 2), n, 8).samples
+    want = _sato_tate(np.empty(n), philox_generator(8, f"haar-{name}2"))
+    assert t.dtype == np.float64 and t.tobytes() == want.tobytes()
 
 
 def test_su3_trace_second_moment():
