@@ -7,7 +7,7 @@ Modules:
   sums       finite-field sum families and Weyl sums
   limitlaw   samplers for the limiting measures and exact moments
   stats      comparisons between finite-level sums and limit laws
-  cli        command-line driver (`ultrashort`)
+  cli        command-line driver (`ultrashort`), the only module that writes files
 """
 
 from .arith import (

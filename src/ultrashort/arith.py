@@ -3,7 +3,7 @@
 Everything here is deterministic and allocation-free of global state: split
 prime search, root finding modulo primes (Cantor-Zassenhaus with a seeded
 PRNG derived from the inputs), Hensel lifting to prime powers, and the small
-helpers the sum kernels need (primitive roots, modular inverses).
+helpers the sum kernels need (primitive roots, modular inverses, Philox streams).
 
 No number field is ever represented; per the identification
 Z/q^nZ = O_g/p^n at totally split primes, all root data lives in plain
@@ -540,6 +540,13 @@ _SHIFTS_PER_ROUND = 6
 def _derived_seed(g: IntPoly, q: int) -> int:
     digest = hashlib.sha256(f"{g.key()}|{q}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def philox_generator(seed: int, op: str, index: int = 0) -> np.random.Generator:
+    """Deterministic, splittable stream keyed by (seed, op, index)."""
+    digest = hashlib.sha256(f"{seed}|{op}|{index}".encode()).digest()
+    key = np.frombuffer(digest[:16], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def roots_mod_primes(g: IntPoly, qs):

@@ -1,8 +1,9 @@
 """Command-line driver.
 
 Every command is a thin wrapper over one library operation, emits CSV/JSON
-artifacts, and is deterministic given its flags (all seeds are flags).
-Usage errors exit 2 (argparse); domain errors exit 1 with the error name on
+artifacts, and is deterministic given its flags (all seeds are flags).  No
+other module of the package writes a file.  A command that returns exits 0;
+usage errors exit 2 (argparse); domain errors exit 1 with the error name on
 stderr.  A JSON config file can pre-set any flag; explicit flags win.
 """
 
@@ -14,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import sys
 import warnings
 
@@ -35,12 +37,79 @@ DEFAULT_CACHE_DIR = ".ultrashort-cache"
 CACHE_VERSION = 1
 
 
+# ---------------------------------------------------------------------------
+# writing files
+
+_ROWS_PER_WRITE = 1 << 16
+
+
+def write_columns(fh, header: str, *cols: np.ndarray) -> None:
+    """Write `header`, then row i of the 1-D arrays `cols` as a CSV line:
+    str for an integer, repr (shortest round-trip text) for a float.  Whole
+    columns go through .tolist() and one str.format per row, in blocks of
+    _ROWS_PER_WRITE rows to bound memory."""
+    fh.write(header)
+    line = ",".join(["{}"] * len(cols)) + "\n"
+    for i in range(0, len(cols[0]), _ROWS_PER_WRITE):
+        fh.write("".join(map(line.format, *(c[i : i + _ROWS_PER_WRITE].tolist() for c in cols))))
+
+
 @contextlib.contextmanager
-def _writing(path: str):
-    """Report an OSError from creating or writing the artifact `path` as a
-    usage error naming it, as a missing input file is."""
+def replacing(path):
+    """Yield a text handle that writes `path` as a new file: the body writes
+    a temp file beside it, and on success the old file is unlinked and the
+    temp file renamed into its place.  If the body (or closing the handle)
+    raises, the temp file is deleted and the old file stays as it was.
+    Every artifact (_write) and cache entry (cache_put) is written so.
+
+    The old file is unlinked, never truncated or renamed over: on ext4 with
+    auto_da_alloc, truncating a file that an earlier run truncated and
+    rewrote waits for the writeback the kernel forced then, and a rename
+    over it does the same (0.15-0.4 s a re-run for a 7 MB CSV), while an
+    unlink and a rename to a free name do not wait.  So a reader that
+    opened the old file keeps its complete bytes, and a re-run breaks hard
+    links: the path gets a new inode, and other names keep the old bytes.
+
+    The temp file is `path` plus a random suffix and ".tmp", created with
+    O_EXCL and mode 0o666, so the umask applies as for open(path, "w"); it
+    takes an existing file's permission bits.  An existing path that is
+    not a regular file (a symlink, FIFO or device) is opened in place with
+    open(path, "w").  Nothing is fsynced, so after a system crash the new
+    file may read short or empty: every artifact is a function of its
+    command's flags, and a malformed cache entry reads as a miss.
+    """
     try:
-        yield
+        old = os.lstat(path)
+    except FileNotFoundError:
+        old = None
+    if old is not None and not stat.S_ISREG(old.st_mode):
+        with open(path, "w") as fh:
+            yield fh
+        return
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w") as fh:
+            if old is not None:
+                os.fchmod(fd, stat.S_IMODE(old.st_mode))
+            yield fh
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            pass
+        os.rename(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _write(path: str, fill) -> None:
+    """Write the artifact `path` by fill(fh) through replacing; an OSError
+    from creating or writing it is a usage error naming it, as a missing
+    input file is."""
+    try:
+        with replacing(path) as fh:
+            fill(fh)
     except OSError as exc:
         raise UsageError(f"{path}: {exc.strerror}") from None
 
@@ -48,10 +117,17 @@ def _writing(path: str):
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2)
     if out:
-        with _writing(out), sums.replacing(out) as fh:
-            fh.write(text + "\n")
+        _write(out, lambda fh: fh.write(text + "\n"))
     else:
         print(text)
+
+
+def _emit_csv(out: str | None, header: str, *cols: np.ndarray) -> None:
+    """The columns as CSV: to the file `out` under `header`, else headless to stdout."""
+    if out:
+        _write(out, lambda fh: write_columns(fh, header, *cols))
+    else:
+        write_columns(sys.stdout, "", *cols)
 
 
 def _parsed(flag: str, parse, text: str):
@@ -85,10 +161,6 @@ def _alpha_list(text: str) -> list[list[int]]:
 # relation-module disk cache
 
 
-def _cache_dir(args) -> str:
-    return args.cache_dir or os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR)
-
-
 def _cache_key(g: IntPoly, kind: str, v, exponents, coeff_cap, degree_bound) -> str:
     blob = json.dumps(
         {
@@ -119,12 +191,12 @@ def cache_get(directory: str, key: str):
 
 
 def cache_put(directory: str, key: str, module) -> None:
-    """Write the entry through sums.replacing, so a reader never sees a
+    """Write the entry through replacing, so a reader never sees a
     half-written entry; a failed write only warns, as cache_get does."""
     path = os.path.join(directory, key + ".json")
     try:
         os.makedirs(directory, exist_ok=True)
-        with sums.replacing(path) as fh:
+        with replacing(path) as fh:
             json.dump(module.to_json_dict(), fh, indent=2)
             fh.write("\n")
     except OSError as exc:
@@ -135,14 +207,13 @@ def cache_put(directory: str, key: str, module) -> None:
 # commands
 
 
-def cmd_primes(args) -> int:
+def cmd_primes(args) -> None:
     g = _poly(args)
     qs = find_split_primes(g, args.lo, args.hi)
     _emit({"poly": str(g), "lo": args.lo, "hi": args.hi, "primes": qs}, args.out)
-    return 0
 
 
-def cmd_roots(args) -> int:
+def cmd_roots(args) -> None:
     g = _poly(args)
     rl = hensel_roots(g, args.prime, args.power)
     _emit(
@@ -155,7 +226,6 @@ def cmd_roots(args) -> int:
         },
         args.out,
     )
-    return 0
 
 
 def _module(args, g: IntPoly, kind: str = "additive"):
@@ -175,7 +245,7 @@ def _module(args, g: IntPoly, kind: str = "additive"):
     )
     cap = relations._coeff_cap(args.coeff_cap)
     key = _cache_key(g, kind, v, exponents, cap, bound)
-    directory = _cache_dir(args)
+    directory = args.cache_dir or os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR)
     module = None if args.no_cache else cache_get(directory, key)
     if module is None:
         if kind == "additive":
@@ -191,51 +261,38 @@ def _module(args, g: IntPoly, kind: str = "additive"):
     return module
 
 
-def cmd_relations(args) -> int:
+def cmd_relations(args) -> None:
     _emit(_module(args, _poly(args), args.kind).to_json_dict(), args.out)
-    return 0
 
 
-def cmd_index(args) -> int:
+def cmd_index(args) -> None:
     g = _poly(args)
     ind = relations.index_ind(g, args.coeff_cap, args.degree_bound or None)
     _emit({"poly": str(g), "ind": ind}, args.out)
-    return 0
 
 
 def _write_grid(grid, out: str | None) -> None:
+    """The a,re,im rows, and beside a file `out` the grid's JSON sidecar."""
+    _emit_csv(out, "a,re,im\n", grid.params, grid.values.real, grid.values.imag)
     if out:
-        with _writing(out):
-            grid.write_csv(out)
-        meta_path = os.path.splitext(out)[0] + ".json"
-        with _writing(meta_path), sums.replacing(meta_path) as fh:
-            json.dump(grid.to_json_dict(), fh, indent=2)
-            fh.write("\n")
-    else:
-        sums.write_columns(sys.stdout, "", grid.params, grid.values.real, grid.values.imag)
+        _emit(grid.to_json_dict(), os.path.splitext(out)[0] + ".json")
 
 
-def cmd_sums(args) -> int:
+def cmd_sums(args) -> None:
     g = _poly(args)
     v = _laurent(args.v) if args.v else None
-    grid = sums.additive_sum_grid(g, args.prime, args.power, v)
-    _write_grid(grid, args.out)
-    return 0
+    _write_grid(sums.additive_sum_grid(g, args.prime, args.power, v), args.out)
 
 
-def cmd_klsums(args) -> int:
+def cmd_klsums(args) -> None:
     g = _poly(args)
-    grid = sums.trace_sum_grid(g, args.prime, r=args.rank, mode=args.mode)
-    _write_grid(grid, args.out)
-    return 0
+    _write_grid(sums.trace_sum_grid(g, args.prime, r=args.rank, mode=args.mode), args.out)
 
 
-def cmd_mults(args) -> int:
+def cmd_mults(args) -> None:
     g = _poly(args)
     v = _laurent(args.v) if args.v else None
-    grid = sums.mult_char_sum_grid(g, args.prime, v)
-    _write_grid(grid, args.out)
-    return 0
+    _write_grid(sums.mult_char_sum_grid(g, args.prime, v), args.out)
 
 
 def _law_int(law: str) -> int:
@@ -246,14 +303,12 @@ def _law_int(law: str) -> int:
         raise UsageError(f"--law {law!r} needs an integer after the colon") from None
 
 
-def cmd_limit(args) -> int:
+def cmd_limit(args) -> None:
     law = args.law
     if law == "sigma":
         if not args.poly:
             raise UsageError("--poly is required for --law sigma")
-        g = _poly(args)
-        module = _module(args, g)
-        h = limitlaw.torus_subgroup(module)
+        h = limitlaw.torus_subgroup(_module(args, _poly(args)))
         batch = limitlaw.sigma_samples(h, args.count, args.seed)
     elif law == "st":
         batch = limitlaw.sato_tate_samples(args.count, args.seed)
@@ -265,41 +320,36 @@ def cmd_limit(args) -> int:
     elif law.startswith("inv:"):
         if not args.poly:
             raise UsageError("--poly is required for --law inv:R")
-        r = _law_int(law)
-        g = _poly(args)
-        pairs, unpaired = relations.negation_pairing(g)
+        r, g = _law_int(law), _poly(args)
+        pairs = relations.negation_pairing(g)[0]  # unpaired roots are the rest
         batch = limitlaw.involution_sum_samples(g.degree, pairs, r, args.count, args.seed)
     else:
         raise UsageError(f"unknown law {law!r} (sigma | st | st-sum:K | su:R | usp:R | inv:R)")
-    if args.out:
-        with _writing(args.out):
-            batch.write_csv(args.out)
-    else:
-        sums.write_columns(sys.stdout, "", batch.samples.real, batch.samples.imag)
-    return 0
+    _emit_csv(args.out, "re,im\n", batch.samples.real, batch.samples.imag)
 
 
-def cmd_moments(args) -> int:
+def _moment_keys(table: dict) -> dict:
+    """{(m, n): value} as {"(m,n)": value}, in (m, n) order."""
+    return {f"({m},{n})": value for (m, n), value in sorted(table.items())}
+
+
+def cmd_moments(args) -> None:
     g = _poly(args)
     grid = sums.additive_sum_grid(g, args.prime, args.power)
     module = _module(args, g)
     empirical = stats.moment_table(grid, args.max_order)
-    exact = {
-        (m, n): limitlaw.exact_mixed_moment(module, m, n)
-        for (m, n) in empirical
-    }
+    exact = {mn: limitlaw.exact_mixed_moment(module, *mn) for mn in empirical}
     payload = {
         "poly": str(g),
         "q": args.prime,
         "n": args.power,
-        "empirical": limitlaw.MomentTable(empirical).to_json_dict(),
-        "exact": limitlaw.MomentTable(exact).to_json_dict(),
+        "empirical": _moment_keys(empirical),
+        "exact": _moment_keys(exact),
     }
     _emit(payload, args.out)
-    return 0
 
 
-def cmd_weylcheck(args) -> int:
+def cmd_weylcheck(args) -> None:
     g = _poly(args)
     if args.primes:
         qs = _int_list("--primes", args.primes)
@@ -315,22 +365,18 @@ def cmd_weylcheck(args) -> int:
         qs = find_split_primes(g, lo, hi)[:count]
     alphas = _alpha_list(args.alpha)
     module = _module(args, g)
-    report = stats.stationarity_report(g, qs, alphas, module)
-    _emit(report, args.out)
-    return 0
+    _emit(stats.stationarity_report(g, qs, alphas, module), args.out)
 
 
-def cmd_condition(args) -> int:
+def cmd_condition(args) -> None:
     g = _poly(args)
     A = sums.make_condition_set(args.prime, args.power, args.descriptor)
     alphas = _alpha_list(args.alpha)
     module = _module(args, g)
-    report = stats.conditioning_experiment(g, args.prime, args.power, A, alphas, module)
-    _emit(report, args.out)
-    return 0
+    _emit(stats.conditioning_experiment(g, args.prime, args.power, A, alphas, module), args.out)
 
 
-def cmd_prime_sweep(args) -> int:
+def cmd_prime_sweep(args) -> None:
     """Empirical law of sigma(U_p(a)) for fixed a over split p <= T.
 
     Exploratory only: whether these values equidistribute as the prime
@@ -341,13 +387,7 @@ def cmd_prime_sweep(args) -> int:
     zs = np.empty(len(qs), dtype=np.complex128)
     for i, (q, rl) in enumerate(zip(qs, roots_mod_primes(g, qs))):
         zs[i] = sum(np.exp(2j * np.pi * ((args.a * r) % q) / q) for r in rl.roots)
-    cols = (np.array(qs, dtype=np.int64), zs.real, zs.imag)
-    if args.out:
-        with _writing(args.out), sums.replacing(args.out) as fh:
-            sums.write_columns(fh, "p,re,im\n", *cols)
-    else:
-        sums.write_columns(sys.stdout, "", *cols)
-    return 0
+    _emit_csv(args.out, "p,re,im\n", np.array(qs, dtype=np.int64), zs.real, zs.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -391,26 +431,38 @@ def _read_csv(path):
 
 
 def _figure_range(path, values, explicit) -> float:
-    if explicit:
-        return float(explicit)
-    meta_path = os.path.splitext(path)[0] + ".json"
-    if os.path.exists(meta_path):
+    """--range if > 0; else the sidecar's d if it is a finite number > 0;
+    else the ceiling of the largest finite |coordinate|, at least 1.  An
+    unreadable sidecar, or a bound whose SVG span is not finite, is a usage
+    error naming it."""
+    meta_path, meta = os.path.splitext(path)[0] + ".json", None
+    if not explicit and os.path.exists(meta_path):
         try:
             with open(meta_path) as fh:
-                meta = json.load(fh)
-            if "d" in meta:
-                return float(meta["d"])
-        except (json.JSONDecodeError, ValueError):
+                meta = json.load(fh, parse_int=float)  # 10^400 is inf, as 1e400 is
+        except OSError as exc:
+            raise UsageError(f"{meta_path}: {exc.strerror}") from None
+        except ValueError:  # not JSON: no d
             pass
-    top = max(1.0, float(np.abs(values.real).max()), float(np.abs(values.imag).max()))
-    return math.ceil(top)
+    d = meta.get("d") if isinstance(meta, dict) else None
+    if explicit:
+        bound, source = explicit, "--range"
+    elif isinstance(d, float) and 0 < d < math.inf:
+        bound, source = d, meta_path
+    else:
+        coords = np.abs(np.stack([values.real, values.imag]))
+        bound, source = math.ceil(coords.max(initial=1.0, where=np.isfinite(coords))), path
+    if not math.isfinite(2 * (bound + 0.5)):
+        raise UsageError(f"{source}: figure range {bound:g} is too large to draw")
+    return float(bound)
 
 
 SVG_SIZE = 800
 
 
-def _svg_header(count: int) -> str:
-    return (
+def _svg(count: int, *elements: str) -> str:
+    """The SVG document of `count` samples drawn as `elements`, joined once."""
+    header = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f"<!-- samples: {count} -->\n"
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -418,6 +470,7 @@ def _svg_header(count: int) -> str:
         f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">\n'
         f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>\n'
     )
+    return "".join((header, *elements, "</svg>\n"))
 
 
 def render_scatter_svg(values: np.ndarray, bound: float) -> str:
@@ -428,18 +481,16 @@ def render_scatter_svg(values: np.ndarray, bound: float) -> str:
     def px(x):
         return (x + bound + 0.5) * scale
 
-    parts = [_svg_header(len(values))]
     mid = px(0.0)
-    parts.append(
+    axes = (
         f'<line x1="0" y1="{mid:.1f}" x2="{SVG_SIZE}" y2="{mid:.1f}" '
         'stroke="#cccccc" stroke-width="1"/>\n'
         f'<line x1="{mid:.1f}" y1="0" x2="{mid:.1f}" y2="{SVG_SIZE}" '
         'stroke="#cccccc" stroke-width="1"/>\n'
     )
     circle = '<circle cx="{:.2f}" cy="{:.2f}" r="1" fill="black" fill-opacity="0.3"/>\n'
-    parts.append("".join(map(circle.format, px(values.real).tolist(), px(-values.imag).tolist())))
-    parts.append("</svg>\n")
-    return "".join(parts)
+    dots = map(circle.format, px(values.real).tolist(), px(-values.imag).tolist())
+    return _svg(len(values), axes, *dots)
 
 
 def render_histogram_svg(values: np.ndarray, bound: float, bins: int) -> str:
@@ -452,28 +503,21 @@ def render_histogram_svg(values: np.ndarray, bound: float, bins: int) -> str:
     x, w = (edges[:-1] - lo) * scale_x, (edges[1:] - edges[:-1]) * scale_x
     rect = ('<rect x="{:.2f}" y="{:.2f}" width="{:.2f}" height="{:.2f}" fill="steelblue" '
             'stroke="white" stroke-width="0.5"/>\n')
-    parts = [_svg_header(len(values))]
-    parts.append("".join(map(rect.format, *(c.tolist() for c in (x, SVG_SIZE - h, w, h)))))
-    parts.append("</svg>\n")
-    return "".join(parts)
+    return _svg(len(values), *map(rect.format, *(c.tolist() for c in (x, SVG_SIZE - h, w, h))))
 
 
-def cmd_figure(args) -> int:
+def cmd_figure(args) -> None:
     if args.bins < 1:
         raise UsageError(f"--bins {args.bins}: must be at least 1")
     if not 0 <= args.range < math.inf:
         raise UsageError(f"--range {args.range}: must be finite and >= 0 (0 = automatic)")
     values = _read_csv(args.input)
     bound = _figure_range(args.input, values, args.range)
-    is_complex = bool(np.abs(values.imag).max() > 1e-12)
-    if is_complex:
+    if np.abs(values.imag).max() > 1e-12:
         svg = render_scatter_svg(values, bound)
     else:
         svg = render_histogram_svg(values, bound, args.bins)
-    out = args.out or (os.path.splitext(args.input)[0] + ".svg")
-    with _writing(out), sums.replacing(out) as fh:
-        fh.write(svg)
-    return 0
+    _write(args.out or os.path.splitext(args.input)[0] + ".svg", lambda fh: fh.write(svg))
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file of flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, poly=True):
-        if poly:
-            p.add_argument("--poly", help='"X^3+X+3" or "3,1,0,1"')
+    def common(p):
+        p.add_argument("--poly", help='"X^3+X+3" or "3,1,0,1"')
         p.add_argument("--out", help="output file (default: stdout)")
 
     def bounds(p, cache=True):
@@ -548,14 +591,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(_required=["poly", "prime"])
 
     p = sub.add_parser("limit", help="sample a limit law")
-    common(p, poly=False)
+    common(p)
     bounds(p)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--poly", help="needed for --law sigma")
     p.add_argument("--law", default="sigma",
-                   help="sigma | st | st-sum:K | su:R | usp:R | inv:R")
+                   help="sigma | st | st-sum:K | su:R | usp:R | inv:R (sigma, inv:R need --poly)")
     p.add_argument("--count", type=int, default=100000)
-    p.set_defaults(_required=[])
 
     p = sub.add_parser("moments", help="empirical vs exact mixed moments")
     common(p)
@@ -635,9 +676,30 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     defaults = {k.replace("-", "_"): v for k, v in config.items()}
     for action in parser._subparsers._group_actions:
         for sub_parser in action.choices.values():
-            known = {a.dest for a in sub_parser._actions}
-            sub_parser.set_defaults(**{k: v for k, v in defaults.items() if k in known})
+            known = {a.dest: a for a in sub_parser._actions}
+            sub_parser.set_defaults(**{
+                k: _config_value(sub_parser, path, known[k], v)
+                for k, v in defaults.items() if k in known
+            })
     return argv[:i] + argv[i + (1 if eq else 2) :]
+
+
+def _config_value(parser, path: str, action: argparse.Action, value):
+    """A config value as the flag's own parsing takes it: JSON true or false
+    for a switch, else a number or string parsed as its text on the command
+    line would be."""
+    switch, flag = action.nargs == 0, "/".join(action.option_strings) or action.dest
+    if isinstance(value, bool) != switch or not isinstance(value, (int, float, str)):
+        want = "true or false" if switch else "a number or string"
+        raise UsageError(f"--config {path}: {flag} takes {want}, not {json.dumps(value)}")
+    if switch:
+        return value
+    try:
+        parsed = parser._get_value(action, str(value))
+        parser._check_value(action, parsed)
+    except argparse.ArgumentError as exc:
+        raise UsageError(f"--config {path}: {exc}") from None
+    return parsed
 
 
 def main(argv=None) -> int:
@@ -648,7 +710,8 @@ def main(argv=None) -> int:
         for name in getattr(args, "_required", []):
             if getattr(args, name, None) in (None, ""):
                 raise UsageError(f"--{name.replace('_', '-')} is required")
-        return _DISPATCH[args.command](args)
+        _DISPATCH[args.command](args)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

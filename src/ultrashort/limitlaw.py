@@ -1,32 +1,24 @@
 """Samplers for the limiting measures and the exact mixed-moment oracle.
 
-All randomness flows through a counter-based 64-bit generator (Philox) with
-streams keyed by (seed, operation, stream index), so every sampler is a pure
-function of its seed.
+All randomness flows through a counter-based 64-bit generator (Philox,
+arith.philox_generator) with streams keyed by (seed, operation, stream
+index), so every sampler is a pure function of its seed.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import sums
+from .arith import philox_generator
 from .errors import InvalidPairing, OutOfRangeParameter, TooLarge
 from .lattice import smith_normal_form as _snf
 from .relations import RelationModule
-from .sums import write_columns
 
 EXACT_MOMENT_CAP = 10**8
-
-
-def philox_generator(seed: int, op: str, index: int = 0) -> np.random.Generator:
-    """Deterministic, splittable stream keyed by (seed, op, index)."""
-    digest = hashlib.sha256(f"{seed}|{op}|{index}".encode()).digest()
-    key = np.frombuffer(digest[:16], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass
@@ -39,27 +31,6 @@ class SampleBatch:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    def write_csv(self, path) -> None:
-        """`re,im` rows through the columnar sums.write_columns; a real batch
-        (the Sato-Tate and USp laws) writes its zero imaginary column as 0.0."""
-        with sums.replacing(path) as fh:
-            write_columns(fh, "re,im\n", self.samples.real, self.samples.imag)
-
-
-@dataclass
-class MomentTable:
-    """Mixed moments keyed by (m, n); exact integers or empirical reals."""
-
-    entries: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        out = {}
-        for (m, n), value in sorted(self.entries.items()):
-            if isinstance(value, complex):
-                value = [value.real, value.imag]
-            out[f"({m},{n})"] = value
-        return out
 
 
 # ---------------------------------------------------------------------------

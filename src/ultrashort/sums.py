@@ -16,10 +16,7 @@ character orthogonality reduces them to an exact congruence.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +29,7 @@ from .arith import (
     _newton_lift,
     is_prime,
     multiplicative_generator,
+    philox_generator,
     roots_mod_primes,
 )
 from .errors import (
@@ -44,7 +42,6 @@ from .errors import (
 )
 
 PARAM_SPACE_CAP = 1 << 26
-_ROWS_PER_WRITE = 1 << 16
 # Rows per block of the streaming samplers (the torus theta blocks behind
 # limitlaw.sigma_samples and TorusSubgroup.sample/sample_angles, the angles
 # of limitlaw._sato_tate) and statistics kernels (stats.binned_l1_2d, the
@@ -52,65 +49,6 @@ _ROWS_PER_WRITE = 1 << 16
 # complex arrays, stay in cache, and no temporary grows with the sample
 # count or grid size.
 _BLOCK_ROWS = 1 << 14
-
-
-def write_columns(fh, header: str, *cols: np.ndarray) -> None:
-    """Write `header`, then row i of the 1-D arrays `cols` as a CSV line:
-    str for an integer, repr (shortest round-trip text) for a float.  Whole
-    columns go through .tolist() and one str.format per row, in blocks of
-    _ROWS_PER_WRITE rows to bound memory."""
-    fh.write(header)
-    line = ",".join(["{}"] * len(cols)) + "\n"
-    for i in range(0, len(cols[0]), _ROWS_PER_WRITE):
-        fh.write("".join(map(line.format, *(c[i : i + _ROWS_PER_WRITE].tolist() for c in cols))))
-
-
-@contextlib.contextmanager
-def replacing(path):
-    """Yield a text handle that writes `path` as a new file: the body writes
-    a temp file beside it, and on success the old file is unlinked and the
-    temp file renamed into its place.  If the body (or closing the handle)
-    raises, the temp file is deleted and the old file stays as it was.
-
-    The old file is unlinked, never truncated or renamed over: on ext4 with
-    auto_da_alloc, truncating a file that an earlier run truncated and
-    rewrote waits for the writeback the kernel forced then, and a rename
-    over it does the same (0.15-0.4 s a re-run for a 7 MB CSV), while an
-    unlink and a rename to a free name do not wait.  So a reader that
-    opened the old file keeps its complete bytes, and a re-run breaks hard
-    links: the path gets a new inode, and other names keep the old bytes.
-
-    The temp file is `path` plus a random suffix and ".tmp", created with
-    O_EXCL and mode 0o666, so the umask applies as for open(path, "w"); it
-    takes an existing file's permission bits.  An existing path that is
-    not a regular file (a symlink, FIFO or device) is opened in place with
-    open(path, "w").  Nothing is fsynced, so after a system crash the new
-    file may read short or empty: every artifact is a function of its
-    command's flags, and a malformed cache entry reads as a miss.
-    """
-    try:
-        old = os.lstat(path)
-    except FileNotFoundError:
-        old = None
-    if old is not None and not stat.S_ISREG(old.st_mode):
-        with open(path, "w") as fh:
-            yield fh
-        return
-    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with open(fd, "w") as fh:
-            if old is not None:
-                os.fchmod(fd, stat.S_IMODE(old.st_mode))
-            yield fh
-        try:
-            os.unlink(path)
-        except FileNotFoundError:
-            pass
-        os.rename(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 @dataclass
@@ -136,10 +74,6 @@ class SumGrid:
     @property
     def complete(self) -> bool:
         return not self.excluded
-
-    def write_csv(self, path) -> None:
-        with replacing(path) as fh:
-            write_columns(fh, "a,re,im\n", self.params, self.values.real, self.values.imag)
 
     def to_json_dict(self) -> dict:
         return dict(self.meta, excluded=[int(a) for a in self.excluded])
@@ -257,8 +191,6 @@ def multi_param_sum_samples(
     (a_1, ..., a_k): the outer product of e(a_1 r^m_1/q) with e(t/q), t the
     exact residue of a_2 r^m_2 + ... + a_k r^m_k over the other coordinates.
     """
-    from .limitlaw import philox_generator
-
     exponents = [int(m) for m in exponents]
     if len(set(exponents)) != len(exponents) or not exponents:
         raise OutOfRangeParameter("exponents must be a nonempty distinct list")

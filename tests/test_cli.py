@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ultrashort
-from ultrashort import sums
+from ultrashort import cli
 from ultrashort.cli import CACHE_ENV, _read_csv, main
 from ultrashort.limitlaw import sato_tate_sum_samples
 from ultrashort.sums import additive_sum_grid
@@ -282,6 +282,55 @@ def test_figure_histogram_for_real_data(tmp_path):
     assert len(rects) == 21  # 20 bins + background
 
 
+@pytest.mark.parametrize(
+    "sidecar", ["5", '{"d": null}', '{"d": 1e400}', '{"d": 1' + "0" * 400 + "}", '{"d": NaN}',
+                '{"d": -3}', "not json"],
+    ids=["number", "null", "overflow", "huge-int", "nan", "negative", "not-json"],
+)
+def test_figure_without_a_usable_sidecar_d_takes_the_sample_bound(sidecar, tmp_path):
+    """A sidecar whose d is not a finite number > 0 is passed over: the bound
+    is the ceiling of the largest |coordinate|, here 3 = |S(0)| for X^3-1."""
+    csv = tmp_path / "a.csv"
+    main(["sums", "--poly", "X^3-1", "--prime", "31", "--out", str(csv)])
+    assert main(["figure", str(csv), "--range", "3", "--out", str(tmp_path / "want.svg")]) == 0
+    (tmp_path / "a.json").write_text(sidecar)
+    assert main(["figure", str(csv)]) == 0
+    assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "want.svg").read_bytes()
+
+
+def test_figure_bound_passes_over_non_finite_samples(tmp_path):
+    csv = tmp_path / "a.csv"
+    csv.write_text("re,im\n0.5,0.25\ninf,0\nnan,1\n-1.0,-inf\n-1.5,2.0\n")
+    assert main(["figure", str(csv), "--range", "2", "--out", str(tmp_path / "want.svg")]) == 0
+    assert main(["figure", str(csv)]) == 0
+    assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "want.svg").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "sidecar, rows, argv, named",
+    [
+        (None, "0.5,0.25", ["--range", "1e308"], "--range"),
+        ('{"d": 1e308}', "0.5,0.25", [], "a.json"),
+        (None, "1.5e308,0.25", [], "a.csv"),
+        ("dir", "0.5,0.25", [], "a.json"),
+    ],
+    ids=["range-flag", "sidecar-d", "samples", "sidecar-directory"],
+)
+def test_figure_bound_too_large_or_unreadable_sidecar_is_usage_error(
+    sidecar, rows, argv, named, tmp_path, capsys
+):
+    csv = tmp_path / "a.csv"
+    csv.write_text(f"re,im\n{rows}\n-1.0,2.0\n")
+    if sidecar == "dir":
+        (tmp_path / "a.json").mkdir()
+    elif sidecar:
+        (tmp_path / "a.json").write_text(sidecar)
+    assert main(["figure", str(csv)] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and named in err
+    assert not (tmp_path / "a.svg").exists()
+
+
 def test_limit_sigma_deterministic(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -518,6 +567,15 @@ def test_usage_error_exit_codes(capsys):
         assert exc.value.code == 2
 
 
+BAD_CONFIGS = {
+    "list.json": [1, 2],
+    "poly.json": {"poly": 5},
+    "count.json": {"count": 2.5},
+    "prime.json": {"prime": 31.0},
+    "switch.json": {"no-cache": "false"},
+}
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [
@@ -534,6 +592,13 @@ def test_usage_error_exit_codes(capsys):
         (["--config", "/nonexistent.json", "roots", "--poly", "X^2-2", "--prime", "7"],
          "--config"),
         (["--config", "list.json", "roots", "--poly", "X^2-2", "--prime", "7"], "--config"),
+        (["--config", "poly.json", "roots", "--prime", "7"], "--poly '5'"),
+        (["--config", "count.json", "limit", "--law", "st"],
+         "--config count.json: argument --count"),
+        (["--config", "prime.json", "roots", "--poly", "X^2-2"],
+         "--config prime.json: argument --prime"),
+        (["--config", "switch.json", "relations", "--poly", "X^2+1"],
+         "--config switch.json: --no-cache"),
         (["figure", "/nonexistent.csv"], "/nonexistent.csv"),
         (["figure", "real.csv", "--bins", "0"], "--bins"),
         (["figure", "real.csv", "--range", "-1"], "--range"),
@@ -545,13 +610,15 @@ def test_usage_error_exit_codes(capsys):
     ],
     ids=["poly-dangling-sign", "poly-not-monic", "poly-not-separable", "v-dangling-sign",
          "alpha-not-int", "prime-range-two-fields", "exponents-not-int", "config-last",
-         "config-missing-file", "config-json-list", "figure-missing-file", "figure-zero-bins",
+         "config-missing-file", "config-json-list", "config-poly-number", "config-count-float",
+         "config-prime-float", "config-switch-string", "figure-missing-file", "figure-zero-bins",
          "figure-negative-range", "prime-range-negative-count", "weylcheck-alpha-no-vector",
          "condition-alpha-no-vector"],
 )
 def test_malformed_flag_text_is_usage_error(argv, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "list.json").write_text("[1, 2]")
+    for name, config in BAD_CONFIGS.items():
+        (tmp_path / name).write_text(json.dumps(config))
     (tmp_path / "real.csv").write_text("a,re,im\n0,0.5,0\n1,-0.25,0\n")
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -716,14 +783,14 @@ def test_interrupted_write_leaves_the_old_file(tmp_path, monkeypatch):
     out = tmp_path / "grid.csv"
     assert main(["sums", "--poly", "X^3-1", "--prime", "13", "--out", str(out)]) == 0
     old = out.read_bytes()
-    write_columns = sums.write_columns
+    write_columns = cli.write_columns
 
     def half_then_interrupt(fh, header, *cols):
         write_columns(fh, header, *(c[: len(c) // 2] for c in cols))
         fh.flush()
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(sums, "write_columns", half_then_interrupt)
+    monkeypatch.setattr(cli, "write_columns", half_then_interrupt)
     with pytest.raises(KeyboardInterrupt):
         main(["sums", "--poly", "X^3-1", "--prime", "7", "--out", str(out)])
     assert out.read_bytes() == old

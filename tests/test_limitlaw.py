@@ -9,11 +9,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ultrashort import sums
+from ultrashort import cli, sums
 from ultrashort.arith import IntPoly
 from ultrashort.errors import InvalidPairing, OutOfRangeParameter, TooLarge
 from ultrashort.limitlaw import (
-    MomentTable,
     SampleBatch,
     _cmv_trace,
     _sato_tate,
@@ -359,8 +358,9 @@ def test_sigma_moments_match_exact_oracle():
 
 
 def test_moment_table_json():
-    t = MomentTable({(1, 1): 3, (2, 0): 0})
-    assert t.to_json_dict() == {"(1,1)": 3, "(2,0)": 0}
+    t = cli._moment_keys({(2, 0): 0, (1, 1): 3})
+    assert t == {"(1,1)": 3, "(2,0)": 0}
+    assert list(t) == ["(1,1)", "(2,0)"]
 
 
 # ---------------------------------------------------------------------------
@@ -673,15 +673,20 @@ def test_philox_streams_are_split():
     assert np.array_equal(a, philox_generator(1, "op", 0).random(5))
 
 
+def _write_batch(batch, path):
+    """The CSV writer of `ultrashort limit --out`."""
+    cli._emit_csv(str(path), "re,im\n", batch.samples.real, batch.samples.imag)
+
+
 def test_sample_batch_csv_text(tmp_path):
     """Floats are written as repr, -0.0, nan and inf included; a real batch
     writes 0.0 for im."""
     path = tmp_path / "batch.csv"
     z = [1, complex(0.5, -0.0), complex(-0.0, -0.0), complex(math.nan, math.inf), 1e-300 - 2.5j,
          0.1 + 0.2j]
-    SampleBatch(np.array(z), 1, "complex").write_csv(path)
+    _write_batch(SampleBatch(np.array(z), 1, "complex"), path)
     assert path.read_text() == (
         "re,im\n1.0,0.0\n0.5,-0.0\n-0.0,-0.0\nnan,inf\n1e-300,-2.5\n0.1,0.2\n"
     )
-    SampleBatch(np.array([-0.0, 2.0, 1 / 3]), 1, "real").write_csv(path)
+    _write_batch(SampleBatch(np.array([-0.0, 2.0, 1 / 3]), 1, "real"), path)
     assert path.read_text() == "re,im\n-0.0,0.0\n2.0,0.0\n0.3333333333333333,0.0\n"

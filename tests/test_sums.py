@@ -2,13 +2,18 @@
 
 import cmath
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import ultrashort.arith as arith
+import ultrashort.cli as cli
 import ultrashort.sums as sums
 from ultrashort.arith import IntPoly, find_split_primes, hensel_roots, roots_mod_primes
 from ultrashort.errors import (
@@ -188,12 +193,30 @@ def test_grid_params_are_the_ambient_space_minus_excluded(build):
 def test_grid_csv_and_json(tmp_path):
     grid = additive_sum_grid(IntPoly.parse("X^3-1"), 7)
     path = tmp_path / "grid.csv"
-    grid.write_csv(path)
+    cli._write_grid(grid, str(path))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "a,re,im"
     assert len(lines) == 8
     meta = grid.to_json_dict()
     assert meta["family"] == "additive" and meta["q"] == 7 and meta["excluded"] == []
+    assert json.loads((tmp_path / "grid.json").read_text()) == meta
+
+
+def test_sums_does_not_import_limitlaw():
+    """sums draws its samples from arith.philox_generator: a fresh
+    interpreter that samples never loads limitlaw."""
+    src = os.path.dirname(os.path.dirname(sums.__file__))
+    code = (
+        "import sys; from ultrashort import arith, sums; "
+        "g = arith.IntPoly.parse('X^3+X+3'); "
+        "assert len(sums.multi_param_sum_samples(g, 30223, [1, 2], 50, 7)) == 50; "
+        "print('ultrashort.limitlaw' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
