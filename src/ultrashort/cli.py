@@ -34,7 +34,7 @@ CACHE_ENV = "ULTRASHORT_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".ultrashort-cache"
 # Part of every cache key: raise it whenever the stored entry or the way a
 # module is computed changes, so entries written before become misses.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +432,9 @@ def _read_csv(path):
 
 def _figure_range(path, values, explicit) -> float:
     """--range if > 0; else the sidecar's d if it is a finite number > 0;
-    else the ceiling of the largest finite |coordinate|, at least 1.  An
-    unreadable sidecar, or a bound whose SVG span is not finite, is a usage
-    error naming it."""
+    else the ceiling of the largest |coordinate| of the finite values, at
+    least 1.  An unreadable sidecar, or a bound whose SVG span is not
+    finite, is a usage error naming it."""
     meta_path, meta = os.path.splitext(path)[0] + ".json", None
     if not explicit and os.path.exists(meta_path):
         try:
@@ -451,7 +451,7 @@ def _figure_range(path, values, explicit) -> float:
         bound, source = d, meta_path
     else:
         coords = np.abs(np.stack([values.real, values.imag]))
-        bound, source = math.ceil(coords.max(initial=1.0, where=np.isfinite(coords))), path
+        bound, source = math.ceil(coords.max(initial=1.0)), path
     if not math.isfinite(2 * (bound + 0.5)):
         raise UsageError(f"{source}: figure range {bound:g} is too large to draw")
     return float(bound)
@@ -460,11 +460,13 @@ def _figure_range(path, values, explicit) -> float:
 SVG_SIZE = 800
 
 
-def _svg(count: int, *elements: str) -> str:
-    """The SVG document of `count` samples drawn as `elements`, joined once."""
+def _svg(count: int, skipped: int, *elements: str) -> str:
+    """The SVG document of `count` samples drawn as `elements`, joined once,
+    noting the `skipped` non-finite samples, if any, in a second comment."""
+    skip = f"<!-- skipped non-finite samples: {skipped} -->\n" if skipped else ""
     header = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f"<!-- samples: {count} -->\n"
+        f"<!-- samples: {count} -->\n{skip}"
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{SVG_SIZE}" height="{SVG_SIZE}" '
         f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">\n'
@@ -473,8 +475,8 @@ def _svg(count: int, *elements: str) -> str:
     return "".join((header, *elements, "</svg>\n"))
 
 
-def render_scatter_svg(values: np.ndarray, bound: float) -> str:
-    """800x800 scatter over [-bound-0.5, bound+0.5]^2, radius-1 dots."""
+def render_scatter_svg(values: np.ndarray, bound: float, skipped: int) -> str:
+    """800x800 scatter of finite values over [-bound-0.5, bound+0.5]^2."""
     span = 2 * (bound + 0.5)
     scale = SVG_SIZE / span
 
@@ -490,11 +492,11 @@ def render_scatter_svg(values: np.ndarray, bound: float) -> str:
     )
     circle = '<circle cx="{:.2f}" cy="{:.2f}" r="1" fill="black" fill-opacity="0.3"/>\n'
     dots = map(circle.format, px(values.real).tolist(), px(-values.imag).tolist())
-    return _svg(len(values), axes, *dots)
+    return _svg(len(values), skipped, axes, *dots)
 
 
-def render_histogram_svg(values: np.ndarray, bound: float, bins: int) -> str:
-    """800x800 histogram of real samples over [-bound-0.5, bound+0.5]."""
+def render_histogram_svg(values: np.ndarray, bound: float, bins: int, skipped: int) -> str:
+    """800x800 histogram of finite real samples over [-bound-0.5, bound+0.5]."""
     lo, hi = -bound - 0.5, bound + 0.5
     counts, edges = np.histogram(values.real, bins=bins, range=(lo, hi))
     peak = max(1, counts.max())
@@ -503,7 +505,8 @@ def render_histogram_svg(values: np.ndarray, bound: float, bins: int) -> str:
     x, w = (edges[:-1] - lo) * scale_x, (edges[1:] - edges[:-1]) * scale_x
     rect = ('<rect x="{:.2f}" y="{:.2f}" width="{:.2f}" height="{:.2f}" fill="steelblue" '
             'stroke="white" stroke-width="0.5"/>\n')
-    return _svg(len(values), *map(rect.format, *(c.tolist() for c in (x, SVG_SIZE - h, w, h))))
+    return _svg(len(values), skipped,
+                *map(rect.format, *(c.tolist() for c in (x, SVG_SIZE - h, w, h))))
 
 
 def cmd_figure(args) -> None:
@@ -511,12 +514,16 @@ def cmd_figure(args) -> None:
         raise UsageError(f"--bins {args.bins}: must be at least 1")
     if not 0 <= args.range < math.inf:
         raise UsageError(f"--range {args.range}: must be finite and >= 0 (0 = automatic)")
-    values = _read_csv(args.input)
+    samples = _read_csv(args.input)
+    values = samples[np.isfinite(samples)]  # complex isfinite: both parts
+    if not len(values):
+        raise UsageError(f"{args.input} has no finite samples")
+    skipped = len(samples) - len(values)
     bound = _figure_range(args.input, values, args.range)
     if np.abs(values.imag).max() > 1e-12:
-        svg = render_scatter_svg(values, bound)
+        svg = render_scatter_svg(values, bound, skipped)
     else:
-        svg = render_histogram_svg(values, bound, args.bins)
+        svg = render_histogram_svg(values, bound, args.bins, skipped)
     _write(args.out or os.path.splitext(args.input)[0] + ".svg", lambda fh: fh.write(svg))
 
 

@@ -8,7 +8,7 @@ index), so every sampler is a pure function of its seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,11 +23,10 @@ EXACT_MOMENT_CAP = 10**8
 
 @dataclass
 class SampleBatch:
-    """Monte-Carlo draws from one law, reproducible from (seed, count, law)."""
+    """Monte-Carlo draws from one law, a pure function of the sampler's
+    arguments and seed."""
 
     samples: np.ndarray
-    seed: int
-    law: str
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -50,7 +49,6 @@ class TorusSubgroup:
     """
 
     d: int
-    relations: RelationModule
     v_matrix: np.ndarray
     invariant_factors: tuple[int, ...]
 
@@ -135,10 +133,10 @@ def torus_subgroup(module: RelationModule) -> TorusSubgroup:
     """The support H = R^perp of the limit law, with its Haar sampler."""
     d = module.ambient_rank
     if module.rank == 0:
-        return TorusSubgroup(d, module, np.eye(d), ())
+        return TorusSubgroup(d, np.eye(d), ())
     snf = _snf([list(r) for r in module.basis])
     v = np.array(snf.V, dtype=np.float64)
-    return TorusSubgroup(d, module, v, snf.invariant_factors)
+    return TorusSubgroup(d, v, snf.invariant_factors)
 
 
 def sigma_samples(h: TorusSubgroup, count: int, seed: int) -> SampleBatch:
@@ -157,7 +155,7 @@ def sigma_samples(h: TorusSubgroup, count: int, seed: int) -> SampleBatch:
     for start, theta in h._theta_blocks(count, seed):
         z = _unit_points(theta, buf[: len(theta)])
         z.sum(axis=1, out=out[start : start + len(z)])
-    return SampleBatch(out, seed, f"sigma[d={h.d},rank={h.relations.rank}]")
+    return SampleBatch(out)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +239,7 @@ def _sato_tate(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def sato_tate_samples(count: int, seed: int) -> SampleBatch:
     """Draws of 2*cos(theta) with density (2/pi) sin^2(theta) on [0, pi]:
     the bytes of sato_tate_sum_samples(1, count, seed)."""
-    return replace(sato_tate_sum_samples(1, count, seed), law="sato-tate")
+    return sato_tate_sum_samples(1, count, seed)
 
 
 def sato_tate_sum_samples(terms: int, count: int, seed: int) -> SampleBatch:
@@ -260,7 +258,7 @@ def sato_tate_sum_samples(terms: int, count: int, seed: int) -> SampleBatch:
     scratch = np.empty(count) if terms > 1 else None
     for i in range(1, terms):
         acc += _sato_tate(scratch, philox_generator(seed, "sato-tate", i))
-    return SampleBatch(acc, seed, f"sato-tate-sum[{terms}]")
+    return SampleBatch(acc)
 
 
 def _parse_group(group) -> tuple[str, int]:
@@ -364,7 +362,7 @@ def haar_trace_samples(group, count: int, seed: int) -> SampleBatch:
         traces = _su_traces(r, count, rng)
     else:
         traces = _cmv_trace(_usp_verblunsky(r, count, rng))
-    return SampleBatch(traces, seed, f"{name}({r})-trace")
+    return SampleBatch(traces)
 
 
 def involution_sum_samples(
@@ -396,4 +394,4 @@ def involution_sum_samples(
         total += t + np.conj(t)
     for k in range(len(unpaired)):
         total += _su_traces(r, count, philox_generator(seed, "involution-single", k))
-    return SampleBatch(total, seed, f"involution[d={d},pairs={len(pairs)},r={r}]")
+    return SampleBatch(total)

@@ -1,12 +1,15 @@
 """Certified complex roots of g and the lattices of relations among them.
 
-The additive, value and ind(g) lattices are one object, the kernel of
-alpha -> sum alpha_i y_i for algebraic integers y_i, computed by one engine
-(`_linear_relations`) from a ball factory enclosing the y_i: the sorted
-roots x_i (`_sorted_boxes`), the values v(x_i) scaled to algebraic
-integers (`_integral_value_balls`), or the sorted roots with 1 appended
-(`index_ind`).  The engine, like the multiplicative variant with its
-log/arg columns and winding row, runs:
+The additive, value, joint-power and ind(g) lattices are one object, the
+kernel of alpha -> (sum alpha_i y_i) over one or more lists of algebraic
+integers y_i, computed by one engine (`_linear_relations`) from ball
+factories enclosing them: the sorted roots x_i (`_sorted_boxes`), the values
+v(x_i) scaled to algebraic integers (`_integral_value_balls`), the sorted
+roots with 1 appended (`index_ind`), or one factory x_i^m per exponent m,
+so that a joint module is one detection over stacked columns.  All kinds,
+the multiplicative one with its log/arg columns and winding row included,
+share one detection path (`_detect_module`, the only code that builds LLL
+rows):
 
   1. detect candidate integer vectors with LLL on rows (e_i | scaled value
      columns) at an escalating scaling 2^B;
@@ -19,9 +22,10 @@ log/arg columns and winding row, runs:
      has at most min(degree_bound, orbit(alpha)) factors, because every
      conjugate is the same expression in a rearrangement of alpha
      (`_orbit_size`);
-  3. saturate the certified sublattice (kernels of maps into torsion-free
-     groups are saturated, so saturation never leaves the true module),
-     re-certify the basis rows and reduce to row Hermite normal form;
+  3. saturate the certified sublattice of the linear kinds (kernels of maps
+     into torsion-free groups are saturated, so saturation never leaves the
+     true module; a multiplicative lattice may not be), re-certify the basis
+     rows and reduce to row Hermite normal form;
   4. accept once the result is stable across two consecutive doublings of B.
 
 Completeness is therefore asserted by stability, not by a proven height
@@ -591,24 +595,31 @@ class RelationModule:
         )
 
 
-def _round_scaled(x, scale_bits: int) -> int:
-    return int(mpmath.nint(mpmath.mpf(x) * mpf(2) ** scale_bits))
-
-
-def _detect_module(dim, build_rows, certify, coeff_cap, saturate=True):
+def _detect_module(dim, columns, certify, coeff_cap, saturate=True):
     """LLL-detect, certify, saturate; accept after two stable doublings.
 
-    Saturation is sound only for kernels of maps into torsion-free groups
-    (the additive kinds); multiplicative relation lattices may be strictly
-    smaller than their saturation, so those callers disable it.
+    columns(bits) lists the real values of each row; rows past dim (the
+    multiplicative winding row) add coordinates that are not reported.  Row
+    k is e_k followed by its values scaled by 2^bits and rounded, all at
+    workprec(4 bits + 128); no other code builds LLL rows.  Saturation is
+    sound only for kernels of maps into torsion-free groups (the additive
+    kinds); multiplicative relation lattices may be strictly smaller than
+    their saturation, so those callers disable it.
     """
     bits = _DETECTION_START_BITS
     prev = None
     agreements = 0
     capped = False
     while bits <= _DETECTION_CAP_BITS:
-        reduced = lattice.lll_rows(build_rows(bits))
-        candidates = {tuple(int(x) for x in row[:dim]) for row in reduced}
+        with workprec(4 * bits + 128):
+            values = columns(bits)
+            scale = mpf(2) ** bits
+            rows = [
+                [int(j == k) for j in range(len(values))]
+                + [int(mpmath.nint(mpf(x) * scale)) for x in row]
+                for k, row in enumerate(values)
+            ]
+        candidates = {tuple(row[:dim]) for row in lattice.lll_rows(rows)}
         certified = []
         for cand in sorted(candidates):
             if not any(cand):
@@ -625,7 +636,8 @@ def _detect_module(dim, build_rows, certify, coeff_cap, saturate=True):
         # integer combinations of relations are relations, so HNF rows must
         # certify; saturation additionally relies on torsion-freeness
         for row in basis:
-            assert certify(row), "basis reduction left the certified module"
+            if not certify(row):
+                raise RuntimeError(f"basis reduction left the certified module: {row}")
         key = tuple(tuple(r) for r in basis)
         agreements = agreements + 1 if key == prev else 0
         prev = key
@@ -646,32 +658,26 @@ def _certificate(bits, degree_bound, coeff_cap, capped) -> dict:
     }
 
 
-def _ident(k, n):
-    return [1 if t == k else 0 for t in range(n)]
+def _linear_relations(g, factories, dim, kind, coeff_cap, degree_bound) -> RelationModule:
+    """HNF basis of {alpha in Z^dim : sum alpha_i y_i = 0 for every factory}.
 
-
-def _linear_relations(g, mk, dim, kind, coeff_cap, degree_bound) -> RelationModule:
-    """HNF basis of {alpha in Z^dim : sum alpha_i y_i = 0}, certified.
-
-    mk(bits) encloses algebraic integers y_1..y_dim whose list is permuted by
-    the Galois action of g's splitting field, so the largest |y_i| bounds
-    every conjugate; degree_bound defaults to d! with d = deg g.
+    Each factory mk(bits) encloses algebraic integers y_1..y_dim whose list
+    is permuted by the Galois action of g's splitting field, so the largest
+    |y_i| bounds every conjugate, and adds one (Re, Im) column pair to the
+    detection; a candidate is certified when the zero test of every factory
+    passes.  degree_bound defaults to d! with d = deg g.
     """
     degree_bound = _degree_bound(g, degree_bound)
     coeff_cap = _coeff_cap(coeff_cap)
 
-    def build(bits):
-        with workprec(4 * bits + 128):
-            return [
-                _ident(k, dim)
-                + [_round_scaled(b.center.real, bits), _round_scaled(b.center.imag, bits)]
-                for k, b in enumerate(mk(2 * bits + 32))
-            ]
+    def columns(bits):
+        enclosed = zip(*(mk(2 * bits + 32) for mk in factories))
+        return [[x for b in balls for x in (b.center.real, b.center.imag)] for balls in enclosed]
 
     def certify(alpha):
-        return _zero_test(alpha, degree_bound, _sum_enclosure(alpha, mk))
+        return all(_zero_test(alpha, degree_bound, _sum_enclosure(alpha, mk)) for mk in factories)
 
-    basis, bits, capped = _detect_module(dim, build, certify, coeff_cap)
+    basis, bits, capped = _detect_module(dim, columns, certify, coeff_cap)
     return RelationModule(
         dim, basis, kind, _certificate(bits, degree_bound, coeff_cap, capped)
     )
@@ -685,7 +691,7 @@ def additive_relations(
 ) -> RelationModule:
     """HNF basis of {alpha in Z^d : sum alpha_i x_i = 0}, roots in box order."""
     return _linear_relations(
-        g, functools.partial(_sorted_boxes, g), g.degree, "additive", coeff_cap, degree_bound
+        g, [functools.partial(_sorted_boxes, g)], g.degree, "additive", coeff_cap, degree_bound
     )
 
 
@@ -718,7 +724,7 @@ def value_relations(
             "v has negative exponents but 0 is a root of g"
         )
     return _linear_relations(
-        g, _integral_value_balls(g, v), g.degree, "value", coeff_cap, degree_bound
+        g, [_integral_value_balls(g, v)], g.degree, "value", coeff_cap, degree_bound
     )
 
 
@@ -729,32 +735,16 @@ def joint_power_relations(
     coeff_cap: int = DEFAULT_COEFF_CAP,
     degree_bound: int | None = None,
 ) -> RelationModule:
-    """Intersection over i of {alpha : sum alpha_j x_j^(m_i) = 0}."""
+    """HNF basis of {alpha : sum alpha_j x_j^m = 0 for every m in exponents}:
+    one detection over the stacked (Re, Im) columns of the x^m (x^0 gives
+    (1, 0)), certified by the zero test of every exponent."""
     exponents = tuple(int(m) for m in exponents)
     if not exponents or len(set(exponents)) != len(exponents):
         raise OutOfRangeParameter("exponents must be a nonempty distinct list")
     if any(m < 0 for m in exponents) and g.coeffs[0] == 0:
         raise ZeroRootWithNegativeExponent("negative exponent but 0 is a root of g")
-    bound = _degree_bound(g, degree_bound)
-    coeff_cap = _coeff_cap(coeff_cap)
-    d = g.degree
-    basis = None
-    bits_used = 0
-    for m in exponents:
-        if m == 0:
-            # x^0 = 1 for every root: the exact kernel of the all-ones column
-            part = lattice.kernel_rows([[1]] * d)
-        else:
-            mod = value_relations(g, LaurentPoly.monomial(m), coeff_cap, degree_bound)
-            part = [list(r) for r in mod.basis]
-            bits_used = max(bits_used, mod.certificate.get("precision_bits", 0))
-        basis = part if basis is None else lattice.intersect_rows(basis, part)
-    return RelationModule(
-        d,
-        tuple(tuple(r) for r in basis),
-        "joint",
-        _certificate(bits_used, bound, coeff_cap, False),
-    )
+    factories = [_integral_value_balls(g, LaurentPoly.monomial(m)) for m in exponents]
+    return _linear_relations(g, factories, g.degree, "joint", coeff_cap, degree_bound)
 
 
 @lru_cache(maxsize=None)
@@ -786,26 +776,14 @@ def multiplicative_relations(
         if _zero_test(probe, degree_bound, _sum_enclosure(probe, mk_int)):
             raise VanishingValue(f"v vanishes at root #{i} of g")
 
-    def build(bits):
-        boxes = _sorted_boxes(g, 2 * bits + 32)
-        with workprec(4 * bits + 128):
-            rows = []
-            for k, box in enumerate(boxes):
-                b = eval_laurent_ball(v.terms, box)
-                rows.append(
-                    _ident(k, d + 1)
-                    + [
-                        _round_scaled(mpmath.log(abs(b.center)), bits),
-                        _round_scaled(mpmath.arg(b.center), bits),
-                    ]
-                )
-            rows.append(_ident(d, d + 1) + [0, _round_scaled(2 * mpmath.pi, bits)])
-        return rows
+    def columns(bits):
+        values = [eval_laurent_ball(v.terms, b).center for b in _sorted_boxes(g, 2 * bits + 32)]
+        return [[mpmath.log(abs(c)), mpmath.arg(c)] for c in values] + [[0, 2 * mpmath.pi]]
 
     def certify(alpha):
         return _zero_test(alpha, degree_bound, _product_enclosure(g, v, alpha))
 
-    basis, bits, capped = _detect_module(d, build, certify, coeff_cap, saturate=False)
+    basis, bits, capped = _detect_module(d, columns, certify, coeff_cap, saturate=False)
     return RelationModule(
         d, basis, "multiplicative", _certificate(bits, degree_bound, coeff_cap, capped)
     )
@@ -867,7 +845,7 @@ def index_ind(
     of attained integers is the gcd ideal of the basis' last coordinates.
     """
     module = _linear_relations(
-        g, lambda bits: _sorted_boxes(g, bits) + [Ball(1)], g.degree + 1, "index",
+        g, [lambda bits: _sorted_boxes(g, bits) + [Ball(1)]], g.degree + 1, "index",
         coeff_cap, degree_bound,
     )
     consts = [abs(row[-1]) for row in module.basis if row[-1] != 0]

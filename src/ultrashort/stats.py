@@ -119,8 +119,12 @@ def stationarity_report(
 
     The full-grid Weyl value is 1 if sum alpha_i r_i = 0 mod q and 0
     otherwise, decided exactly from the split roots, found once per prime.
-    Entries disagree only when q divides the norm of a conjugate sum, which
-    happens for finitely many q; the report lists any such prime explicitly.
+    alpha indexes the roots mod q sorted as integers, the module the complex
+    roots sorted by (Re, Im).  For a complete module invariant under every
+    root permutation, entries disagree only when q divides the norm of a
+    conjugate sum, for finitely many q; otherwise at any q (X^6 - 1 with
+    alpha = (0,1,1,0,0,1) in its lattice has Weyl value 0 at every split
+    prime in [1000, 2000]).  The report lists each disagreement.
     """
     if module is None:
         module = additive_relations(g)

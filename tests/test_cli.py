@@ -307,6 +307,24 @@ def test_figure_bound_passes_over_non_finite_samples(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "rows, element, kept",
+    [("0.5,0.25\n-1.5,2.0", "circle", 2), ("0.5,0\n-1.5,0", "rect", 20)],
+    ids=["scatter", "histogram"],
+)
+def test_figure_skips_non_finite_samples(rows, element, kept, tmp_path):
+    """Neither renderer draws a non-finite sample: the header counts the
+    drawn samples, and a second comment the skipped ones."""
+    csv = tmp_path / "a.csv"
+    csv.write_text(f"re,im\ninf,0\n{rows}\nnan,1\n-1.0,-inf\n")
+    assert main(["figure", str(csv), "--bins", "20"]) == 0
+    text = (tmp_path / "a.svg").read_text()
+    assert "<!-- samples: 2 -->\n<!-- skipped non-finite samples: 3 -->\n" in text
+    assert "inf" not in text and "nan" not in text
+    drawn = [e for e in ET.fromstring(text).iter() if e.tag.endswith(element)]
+    assert len(drawn) == kept + (element == "rect")  # and the background
+
+
+@pytest.mark.parametrize(
     "sidecar, rows, argv, named",
     [
         (None, "0.5,0.25", ["--range", "1e308"], "--range"),
@@ -378,9 +396,10 @@ def test_limit_involution_out_of_range_is_domain_error(args, capsys):
     "text,where",
     [("re,im\n", ""), ("", ""), ("re,im\n0.5,0.5\n1.0,x\n", "line 3"), ("re,im\n1.0\n", "line 2"),
      ("re,im\n\n  \n", ""), ("re,im\n1,2\n#3,4\n", "line 3"),
-     (b"\xff\xfe,im\n1,2\n", "UTF-8"), (b"re,im\n\xff\xfe,1\n", "UTF-8")],
+     (b"\xff\xfe,im\n1,2\n", "UTF-8"), (b"re,im\n\xff\xfe,1\n", "UTF-8"),
+     ("re,im\ninf,0\nnan,1\n", "no finite samples")],
     ids=["header-only", "empty", "not-a-number", "short-row", "blank-rows-only", "comment-row",
-         "non-utf8-header", "non-utf8-row"],
+         "non-utf8-header", "non-utf8-row", "no-finite-row"],
 )
 def test_figure_csv_without_samples_is_usage_error(text, where, tmp_path, capsys):
     csv = tmp_path / "bad.csv"
@@ -588,6 +607,8 @@ BAD_CONFIGS = {
          "--prime-range"),
         (["relations", "--poly", "X^3-1", "--kind", "joint", "--exponents", "1,x"],
          "--exponents"),
+        (["relations", "--poly", "X^5-1", "--kind", "value"], "--v"),
+        (["relations", "--poly", "X^3-1", "--kind", "joint"], "--exponents"),
         (["roots", "--poly", "X^2-2", "--prime", "7", "--config"], "--config"),
         (["--config", "/nonexistent.json", "roots", "--poly", "X^2-2", "--prime", "7"],
          "--config"),
@@ -609,7 +630,8 @@ BAD_CONFIGS = {
           "--alpha", " ; "], "--alpha"),
     ],
     ids=["poly-dangling-sign", "poly-not-monic", "poly-not-separable", "v-dangling-sign",
-         "alpha-not-int", "prime-range-two-fields", "exponents-not-int", "config-last",
+         "alpha-not-int", "prime-range-two-fields", "exponents-not-int", "value-without-v",
+         "joint-without-exponents", "config-last",
          "config-missing-file", "config-json-list", "config-poly-number", "config-count-float",
          "config-prime-float", "config-switch-string", "figure-missing-file", "figure-zero-bins",
          "figure-negative-range", "prime-range-negative-count", "weylcheck-alpha-no-vector",
@@ -700,9 +722,14 @@ GRID_CSV = ["sums", "--poly", "X^3+X+3", "--prime", "30223", "--out", "g.csv"]
          "49f552097edf82b8c14b1bc5bcf0de5c3e7190a78305421a1794391f83067a77"),
         ([["prime-sweep", "--poly", "X^2-2", "--limit", "3000"]], ["-"],
          "eb5f8d48a7aa3b2b63226158d62c39f4101339ab3b4365fc55ccf82e7daf6570"),
+        ([["mults", "--poly", "X^3-1", "--prime", "13"]], ["-"],
+         "80cb0d5995469d30f517e87279cc8bd5a2b265647f0797bbd624f6d58dc743b0"),
+        ([["relations", "--poly", "X^3-1", "--kind", "multiplicative", "--no-cache"]], ["-"],
+         "20911dd202cf4372105e762346d1e5caf132c81b71c58613a4671ccebc84e50d"),
     ],
     ids=["sums-csv", "sums-stdout", "figure-scatter", "limit-st-and-histogram", "limit-usp",
-         "limit-sigma", "limit-stdout", "limit-inv", "klsums-excluded", "prime-sweep-stdout"],
+         "limit-sigma", "limit-stdout", "limit-inv", "klsums-excluded", "prime-sweep-stdout",
+         "mults-stdout", "relations-multiplicative-stdout"],
 )
 def test_written_bytes_are_pinned(steps, outputs, digest, tmp_path, monkeypatch, capsys):
     """CSV, JSON, SVG and stdout bytes of the writers and readers, pinned by

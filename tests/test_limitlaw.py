@@ -684,9 +684,9 @@ def test_sample_batch_csv_text(tmp_path):
     path = tmp_path / "batch.csv"
     z = [1, complex(0.5, -0.0), complex(-0.0, -0.0), complex(math.nan, math.inf), 1e-300 - 2.5j,
          0.1 + 0.2j]
-    _write_batch(SampleBatch(np.array(z), 1, "complex"), path)
+    _write_batch(SampleBatch(np.array(z)), path)
     assert path.read_text() == (
         "re,im\n1.0,0.0\n0.5,-0.0\n-0.0,-0.0\nnan,inf\n1e-300,-2.5\n0.1,0.2\n"
     )
-    _write_batch(SampleBatch(np.array([-0.0, 2.0, 1 / 3]), 1, "real"), path)
+    _write_batch(SampleBatch(np.array([-0.0, 2.0, 1 / 3])), path)
     assert path.read_text() == "re,im\n-0.0,0.0\n2.0,0.0\n0.3333333333333333,0.0\n"

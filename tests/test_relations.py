@@ -2,13 +2,17 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 from mpmath import mpf
 
+import ultrashort
 from ultrashort.arith import IntPoly, LaurentPoly, find_split_primes, roots_mod_prime
 from ultrashort.errors import (
     OutOfRangeParameter,
@@ -418,6 +422,82 @@ def test_all_ones_zero_test_decides_at_the_first_level(monkeypatch):
     assert levels == [128]
 
 
+def _boxes_asked(monkeypatch):
+    """The radius bits of every `_boxes_at` request from now on."""
+    import ultrashort.relations as R
+
+    asked = []
+    real = R._boxes_at
+
+    def spy(g, bits):
+        asked.append(bits)
+        return real(g, bits)
+
+    monkeypatch.setattr(R, "_boxes_at", spy)
+    return asked
+
+
+def test_zero_test_refines_to_the_bits_its_norm_bound_needs(monkeypatch):
+    # the roots are -sqrt(8), -sqrt(2), sqrt(2), sqrt(8) times 10^40, so
+    # 2 x_3 - x_4 = 0; the norm bound of a nonzero value is far below the
+    # 128-bit enclosure, and the next level is the bits that bound needs
+    import ultrashort.relations as R
+
+    g = IntPoly((16 * 10**160, 0, -10 * 10**80, 0, 1))
+    roots = certified_complex_roots(g, 64)
+    asked = _boxes_asked(monkeypatch)
+    assert gamma_is_zero([0, 0, 2, -1], roots)
+    assert max(asked) > R._base_bits(g)
+
+
+def test_zero_test_refines_while_a_value_to_invert_meets_zero(monkeypatch):
+    # v = qX - p for a convergent p/q of sqrt(2) with q > 2^450: v(sqrt(2))
+    # is about 1/q, so the product enclosure divides by a ball that meets 0
+    # until the boxes are fine enough; v(-sqrt(2)) v(sqrt(2)) = p^2 - 2q^2 = 1
+    import ultrashort.relations as R
+
+    p, q = 1, 1
+    while not (q > 2**450 and p * p - 2 * q * q == 1):
+        p, q = p + 2 * q, p + q
+    raised = []
+    real = R._product_enclosure
+
+    def counting(g, v, alpha):
+        enclose = real(g, v, alpha)
+
+        def spy(bits, degree_bound):
+            try:
+                return enclose(bits, degree_bound)
+            except ZeroDivisionError:
+                raised.append(bits)
+                raise
+
+        return spy
+
+    monkeypatch.setattr(R, "_product_enclosure", counting)
+    g = IntPoly.parse("X^2-2")
+    asked = _boxes_asked(monkeypatch)
+    module = multiplicative_relations.__wrapped__(g, LaurentPoly(((0, -p), (1, q))))
+    assert module.basis == ((1, 1),)
+    assert raised and max(asked) > R._base_bits(g)
+
+
+def test_a_basis_row_that_fails_to_certify_raises_under_python_O():
+    # the re-check of the reduced basis is not an assert, which -O strips
+    code = (
+        "from ultrashort.relations import _detect_module\n"
+        "verdicts = iter([True])\n"
+        "_detect_module(2, lambda bits: [[1], [-1]], lambda alpha: next(verdicts, False), 64)\n"
+    )
+    src = os.path.dirname(os.path.dirname(ultrashort.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1
+    assert "RuntimeError: basis reduction left the certified module" in proc.stderr
+
+
 def test_seeded_non_relations_test_false():
     rng = random.Random(7)
     for text in ["X^7-1", "X^7-X-1"]:
@@ -660,6 +740,35 @@ def test_joint_power_relations_examples():
     assert joint_power_relations(IntPoly.parse("X^3-1"), (1, -1)).basis == ((1, 1, 1),)
     assert joint_power_relations(IntPoly.parse("X^3+2X^2+3"), (1,)).rank == 0
     assert joint_power_relations(IntPoly.parse("X^2-2"), (2, 4)).basis == ((1, -1),)
+
+
+def test_joint_module_is_one_detection_that_reports_its_cap(monkeypatch):
+    # the stacked columns of every exponent go through one detection, which
+    # reports the capped candidates it saw as value_relations does
+    import ultrashort.lattice as lattice_module
+    import ultrashort.relations as R
+
+    g = IntPoly.parse("X^3+2X^2+3")
+    calls = []
+    real = R._linear_relations
+
+    def spy(*args):
+        calls.append(args[3])
+        return real(*args)
+
+    def forbidden(*args):
+        raise AssertionError("a joint module is not an intersection")
+
+    monkeypatch.setattr(R, "_linear_relations", spy)
+    monkeypatch.setattr(lattice_module, "intersect_rows", forbidden)
+    joint = joint_power_relations.__wrapped__(g, (1,))
+    assert calls == ["joint"]
+    assert joint.rank == 0 and joint.certificate["cap_reached"] is True
+    assert value_relations(g, X).certificate["cap_reached"] is True
+    # x^0 = 1 is one more column pair, (1, 0): the relations with sum 0
+    assert joint_power_relations.__wrapped__(IntPoly.parse("X^3+X+3"), (0,)).basis == (
+        (1, 0, -1), (0, 1, -1))
+    assert joint_power_relations.__wrapped__(IntPoly.parse("X^3-1"), (0, 1)).rank == 0
 
 
 def test_joint_is_contained_in_each_factor():

@@ -12,7 +12,7 @@ from ultrashort import sums
 from ultrashort.arith import IntPoly, find_split_primes
 from ultrashort.errors import NonPrimeModulus, NotSplit, OutOfRangeParameter, RamifiedPrime
 from ultrashort.limitlaw import exact_mixed_moment, philox_generator
-from ultrashort.relations import additive_relations
+from ultrashort.relations import RelationModule, additive_relations
 from ultrashort.stats import (
     binned_l1_2d,
     conditioning_experiment,
@@ -160,6 +160,16 @@ def test_stationarity_report_fixture():
     for q in (11, 31, 41):
         assert weyls[q, (1, 1, 1, 1, 1)] == 1
         assert weyls[q, (1, 0, 0, 0, 0)] == 0
+
+
+def test_stationarity_report_lists_each_disagreement():
+    # a module without the true relation x_1 + ... + x_5 = 0 of X^5-1
+    g = IntPoly.parse("X^5-1")
+    primes = [11, 31, 41]
+    rep = stationarity_report(g, primes, [[1, 1, 1, 1, 1]], RelationModule(5, (), "additive"))
+    assert rep["disagreements"] == [{"q": q, "alpha": [1, 1, 1, 1, 1]} for q in primes]
+    assert rep["disagreement_count"] == 3
+    assert all(e["weyl"] == 1 and not e["in_Rg"] for e in rep["entries"])
 
 
 def test_stationarity_random_non_relations():
