@@ -232,17 +232,13 @@ def _module(args, g: IntPoly, kind: str = "additive"):
     """The relation module of g that the flags name, through the disk cache."""
     v = _laurent(args.v) if getattr(args, "v", None) else None
     text = getattr(args, "exponents", None)
-    exponents = tuple(_int_list("--exponents", text)) if text else None
+    # a joint module does not depend on the order of its exponents
+    exponents = tuple(sorted(_int_list("--exponents", text))) if text else None
     if kind == "value" and v is None:
         raise UsageError("--v is required for kind=value")
     if kind == "joint" and exponents is None:
         raise UsageError("--exponents is required for kind=joint")
-    # every zero test uses min(bound, orbit(alpha)) and orbit(alpha) <= d!
-    # for the length-d vectors of all four kinds, so any bound >= d! acts as d!
-    bound = min(
-        relations._degree_bound(g, args.degree_bound or None),
-        relations.default_degree_bound(g.degree),
-    )
+    bound = relations._degree_bound(g, args.degree_bound or None)
     cap = relations._coeff_cap(args.coeff_cap)
     key = _cache_key(g, kind, v, exponents, cap, bound)
     directory = args.cache_dir or os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR)
@@ -460,10 +456,11 @@ def _figure_range(path, values, explicit) -> float:
 SVG_SIZE = 800
 
 
-def _svg(count: int, skipped: int, *elements: str) -> str:
+def _svg(count: int, skipped: dict, *elements: str) -> str:
     """The SVG document of `count` samples drawn as `elements`, joined once,
-    noting the `skipped` non-finite samples, if any, in a second comment."""
-    skip = f"<!-- skipped non-finite samples: {skipped} -->\n" if skipped else ""
+    noting each nonzero count of `skipped` samples ("non-finite",
+    "out-of-range") in a comment of its own."""
+    skip = "".join(f"<!-- skipped {why} samples: {n} -->\n" for why, n in skipped.items() if n)
     header = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f"<!-- samples: {count} -->\n{skip}"
@@ -475,8 +472,8 @@ def _svg(count: int, skipped: int, *elements: str) -> str:
     return "".join((header, *elements, "</svg>\n"))
 
 
-def render_scatter_svg(values: np.ndarray, bound: float, skipped: int) -> str:
-    """800x800 scatter of finite values over [-bound-0.5, bound+0.5]^2."""
+def render_scatter_svg(values: np.ndarray, bound: float, skipped: dict) -> str:
+    """800x800 scatter of values inside [-bound-0.5, bound+0.5]^2."""
     span = 2 * (bound + 0.5)
     scale = SVG_SIZE / span
 
@@ -495,8 +492,8 @@ def render_scatter_svg(values: np.ndarray, bound: float, skipped: int) -> str:
     return _svg(len(values), skipped, axes, *dots)
 
 
-def render_histogram_svg(values: np.ndarray, bound: float, bins: int, skipped: int) -> str:
-    """800x800 histogram of finite real samples over [-bound-0.5, bound+0.5]."""
+def render_histogram_svg(values: np.ndarray, bound: float, bins: int, skipped: dict) -> str:
+    """800x800 histogram of real samples inside [-bound-0.5, bound+0.5]."""
     lo, hi = -bound - 0.5, bound + 0.5
     counts, edges = np.histogram(values.real, bins=bins, range=(lo, hi))
     peak = max(1, counts.max())
@@ -518,12 +515,14 @@ def cmd_figure(args) -> None:
     values = samples[np.isfinite(samples)]  # complex isfinite: both parts
     if not len(values):
         raise UsageError(f"{args.input} has no finite samples")
-    skipped = len(samples) - len(values)
     bound = _figure_range(args.input, values, args.range)
-    if np.abs(values.imag).max() > 1e-12:
-        svg = render_scatter_svg(values, bound, skipped)
+    scatter = np.abs(values.imag).max() > 1e-12
+    drawn = values[np.maximum(np.abs(values.real), np.abs(values.imag)) <= bound + 0.5]
+    skipped = {"non-finite": len(samples) - len(values), "out-of-range": len(values) - len(drawn)}
+    if scatter:
+        svg = render_scatter_svg(drawn, bound, skipped)
     else:
-        svg = render_histogram_svg(values, bound, args.bins, skipped)
+        svg = render_histogram_svg(drawn, bound, args.bins, skipped)
     _write(args.out or os.path.splitext(args.input)[0] + ".svg", lambda fh: fh.write(svg))
 
 

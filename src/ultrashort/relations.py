@@ -36,7 +36,9 @@ comes from one cache (`_boxes_at`): the certified base, at a radius of
 2^-128 or finer, serves every coarser request, and each finer radius is
 Newton-refined from the base centers once.  The root order, the negation
 pairing and the dominant-root criterion decide their ties by the same zero
-test, on boxes refined along one ladder (`_box_levels`).
+test, on boxes refined along one ladder (`_box_levels`), and `_partners` is
+their one root-map search: which root conjugation or negation sends each
+root to.
 """
 
 from __future__ import annotations
@@ -81,22 +83,21 @@ _DETECTION_CAP_BITS = 1 << 14
 _STABLE_DOUBLINGS = 2
 
 
-def default_degree_bound(d: int) -> int:
-    """d! is always a valid upper bound for [K_g : Q]."""
-    return math.factorial(d)
-
-
 def _degree_bound(g: IntPoly, degree_bound: int | None) -> int:
-    """The user-asserted bound on [K_g : Q], or d! when it is None.
+    """min(degree_bound, d!), or d! when it is None.
 
-    A bound below 1 would turn the norm bound into a lower bound >= 1 and
+    [K_g : Q] <= d! for every g, and a conjugate of any value the zero tests
+    decide is its image under one of [K_g : Q] embeddings, so the clamp is
+    sound for every kind, `index`'s length-(d + 1) vectors included.  A
+    bound below 1 would turn the norm bound into a lower bound >= 1 and
     certify small nonzero values as 0, so it is rejected.
     """
+    full = math.factorial(g.degree)
     if degree_bound is None:
-        return default_degree_bound(g.degree)
+        return full
     if degree_bound < 1:
         raise OutOfRangeParameter(f"degree_bound must be >= 1, got {degree_bound}")
-    return int(degree_bound)
+    return min(int(degree_bound), full)
 
 
 def _coeff_cap(coeff_cap: int) -> int:
@@ -364,24 +365,31 @@ def _box_levels(g: IntPoly):
         bits *= 2
 
 
-def _conjugation_pairing(boxes) -> list[int] | None:
-    """pi with conj(x_i) = x_{pi(i)}, certified from box overlaps.
+def _partners(boxes, image, is_root=None) -> list[int | None] | None:
+    """For each i, the index j of the one box that image(box_i) meets: the
+    one root-map search.  An entry is None when image(box_i) meets no box or
+    is_root(i, j) fails; the result is None while some image meets two
+    boxes.  `disjoint_from` is exact, so a met box is met by the closed
+    disks.
 
-    conj(x_i) is itself a root (integer coefficients) and lies in the mirror
-    of box i; if that mirror meets exactly one box the match is forced.
-    Returns None while the boxes are too coarse.
+    Conjugation (image = Ball.conjugate) needs no is_root, and its partners
+    are an involution with no None entry: the d boxes are disjoint, each
+    holds exactly one root, and conj(x_i), itself a root (integer
+    coefficients), lies in the mirror of box i.  So the one box j that the
+    mirror meets is the box of conj(x_i), and then conj(x_j) = x_i lies in
+    box i and in the mirror of box j, so j's partner is i.
     """
-    d = len(boxes)
-    pi = []
-    for i in range(d):
-        mirror = boxes[i].conjugate()
-        hits = [j for j in range(d) if not mirror.disjoint_from(boxes[j])]
-        if len(hits) != 1:
+    partners = []
+    for i, box in enumerate(boxes):
+        target = image(box)
+        hits = [j for j, other in enumerate(boxes) if not target.disjoint_from(other)]
+        if len(hits) > 1:
             return None
-        pi.append(hits[0])
-    if any(pi[pi[i]] != i for i in range(d)):
-        return None
-    return pi
+        j = hits[0] if hits else None
+        if j is not None and is_root is not None and not is_root(i, j):
+            j = None
+        partners.append(j)
+    return partners
 
 
 def _real_parts_equal(g, i, j, pi, degree_bound) -> bool:
@@ -398,42 +406,37 @@ def _real_parts_equal(g, i, j, pi, degree_bound) -> bool:
 
 
 def _try_order(g, boxes, pi, degree_bound):
+    """The permutation listing the roots by (Re, Im), or None while the boxes
+    are too coarse to decide some pair.  Each pair is decided once, and the
+    certified decisions form a strict total order, so the root with k
+    predecessors sorts k-th."""
     d = len(boxes)
+    predecessors = [0] * d
     # `left_of` and `below` compare the disks' interval ends exactly
-    less: dict[tuple[int, int], bool] = {}
     for i in range(d):
         for j in range(i + 1, d):
             if boxes[i].left_of(boxes[j]):
-                less[i, j] = True
+                first = i
             elif boxes[j].left_of(boxes[i]):
-                less[i, j] = False
-            elif _real_parts_equal(g, i, j, pi, degree_bound):
-                if boxes[i].below(boxes[j]):
-                    less[i, j] = True
-                elif boxes[j].below(boxes[i]):
-                    less[i, j] = False
-                else:
-                    return None  # equal Re, Im intervals not yet separated
-            else:
+                first = j
+            elif not _real_parts_equal(g, i, j, pi, degree_bound):
                 return None  # Re provably differ but intervals still overlap
-
-    def cmp(i, j):
-        if i == j:
-            return 0
-        flag = less[min(i, j), max(i, j)]
-        if i < j:
-            return -1 if flag else 1
-        return 1 if flag else -1
-
-    return tuple(sorted(range(d), key=functools.cmp_to_key(cmp)))
+            elif boxes[i].below(boxes[j]):
+                first = i
+            elif boxes[j].below(boxes[i]):
+                first = j
+            else:
+                return None  # equal Re, Im intervals not yet separated
+            predecessors[i + j - first] += 1
+    return tuple(sorted(range(d), key=predecessors.__getitem__))
 
 
 @lru_cache(maxsize=None)
 def _order_map(g: IntPoly) -> tuple[int, ...]:
     """Permutation sending sorted positions to base indices, certified."""
-    degree_bound = default_degree_bound(g.degree)
+    degree_bound = _degree_bound(g, None)
     for _, boxes in _box_levels(g):
-        pi = _conjugation_pairing(boxes)
+        pi = _partners(boxes, Ball.conjugate)
         order = None if pi is None else _try_order(g, boxes, pi, degree_bound)
         if order is not None:
             return order
@@ -595,16 +598,18 @@ class RelationModule:
         )
 
 
-def _detect_module(dim, columns, certify, coeff_cap, saturate=True):
-    """LLL-detect, certify, saturate; accept after two stable doublings.
+def _detect_module(dim, kind, columns, certify, coeff_cap, degree_bound, saturate=True):
+    """LLL-detect, certify, saturate; accept after two stable doublings, and
+    return the RelationModule with its certificate.
 
     columns(bits) lists the real values of each row; rows past dim (the
     multiplicative winding row) add coordinates that are not reported.  Row
     k is e_k followed by its values scaled by 2^bits and rounded, all at
-    workprec(4 bits + 128); no other code builds LLL rows.  Saturation is
-    sound only for kernels of maps into torsion-free groups (the additive
-    kinds); multiplicative relation lattices may be strictly smaller than
-    their saturation, so those callers disable it.
+    workprec(4 bits + 128); no other code builds LLL rows.  certify(alpha)
+    runs the zero tests, bounded by degree_bound, that the certificate
+    records.  Saturation is sound only for kernels of maps into torsion-free
+    groups (the additive kinds); multiplicative relation lattices may be
+    strictly smaller than their saturation, so those callers disable it.
     """
     bits = _DETECTION_START_BITS
     prev = None
@@ -642,20 +647,17 @@ def _detect_module(dim, columns, certify, coeff_cap, saturate=True):
         agreements = agreements + 1 if key == prev else 0
         prev = key
         if agreements >= _STABLE_DOUBLINGS:
-            return key, bits, capped
+            lower = "norm bound (||alpha||_1 * M)^-(min(degree_bound, orbit(alpha)) - 1)"
+            return RelationModule(dim, key, kind, {
+                "precision_bits": bits,
+                "degree_bound": degree_bound,
+                "coeff_cap": coeff_cap,
+                "stable_doublings": _STABLE_DOUBLINGS,
+                "cap_reached": capped,
+                "lower_bound": lower,
+            })
         bits *= 2
     raise PrecisionExhausted("relation detection did not stabilize")
-
-
-def _certificate(bits, degree_bound, coeff_cap, capped) -> dict:
-    return {
-        "precision_bits": bits,
-        "degree_bound": degree_bound,
-        "coeff_cap": coeff_cap,
-        "stable_doublings": _STABLE_DOUBLINGS,
-        "cap_reached": capped,
-        "lower_bound": "norm bound (||alpha||_1 * M)^-(min(degree_bound, orbit(alpha)) - 1)",
-    }
 
 
 def _linear_relations(g, factories, dim, kind, coeff_cap, degree_bound) -> RelationModule:
@@ -677,10 +679,7 @@ def _linear_relations(g, factories, dim, kind, coeff_cap, degree_bound) -> Relat
     def certify(alpha):
         return all(_zero_test(alpha, degree_bound, _sum_enclosure(alpha, mk)) for mk in factories)
 
-    basis, bits, capped = _detect_module(dim, columns, certify, coeff_cap)
-    return RelationModule(
-        dim, basis, kind, _certificate(bits, degree_bound, coeff_cap, capped)
-    )
+    return _detect_module(dim, kind, columns, certify, coeff_cap, degree_bound)
 
 
 @lru_cache(maxsize=None)
@@ -699,7 +698,11 @@ def _integral_value_balls(g: IntPoly, v: LaurentPoly):
     """Ball factory for y_i = c * v(x_i), c = ((-1)^d g(0))^e with
     e = max(0, -min exponent): y_i = (X^e v)(x_i) * prod_{j!=i} x_j^e is an
     algebraic integer and the list (y_i) is permuted by the Galois action,
-    so max_i |y_i| bounds every conjugate of every y_i."""
+    so max_i |y_i| bounds every conjugate of every y_i.  The value, joint
+    and multiplicative kinds all start here, so this is where a negative
+    exponent at a root 0 is refused."""
+    if v.min_exp < 0 and g.coeffs[0] == 0:
+        raise ZeroRootWithNegativeExponent(f"{v} has negative exponents but 0 is a root of g")
     e, _ = v.integralized()
     clear = ((-1) ** g.degree * g.coeffs[0]) ** e
 
@@ -719,10 +722,6 @@ def value_relations(
     """HNF basis of {alpha : sum alpha_i v(x_i) = 0}."""
     if v.is_constant:
         raise OutOfRangeParameter("v must be nonconstant")
-    if v.min_exp < 0 and g.coeffs[0] == 0:
-        raise ZeroRootWithNegativeExponent(
-            "v has negative exponents but 0 is a root of g"
-        )
     return _linear_relations(
         g, [_integral_value_balls(g, v)], g.degree, "value", coeff_cap, degree_bound
     )
@@ -741,8 +740,6 @@ def joint_power_relations(
     exponents = tuple(int(m) for m in exponents)
     if not exponents or len(set(exponents)) != len(exponents):
         raise OutOfRangeParameter("exponents must be a nonempty distinct list")
-    if any(m < 0 for m in exponents) and g.coeffs[0] == 0:
-        raise ZeroRootWithNegativeExponent("negative exponent but 0 is a root of g")
     factories = [_integral_value_balls(g, LaurentPoly.monomial(m)) for m in exponents]
     return _linear_relations(g, factories, g.degree, "joint", coeff_cap, degree_bound)
 
@@ -763,10 +760,6 @@ def multiplicative_relations(
     d = g.degree
     degree_bound = _degree_bound(g, degree_bound)
     coeff_cap = _coeff_cap(coeff_cap)
-    if v.min_exp < 0 and g.coeffs[0] == 0:
-        raise ZeroRootWithNegativeExponent(
-            "v has negative exponents but 0 is a root of g"
-        )
 
     # reject v vanishing at a root (certified, using the integralized values)
     mk_int = _integral_value_balls(g, v)
@@ -783,10 +776,8 @@ def multiplicative_relations(
     def certify(alpha):
         return _zero_test(alpha, degree_bound, _product_enclosure(g, v, alpha))
 
-    basis, bits, capped = _detect_module(d, columns, certify, coeff_cap, saturate=False)
-    return RelationModule(
-        d, basis, "multiplicative", _certificate(bits, degree_bound, coeff_cap, capped)
-    )
+    return _detect_module(d, "multiplicative", columns, certify, coeff_cap, degree_bound,
+                          saturate=False)
 
 
 def _product_enclosure(g, v, alpha):
@@ -868,6 +859,7 @@ def dominant_root_holds(g: IntPoly, degree_bound: int | None = None) -> bool:
     if d < 2:
         raise ValueError("dominant root criterion needs degree >= 2")
     degree_bound = _degree_bound(g, degree_bound)
+    negates = _negates(d, functools.partial(_boxes_at, g), degree_bound)
     real_tie_tested = False
     for bits, boxes in _box_levels(g):
         # the bounds of |x|, on one scale, add and compare exactly
@@ -877,8 +869,8 @@ def dominant_root_holds(g: IntPoly, degree_bound: int | None = None) -> bool:
         lo_sum = sum(los)
         if all(up + lo < lo_sum for up, lo in zip(ups, los)):
             return False
-        pi = _conjugation_pairing(boxes)
-        neg = _negation_partners(boxes, functools.partial(_boxes_at, g), degree_bound)
+        pi = _partners(boxes, Ball.conjugate)
+        neg = _partners(boxes, Ball.__neg__, negates)
         if pi is None or neg is None:
             continue
         # conjugation and negation commute, so the class of root i is its
@@ -928,36 +920,24 @@ def _real_root_signs(g, boxes) -> list[int] | None:
     return signs
 
 
-def _negation_partners(boxes, make_boxes, degree_bound):
-    """neg[i] = j when -x_i = x_j (certified), None entry when -x_i is not a
-    root; None overall while boxes, a level of make_boxes, are too coarse."""
-    d = len(boxes)
-    neg: list[int | None] = []
-    for i in range(d):
-        mirror = -boxes[i]
-        hits = [j for j in range(d) if not mirror.disjoint_from(boxes[j])]
-        if len(hits) > 1:
-            return None
-        if not hits:
-            neg.append(None)
-            continue
-        j = hits[0]
-        alpha = [0] * d
-        alpha[i] += 1
-        alpha[j] += 1
-        if _zero_test(alpha, degree_bound, _sum_enclosure(alpha, make_boxes)):
-            neg.append(j)
-        else:
-            neg.append(None)
-    return neg
+def _negates(d, make_boxes, degree_bound):
+    """is_root(i, j) of `_partners` for x -> -x: the certified zero test of
+    x_i + x_j, over the d roots that make_boxes encloses."""
+
+    def is_root(i, j):
+        alpha = [(k == i) + (k == j) for k in range(d)]  # 2 at a root 0
+        return _zero_test(alpha, degree_bound, _sum_enclosure(alpha, make_boxes))
+
+    return is_root
 
 
 def negation_pairing(g: IntPoly, degree_bound: int | None = None):
     """(pairs, unpaired) of sorted-root indices under x -> -x, certified."""
     degree_bound = _degree_bound(g, degree_bound)
     make_boxes = functools.partial(_sorted_boxes, g)
+    negates = _negates(g.degree, make_boxes, degree_bound)
     for bits, _ in _box_levels(g):
-        neg = _negation_partners(make_boxes(bits), make_boxes, degree_bound)
+        neg = _partners(make_boxes(bits), Ball.__neg__, negates)
         if neg is not None:
             if any(j == k for k, j in enumerate(neg)):
                 raise ZeroRoot("0 is a root of g")

@@ -60,7 +60,6 @@ class SumGrid:
     remaining parameters in ascending order.
     """
 
-    modulus: PrimePowerModulus
     ambient_size: int
     values: np.ndarray
     excluded: tuple[int, ...]
@@ -167,7 +166,6 @@ def additive_sum_grid(
         raise OutOfRangeParameter(f"parameter space {qn} exceeds 2^26; sample instead")
     values = _outer_fill(_split_pairs(_root_values(g, q, n, v), qn), qn)
     return SumGrid(
-        modulus=mod,
         ambient_size=qn,
         values=values,
         excluded=(),
@@ -239,7 +237,6 @@ def mult_char_sum_grid(g: IntPoly, q: int, v: LaurentPoly | None = None) -> SumG
     logs = [int(np.flatnonzero(powers == w)[0]) for w in vals]
     values = _outer_fill(_split_pairs(logs, size), size)
     return SumGrid(
-        modulus=PrimePowerModulus(q, 1),
         ambient_size=size,
         values=values,
         excluded=(),
@@ -254,17 +251,19 @@ def mult_char_sum_grid(g: IntPoly, q: int, v: LaurentPoly | None = None) -> SumG
 _KL_TABLES: dict[tuple[int, int], np.ndarray] = {}
 
 
-def _generator_powers(gen: int, q: int) -> np.ndarray:
-    """gen^i mod q for i in [0, q-1), filled in doubling blocks.
+def _generator_powers(gen: int, q: int, count: int | None = None) -> np.ndarray:
+    """gen^i mod q for i in [0, count), count q-1 by default, filled in
+    doubling blocks.
 
     Block [n, 2n) is block [0, n) times gen^n; for q <= 2^26 every product
     is below 2^52 and fits in int64.
     """
-    powers = np.empty(q - 1, dtype=np.int64)
+    count = q - 1 if count is None else count
+    powers = np.empty(count, dtype=np.int64)
     powers[0] = 1
     n = 1
-    while n < q - 1:
-        m = min(n, q - 1 - n)
+    while n < count:
+        m = min(n, count - n)
         powers[n : n + m] = powers[:m] * pow(gen, n, q) % q
         n += m
     return powers
@@ -378,7 +377,6 @@ def trace_sum_grid(g: IntPoly, q: int, r: int = 2, mode: str = "dilate") -> SumG
         else:
             values += table[(params + rt) % q]
     return SumGrid(
-        modulus=PrimePowerModulus(q, 1),
         ambient_size=q,
         values=values,
         excluded=excluded,
@@ -437,7 +435,7 @@ def make_condition_set(q: int, n: int, descriptor) -> ConditionSet:
         if m < 1 or (q - 1) % m != 0:
             raise InvalidDescriptor(f"order {m} does not divide q-1 = {q-1}")
         h = pow(multiplicative_generator(q), (q - 1) // m, q)
-        members = np.array(sorted({pow(h, j, q) for j in range(m)}), dtype=np.int64)
+        members = np.sort(_generator_powers(h, q, m))
         canon = f"subgroup:{m}"
     else:
         raise InvalidDescriptor(f"unknown descriptor {descriptor!r}")

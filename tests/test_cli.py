@@ -190,6 +190,18 @@ def test_an_entry_stored_under_the_unversioned_key_is_recomputed(tmp_path, capsy
         [stale.name, new_key + ".json"])
 
 
+def test_joint_exponents_in_either_order_share_one_cache_entry(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    printed = []
+    for exponents in ("1,-1", "-1,1"):
+        assert main(["relations", "--poly", "X^4+1", "--kind", "joint",
+                     f"--exponents={exponents}", "--cache-dir", str(cache)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert json.loads(printed[0])["basis"] == [[1, 0, 0, 1], [0, 1, 1, 0]]
+    assert len(list(cache.glob("*.json"))) == 1
+
+
 def test_relations_cache_key_depends_on_caps(tmp_path):
     cache = tmp_path / "cache"
     base = ["relations", "--poly", "X^3+X+3", "--cache-dir", str(cache)]
@@ -322,6 +334,28 @@ def test_figure_skips_non_finite_samples(rows, element, kept, tmp_path):
     assert "inf" not in text and "nan" not in text
     drawn = [e for e in ET.fromstring(text).iter() if e.tag.endswith(element)]
     assert len(drawn) == kept + (element == "rect")  # and the background
+
+
+@pytest.mark.parametrize(
+    "rows, element, drawn",
+    [("0.5,0.25\n5.0,0.5\n-0.25,-1.75", "circle", 1), ("0.5,0\n5.0,0\n-0.25,0", "rect", 2)],
+    ids=["scatter", "histogram"],
+)
+def test_figure_skips_samples_outside_its_range(rows, element, drawn, tmp_path):
+    """Neither renderer draws a sample with a coordinate outside
+    [-B-1/2, B+1/2]: the header counts the drawn samples, and a comment
+    beside the non-finite one the skipped ones."""
+    csv = tmp_path / "a.csv"
+    csv.write_text(f"re,im\nnan,0\n{rows}\n")
+    assert main(["figure", str(csv), "--range", "1", "--bins", "4"]) == 0
+    text = (tmp_path / "a.svg").read_text()
+    assert (f"<!-- samples: {drawn} -->\n<!-- skipped non-finite samples: 1 -->\n"
+            f"<!-- skipped out-of-range samples: {3 - drawn} -->\n") in text
+    shapes = [e for e in ET.fromstring(text).iter() if e.tag.endswith(element)]
+    if element == "circle":
+        assert [(c.get("cx"), c.get("cy")) for c in shapes] == [("533.33", "333.33")]
+    else:  # the background, then 4 bins over [-1.5, 1.5] holding -0.25 and 0.5
+        assert [r.get("height") for r in shapes[1:]] == ["0.00", "760.00", "760.00", "0.00"]
 
 
 @pytest.mark.parametrize(

@@ -149,10 +149,8 @@ def test_newton_from_the_stable_base_stops_once_converged(g, monkeypatch):
         assert 1 <= min(per_root) and max(per_root) <= 3, (bits, per_root)
 
 
-@pytest.fixture
-def certified_radii(monkeypatch):
-    """The radius_bits of every `_certify_boxes` call, on box caches emptied
-    for this test only."""
+def _fresh_box_caches(monkeypatch):
+    """Empty the box and root-order caches for this test only."""
     import functools
 
     import ultrashort.relations as R
@@ -160,6 +158,15 @@ def certified_radii(monkeypatch):
     for name in ("_stable_base", "_boxes_at", "_order_map"):
         fresh = functools.lru_cache(maxsize=None)(getattr(R, name).__wrapped__)
         monkeypatch.setattr(R, name, fresh)
+
+
+@pytest.fixture
+def certified_radii(monkeypatch):
+    """The radius_bits of every `_certify_boxes` call, on box caches emptied
+    for this test only."""
+    import ultrashort.relations as R
+
+    _fresh_box_caches(monkeypatch)
     radii = []
     real = R._certify_boxes
 
@@ -487,7 +494,8 @@ def test_a_basis_row_that_fails_to_certify_raises_under_python_O():
     code = (
         "from ultrashort.relations import _detect_module\n"
         "verdicts = iter([True])\n"
-        "_detect_module(2, lambda bits: [[1], [-1]], lambda alpha: next(verdicts, False), 64)\n"
+        "_detect_module(2, 'additive', lambda bits: [[1], [-1]],\n"
+        "               lambda alpha: next(verdicts, False), 64, 2)\n"
     )
     src = os.path.dirname(os.path.dirname(ultrashort.__file__))
     proc = subprocess.run(
@@ -930,6 +938,54 @@ def test_negation_pairing():
     assert unpaired == []
     pairs, unpaired = negation_pairing(IntPoly.parse("X^3+X+3"))
     assert pairs == [] and unpaired == [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "text, search, result, calls",
+    [
+        ("X^3+X+3", "order", (2, 1, 0), "000"),
+        ("X^3+X+3", "negation", ([], [0, 1, 2]), "000"),
+        ("X^3+X+3", "dominant", False, ""),
+        ("X^4-10X^2+1", "order", (0, 2, 3, 1), ""),
+        ("X^4-10X^2+1", "negation", ([(0, 3), (1, 2)], []), "1001 0110 0110 1001"),
+        ("X^4-10X^2+1", "dominant", False, ""),
+        ("X^6-1", "order", (0, 2, 1, 4, 3, 5), "000000 000000"),
+        ("X^6-1", "negation", ([(0, 5), (1, 4), (2, 3)], []),
+         "000000 000000 100001 010010 001100 001100 010010 100001"),
+        ("X^6-1", "dominant", False, ""),
+        ("X^8-1", "order", (0, 2, 1, 4, 3, 7, 6, 5), "00000000 00000000 00000000"),
+        ("X^8-1", "negation", ([(0, 7), (1, 6), (2, 5), (3, 4)], []),
+         "00000000 00000000 00000000 10000001 01000010 00100100 00011000 00011000 "
+         "00100100 01000010 10000001"),
+        ("X^8-1", "dominant", False, ""),
+        ("X^4+4", "order", (1, 0, 3, 2), "0000 0000"),
+        ("X^4+4", "negation", ([(0, 3), (1, 2)], []), "0000 0000 1001 0110 0110 1001"),
+        ("X^4+4", "dominant", False, ""),
+        ("X^2-2", "order", (0, 1), ""),
+        ("X^2-2", "negation", ([(0, 1)], []), "11 11"),
+        ("X^2-2", "dominant", False, "11 11"),
+    ],
+)
+def test_root_map_searches_make_the_pinned_zero_tests(text, search, result, calls, monkeypatch):
+    # every zero test of the root order, the negation pairing and the
+    # dominant-root criterion on fresh caches, in call order: the vector's
+    # digits, with "!" before a nonzero verdict.  The root order's all-zero
+    # vectors are the real-part ties of conjugate pairs.
+    import ultrashort.relations as R
+
+    _fresh_box_caches(monkeypatch)
+    made = []
+    real = R._zero_test
+
+    def spy(alpha, degree_bound, enclose):
+        verdict = real(alpha, degree_bound, enclose)
+        made.append("!" * (not verdict) + "".join(map(str, alpha)))
+        return verdict
+
+    monkeypatch.setattr(R, "_zero_test", spy)
+    run = {"order": R._order_map, "negation": negation_pairing, "dominant": dominant_root_holds}
+    assert run[search](IntPoly.parse(text)) == result
+    assert " ".join(made) == calls
 
 
 # ---------------------------------------------------------------------------
