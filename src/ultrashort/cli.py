@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from . import limitlaw, relations, stats, sums
-from .arith import IntPoly, LaurentPoly, find_split_primes, hensel_roots, roots_mod_primes
+from .arith import IntPoly, LaurentPoly, find_split_primes, hensel_roots
 from .errors import UltrashortError
 
 
@@ -380,9 +380,7 @@ def cmd_prime_sweep(args) -> None:
     """
     g = _poly(args)
     qs = find_split_primes(g, 2, args.limit)
-    zs = np.empty(len(qs), dtype=np.complex128)
-    for i, (q, rl) in enumerate(zip(qs, roots_mod_primes(g, qs))):
-        zs[i] = sum(np.exp(2j * np.pi * ((args.a * r) % q) / q) for r in rl.roots)
+    zs = sums.prime_sweep_values(g, qs, args.a)
     _emit_csv(args.out, "p,re,im\n", np.array(qs, dtype=np.int64), zs.real, zs.imag)
 
 
@@ -427,8 +425,9 @@ def _read_csv(path):
 
 
 def _figure_range(path, values, explicit) -> float:
-    """--range if > 0; else the sidecar's d if it is a finite number > 0;
-    else the ceiling of the largest |coordinate| of the finite values, at
+    """--range if > 0; else the sidecar's d, times its r if it has one (a
+    sum of d values of Kl_r has modulus at most r*d), if that is a finite
+    number > 0; else the ceiling of the largest |coordinate| of the finite values, at
     least 1.  An unreadable sidecar, or a bound whose SVG span is not
     finite, is a usage error naming it."""
     meta_path, meta = os.path.splitext(path)[0] + ".json", None
@@ -440,11 +439,11 @@ def _figure_range(path, values, explicit) -> float:
             raise UsageError(f"{meta_path}: {exc.strerror}") from None
         except ValueError:  # not JSON: no d
             pass
-    d = meta.get("d") if isinstance(meta, dict) else None
+    d, r = (meta.get("d"), meta.get("r", 1.0)) if isinstance(meta, dict) else (None, None)
     if explicit:
         bound, source = explicit, "--range"
-    elif isinstance(d, float) and 0 < d < math.inf:
-        bound, source = d, meta_path
+    elif all(isinstance(x, float) and x > 0 for x in (d, r)) and d * r < math.inf:
+        bound, source = d * r, meta_path
     else:
         coords = np.abs(np.stack([values.real, values.imag]))
         bound, source = math.ceil(coords.max(initial=1.0)), path

@@ -16,15 +16,7 @@ from . import sums
 from .arith import IntPoly
 from .errors import OutOfRangeParameter
 from .relations import RelationModule, additive_relations
-from .sums import (
-    ConditionSet,
-    SumGrid,
-    _split_roots_each,
-    _weyl_phase,
-    restricted_sum_values,
-    uniformity_metric,
-    weyl_sum,
-)
+from .sums import ConditionSet, SumGrid, uniformity_metric
 
 
 def _moment_means(vals: np.ndarray, pairs) -> list[float]:
@@ -131,9 +123,9 @@ def stationarity_report(
     alphas = [[int(a) for a in alpha] for alpha in test_alphas]
     entries = []
     disagreements = []
-    for q, roots in _split_roots_each(g, primes):
+    for q, roots in sums._split_roots_each(g, primes):
         for alpha in alphas:
-            w = int(_weyl_phase(roots, alpha, q) == 0)
+            w = int(sums._weyl_phase(roots, alpha, q) == 0)
             in_rg = module.contains(alpha)
             if (w == 1) != in_rg:
                 disagreements.append({"q": q, "alpha": alpha})
@@ -241,14 +233,16 @@ def conditioning_experiment(
     """Quantities of the conditioning setup: uniformity metric of A, the
     restricted Weyl sums for each alpha, and the first/second empirical
     moments of the restricted sum grid.  No asymptotic verdict is asserted.
+    The roots are found once for the values and every Weyl sum.
     """
     if module is None:
         module = additive_relations(g)
-    values = restricted_sum_values(g, q, n, A)
+    roots = sums._set_roots(g, q, n, A)
+    values = sums._set_sums(A, roots)
     weyl_entries = []
     for alpha in test_alphas:
         alpha = [int(a) for a in alpha]
-        w = weyl_sum(g, q, n, alpha, A)
+        w = sums._set_weyl(roots, alpha, A)
         weyl_entries.append(
             {
                 "alpha": alpha,

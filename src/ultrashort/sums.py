@@ -12,6 +12,11 @@ exact sum: per term, the argument 2*pi*k/N < 2*pi and cos, sin give
 additions (d - 1)*2^-53, with 0.06*2^-53 to spare for second-order terms.
 Weyl sums over the full parameter space never touch floating point at all:
 character orthogonality reduces them to an exact congruence.
+
+_split_roots_each is the one root source of sums, stats and cli.  Its order
+-- the roots mod q as ascending integers, each Newton-lifted in place to
+q^n -- is the single labelling decision: grids add their terms in it, and
+the alpha of every Weyl check indexes it.
 """
 
 from __future__ import annotations
@@ -90,29 +95,32 @@ class ConditionSet:
         return len(self.members)
 
 
-def _split_roots(g: IntPoly, q: int, n: int = 1) -> list[int]:
-    """Sorted roots mod q^n after checking q is split and unramified; the
-    mod-q roots are found once and Newton-lifted."""
-    roots = next(_split_roots_each(g, [q]))[1]
-    return roots if n == 1 else list(_newton_lift(g, q, roots, n).roots)
+def _check_cap(size: int, name: str) -> None:
+    """OutOfRangeParameter if `name` = size exceeds PARAM_SPACE_CAP = 2^26."""
+    if size > PARAM_SPACE_CAP:
+        raise OutOfRangeParameter(f"{name} = {size} exceeds 2^26")
 
 
-def _split_roots_each(g: IntPoly, qs):
-    """Yield (q, _split_roots(g, q)) for each q of qs in turn, errors
-    included, from one roots_mod_primes batch."""
+def _split_roots_each(g: IntPoly, qs, n: int = 1):
+    """Yield (q, roots of g mod q^n) for each q of qs in turn, errors
+    included: the roots mod q of all of qs come from one roots_mod_primes
+    batch, raise NotSplit unless there are deg g of them, and are
+    Newton-lifted to q^n in place."""
     for base in roots_mod_primes(g, qs):
         q, roots = base.modulus.q, list(base.roots)
         if len(roots) != g.degree:
             raise NotSplit(f"g has {len(roots)} roots mod {q}, expected {g.degree}")
-        yield q, roots
+        yield q, roots if n == 1 else list(_newton_lift(g, q, roots, n).roots)
 
 
-def _root_values(g: IntPoly, q: int, n: int, v: LaurentPoly) -> list[int]:
-    """v(r) mod q^n at each root r of g mod q^n, in _split_roots order."""
-    roots = _split_roots(g, q, n)
-    if v.min_exp < 0 and any(r % q == 0 for r in roots):
+def _root_values(g: IntPoly, q: int, n: int, *vs: LaurentPoly) -> list[list[int]]:
+    """For each v of vs (X if there is none), v(r) mod q^n at each root r of
+    g mod q^n in _split_roots_each order; the roots are found once."""
+    roots = next(_split_roots_each(g, [q], n))[1]
+    vs = vs or (LaurentPoly.x(),)
+    if any(v.min_exp < 0 for v in vs) and any(r % q == 0 for r in roots):
         raise NonInvertibleRoot("a root is divisible by q but v has negative exponents")
-    return [v.eval_mod(r, q**n) for r in roots]
+    return [[v.eval_mod(r, q**n) for r in roots] for v in vs]
 
 
 def _exp_of_residues(ks: np.ndarray, modulus: int) -> np.ndarray:
@@ -158,13 +166,10 @@ def additive_sum_grid(
     """
     if threads < 1:
         raise OutOfRangeParameter(f"threads must be >= 1, got {threads}")
-    if v is None:
-        v = LaurentPoly.x()
-    mod = PrimePowerModulus(q, n)
-    qn = mod.modulus
-    if qn > PARAM_SPACE_CAP:
-        raise OutOfRangeParameter(f"parameter space {qn} exceeds 2^26; sample instead")
-    values = _outer_fill(_split_pairs(_root_values(g, q, n, v), qn), qn)
+    v = v or LaurentPoly.x()
+    qn = PrimePowerModulus(q, n).modulus
+    _check_cap(qn, "parameter space q^n")
+    values = _outer_fill(_split_pairs(_root_values(g, q, n, v)[0], qn), qn)
     return SumGrid(
         ambient_size=qn,
         values=values,
@@ -192,15 +197,12 @@ def multi_param_sum_samples(
     exponents = [int(m) for m in exponents]
     if len(set(exponents)) != len(exponents) or not exponents:
         raise OutOfRangeParameter("exponents must be a nonempty distinct list")
-    roots = _split_roots(g, q, 1)
-    if any(m < 0 for m in exponents) and any(r % q == 0 for r in roots):
-        raise NonInvertibleRoot("a root vanishes mod q but an exponent is negative")
     k = len(exponents)
-    powers = [[pow(r, m, q) for m in exponents] for r in roots]
+    # powers[i][j] = r_i^m_j mod q
+    powers = list(zip(*_root_values(g, q, 1, *map(LaurentPoly.monomial, exponents))))
     if full_grid:
         total = q**k
-        if total > PARAM_SPACE_CAP:
-            raise OutOfRangeParameter(f"full grid q^k = {total} exceeds 2^26")
+        _check_cap(total, "full grid q^k")
         if k == 1:
             return _outer_fill(_split_pairs([pw[0] for pw in powers], q), q)
         a = np.arange(q, dtype=np.int64)
@@ -225,11 +227,9 @@ def mult_char_sum_grid(g: IntPoly, q: int, v: LaurentPoly | None = None) -> SumG
     values[t] = sum_r e(t*dlog(v(r))/(q-1)); dlog(w) is the index of w in
     the table of powers gen^i.  q is capped at 2^26.
     """
-    if q > PARAM_SPACE_CAP:
-        raise OutOfRangeParameter(f"q = {q} exceeds 2^26")
-    if v is None:
-        v = LaurentPoly.x()
-    vals = _root_values(g, q, 1, v)
+    _check_cap(q, "q")
+    v = v or LaurentPoly.x()
+    vals = _root_values(g, q, 1, v)[0]
     if any(w % q == 0 for w in vals):
         raise VanishingValue("v(r) = 0 mod q at a root")
     size = q - 1
@@ -273,8 +273,7 @@ def _check_kl_args(r: int, q: int) -> None:
     """Rank r >= 2 and q a prime <= 2^26, shared by every Kloosterman entry point."""
     if r < 2:
         raise OutOfRangeParameter("rank r must be >= 2")
-    if q > PARAM_SPACE_CAP:
-        raise OutOfRangeParameter(f"q = {q} exceeds 2^26")
+    _check_cap(q, "q")
     if not is_prime(q):
         raise OutOfRangeParameter(f"{q} is not prime")
 
@@ -357,7 +356,7 @@ def trace_sum_grid(g: IntPoly, q: int, r: int = 2, mode: str = "dilate") -> SumG
     """
     if mode not in ("dilate", "translate"):
         raise InvalidDescriptor(f"unknown mode {mode!r}")
-    roots = _split_roots(g, q, 1)
+    roots = _root_values(g, q, 1)[0]
     if mode == "dilate":
         if g.coeffs[0] == 0:
             raise ZeroRoot("dilate mode needs 0 not in Z_g")
@@ -367,15 +366,11 @@ def trace_sum_grid(g: IntPoly, q: int, r: int = 2, mode: str = "dilate") -> SumG
     else:
         excluded = tuple(sorted((-rt) % q for rt in roots))
     table = kloosterman_table(r, q)
-    mask = np.ones(q, dtype=bool)
-    mask[list(excluded)] = False
-    params = np.nonzero(mask)[0].astype(np.int64)
+    params = np.delete(np.arange(q, dtype=np.int64), list(excluded))
+    shift = np.multiply if mode == "dilate" else np.add
     values = np.zeros(len(params), dtype=np.complex128)
     for rt in roots:
-        if mode == "dilate":
-            values += table[(params * rt) % q]
-        else:
-            values += table[(params + rt) % q]
+        values += table[shift(params, rt) % q]
     return SumGrid(
         ambient_size=q,
         values=values,
@@ -406,8 +401,7 @@ def make_condition_set(q: int, n: int, descriptor) -> ConditionSet:
     """
     mod = PrimePowerModulus(q, n)
     qn = mod.modulus
-    if qn > PARAM_SPACE_CAP:
-        raise OutOfRangeParameter(f"parameter space {qn} exceeds 2^26")
+    _check_cap(qn, "parameter space q^n")
     kind, arg = _parse_descriptor(descriptor)
     if kind == "full":
         members = np.arange(qn, dtype=np.int64)
@@ -462,11 +456,18 @@ def _descriptor_arg(descriptor, parse, arg: str):
         raise InvalidDescriptor(f"descriptor {descriptor!r}: {exc}") from None
 
 
-def _check_set_modulus(A: ConditionSet, mod: PrimePowerModulus) -> None:
-    if A.modulus != mod:
-        raise OutOfRangeParameter(
-            f"condition set is mod {A.modulus.modulus}, the sum is mod {mod.modulus}"
-        )
+def _set_roots(g: IntPoly, q: int, n: int, A: ConditionSet, *vs: LaurentPoly) -> list[int]:
+    """_root_values(g, q, n, *vs)[0], once A is checked to be a subset of Z/q^nZ."""
+    if A.modulus != PrimePowerModulus(q, n):
+        raise OutOfRangeParameter(f"condition set is mod {A.modulus.modulus}, not {q**n}")
+    return _root_values(g, q, n, *vs)[0]
+
+
+def _set_sums(A: ConditionSet, ws) -> np.ndarray:
+    """The sum over w of ws of e(a*w/q^n) at each a of A, added in the
+    order of ws; a and w are below q^n <= 2^26, so a*w fits in int64."""
+    qn = A.modulus.modulus
+    return sum(_exp_of_residues(A.members * w % qn, qn) for w in ws)
 
 
 def _weyl_phase(roots, alpha, qn: int) -> int:
@@ -476,6 +477,14 @@ def _weyl_phase(roots, alpha, qn: int) -> int:
     return sum(int(a) * r for a, r in zip(alpha, roots)) % qn
 
 
+def _set_weyl(roots, alpha, A: ConditionSet) -> complex:
+    """weyl_sum(g, q, n, alpha, A) from the roots of g mod q^n."""
+    c = _weyl_phase(roots, alpha, A.modulus.modulus)
+    if A.descriptor == "full":
+        return complex(1.0 if c == 0 else 0.0)
+    return complex(_set_sums(A, [c]).mean())
+
+
 def weyl_sum(g: IntPoly, q: int, n: int, alpha, A: ConditionSet) -> complex:
     """(1/|A|) sum_{a in A} e(a*c/q^n) with c = sum alpha_i r_i mod q^n.
 
@@ -483,15 +492,7 @@ def weyl_sum(g: IntPoly, q: int, n: int, alpha, A: ConditionSet) -> complex:
     (character orthogonality): 1 if c = 0 mod q^n, else 0.  A must be a
     subset of Z/q^nZ for this q and n.
     """
-    mod = PrimePowerModulus(q, n)
-    _check_set_modulus(A, mod)
-    roots = _split_roots(g, q, n)
-    c = _weyl_phase(roots, alpha, mod.modulus)
-    if A.descriptor == "full":
-        return complex(1.0 if c == 0 else 0.0)
-    # members and c are below q^n <= 2^26, so the product fits in int64
-    ks = (A.members * c) % mod.modulus
-    return complex(_exp_of_residues(ks, mod.modulus).mean())
+    return _set_weyl(_set_roots(g, q, n, A), alpha, A)
 
 
 def restricted_sum_values(
@@ -499,12 +500,14 @@ def restricted_sum_values(
 ) -> np.ndarray:
     """S(a) = sum_r e(a*v(r)/q^n) for a running over the condition set,
     which must be a subset of Z/q^nZ for this q and n."""
-    if v is None:
-        v = LaurentPoly.x()
-    mod = PrimePowerModulus(q, n)
-    _check_set_modulus(A, mod)
-    qn = mod.modulus
-    return sum(_exp_of_residues(A.members * w % qn, qn) for w in _root_values(g, q, n, v))
+    return _set_sums(A, _set_roots(g, q, n, A, v or LaurentPoly.x()))
+
+
+def prime_sweep_values(g: IntPoly, qs, a: int) -> np.ndarray:
+    """sum over the roots r of g mod q of e(a*r/q), for each split prime q
+    of qs, the roots of all of qs found in one batch."""
+    return np.array([sum(np.exp(2j * np.pi * ((a * r) % q) / q) for r in roots)
+                     for q, roots in _split_roots_each(g, qs)], dtype=np.complex128)
 
 
 def uniformity_metric(A: ConditionSet) -> float:
@@ -516,8 +519,7 @@ def uniformity_metric(A: ConditionSet) -> float:
     if len(A.members) < 1:
         raise OutOfRangeParameter("condition set must be nonempty")
     n = A.modulus.modulus
-    if n > PARAM_SPACE_CAP:
-        raise OutOfRangeParameter("parameter space exceeds 2^26")
+    _check_cap(n, "parameter space q^n")
     x = np.zeros(n, dtype=np.float64)
     x[A.members] = 1.0
     mags = np.abs(np.fft.fft(x))

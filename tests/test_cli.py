@@ -296,11 +296,13 @@ def test_figure_histogram_for_real_data(tmp_path):
 
 @pytest.mark.parametrize(
     "sidecar", ["5", '{"d": null}', '{"d": 1e400}', '{"d": 1' + "0" * 400 + "}", '{"d": NaN}',
-                '{"d": -3}', "not json"],
-    ids=["number", "null", "overflow", "huge-int", "nan", "negative", "not-json"],
+                '{"d": -3}', "not json", '{"d": 3, "r": "2"}', '{"d": 3, "r": 1e308}'],
+    ids=["number", "null", "overflow", "huge-int", "nan", "negative", "not-json",
+         "r-not-a-number", "r-times-d-overflow"],
 )
 def test_figure_without_a_usable_sidecar_d_takes_the_sample_bound(sidecar, tmp_path):
-    """A sidecar whose d is not a finite number > 0 is passed over: the bound
+    """A sidecar whose d (times its r, if any) is not a finite number > 0 is
+    passed over: the bound
     is the ceiling of the largest |coordinate|, here 3 = |S(0)| for X^3-1."""
     csv = tmp_path / "a.csv"
     main(["sums", "--poly", "X^3-1", "--prime", "31", "--out", str(csv)])
@@ -356,6 +358,19 @@ def test_figure_skips_samples_outside_its_range(rows, element, drawn, tmp_path):
         assert [(c.get("cx"), c.get("cy")) for c in shapes] == [("533.33", "333.33")]
     else:  # the background, then 4 bins over [-1.5, 1.5] holding -0.25 and 0.5
         assert [r.get("height") for r in shapes[1:]] == ["0.00", "760.00", "760.00", "0.00"]
+
+
+def test_figure_of_a_trace_grid_takes_the_range_r_times_d(tmp_path):
+    """A Kloosterman trace grid's sidecar names d and r, and a sum of d
+    values of Kl_r reaches past d (5.54 here, d = 3): the automatic range is
+    r*d, so every sample is drawn."""
+    csv = tmp_path / "kl.csv"
+    assert main(["klsums", "--poly", "X^3-9X-1", "--prime", "8089", "--out", str(csv)]) == 0
+    assert main(["figure", str(csv), "--range", "6", "--out", str(tmp_path / "want.svg")]) == 0
+    assert main(["figure", str(csv)]) == 0
+    text = (tmp_path / "kl.svg").read_text()
+    assert text == (tmp_path / "want.svg").read_text()
+    assert "<!-- samples: 8088 -->\n<svg" in text
 
 
 @pytest.mark.parametrize(
@@ -760,10 +775,17 @@ GRID_CSV = ["sums", "--poly", "X^3+X+3", "--prime", "30223", "--out", "g.csv"]
          "80cb0d5995469d30f517e87279cc8bd5a2b265647f0797bbd624f6d58dc743b0"),
         ([["relations", "--poly", "X^3-1", "--kind", "multiplicative", "--no-cache"]], ["-"],
          "20911dd202cf4372105e762346d1e5caf132c81b71c58613a4671ccebc84e50d"),
+        ([["condition", "--poly", "X^3+X^2+2X+1", "--prime", "100189",
+           "--descriptor", "interval:0.5", "--alpha", "1,1,1"]], ["-"],
+         "1321dd231459370a1c0c4dfc4797fe659e01cb2d90d19efc9951f2ff459b7424"),
+        ([["weylcheck", "--poly", "X^5-1", "--alpha", "1,1,1,1,1;1,0,0,0,0",
+           "--primes", "11,31,41"]], ["-"],
+         "61f510ee4af009208216d08a9450a669c9d941fb61581c5d3ffa6b0e2b3b2edf"),
     ],
     ids=["sums-csv", "sums-stdout", "figure-scatter", "limit-st-and-histogram", "limit-usp",
          "limit-sigma", "limit-stdout", "limit-inv", "klsums-excluded", "prime-sweep-stdout",
-         "mults-stdout", "relations-multiplicative-stdout"],
+         "mults-stdout", "relations-multiplicative-stdout", "condition-stdout",
+         "weylcheck-stdout"],
 )
 def test_written_bytes_are_pinned(steps, outputs, digest, tmp_path, monkeypatch, capsys):
     """CSV, JSON, SVG and stdout bytes of the writers and readers, pinned by

@@ -9,7 +9,7 @@ import pytest
 import scipy.stats
 
 from ultrashort import sums
-from ultrashort.arith import IntPoly, find_split_primes
+from ultrashort.arith import IntPoly, find_split_primes, roots_mod_primes
 from ultrashort.errors import NonPrimeModulus, NotSplit, OutOfRangeParameter, RamifiedPrime
 from ultrashort.limitlaw import exact_mixed_moment, philox_generator
 from ultrashort.relations import RelationModule, additive_relations
@@ -21,7 +21,12 @@ from ultrashort.stats import (
     moment_table,
     stationarity_report,
 )
-from ultrashort.sums import additive_sum_grid, make_condition_set, weyl_sum
+from ultrashort.sums import (
+    additive_sum_grid,
+    make_condition_set,
+    restricted_sum_values,
+    weyl_sum,
+)
 
 
 def test_empirical_moment_is_integer_times_q_on_full_grids():
@@ -332,6 +337,31 @@ def test_conditioning_full_set_reduces_to_exact_weyl():
     assert by_alpha[1, 0, 0]["value_re"] == 0.0 and not by_alpha[1, 0, 0]["in_Rg"]
     assert by_alpha[1, 1, 1]["value_re"] == 1.0 and by_alpha[1, 1, 1]["in_Rg"]
     assert rep["uniformity_metric"] < 1e-12
+
+
+def test_conditioning_finds_the_roots_once(monkeypatch):
+    """The restricted values and every Weyl entry read one root batch (one
+    more per alpha before), and equal restricted_sum_values and weyl_sum
+    bit for bit."""
+    g, q = IntPoly.parse("X^3+X^2+2X+1"), 100357
+    half = make_condition_set(q, 1, "interval:0.5")
+    alphas = [[1, 1, 1], [1, 0, 0], [0, 1, -1], [2, 1, 0]]
+    module = additive_relations(g)
+    batches = []
+
+    def spy(g, qs):
+        batches.append(list(qs))
+        return roots_mod_primes(g, qs)
+
+    monkeypatch.setattr(sums, "roots_mod_primes", spy)
+    rep = conditioning_experiment(g, q, 1, half, alphas, module)
+    assert batches == [[q]]
+    monkeypatch.undo()
+    for entry, alpha in zip(rep["weyl"], alphas, strict=True):
+        w = weyl_sum(g, q, 1, alpha, half)
+        assert (entry["value_re"], entry["value_im"]) == (w.real, w.imag)
+    first = restricted_sum_values(g, q, 1, half).mean()
+    assert (rep["moments"]["first_re"], rep["moments"]["first_im"]) == (first.real, first.imag)
 
 
 def test_conditioning_quadratic_residue_image_bound():

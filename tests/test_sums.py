@@ -86,7 +86,25 @@ def test_prime_power_grid_finds_the_mod_q_roots_once(monkeypatch):
     monkeypatch.setattr(arith, "roots_mod_primes", spy)
     additive_sum_grid(g, q, 2)
     assert batches == [[q]]
-    assert sums._split_roots(g, q, 2) == want
+    assert _roots(g, q, 2) == want
+
+
+def test_split_roots_each_is_the_one_root_source():
+    """roots_mod_primes has one call site in sums, stats and cli together:
+    _split_roots_each, which every sum family, Weyl check and command reads."""
+    import ast
+
+    calls = []
+    for name in ("sums", "stats", "cli"):
+        path = os.path.join(os.path.dirname(sums.__file__), f"{name}.py")
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                calls += [(name, func.name) for node in ast.walk(func)
+                          if isinstance(node, ast.Call)
+                          and getattr(node.func, "id", None) == "roots_mod_primes"]
+    assert calls == [("sums", "_split_roots_each")]
 
 
 def test_additive_grid_threads_deterministic():
@@ -111,17 +129,22 @@ def _within_proven_bound(values, residue_sets, modulus, d):
     assert np.abs(values - want).max() <= d * (d + 43) * U + d * (d + 20) * U
 
 
+def _roots(g, q, n=1):
+    """The roots of g mod q^n in the order every sum family reads them."""
+    return next(sums._split_roots_each(g, [q], n))[1]
+
+
 def _additive(text, q, n):
     g = IntPoly.parse(text)
     a = np.arange(q**n, dtype=np.int64)
-    ws = sums._split_roots(g, q, n)
+    ws = _roots(g, q, n)
     return additive_sum_grid(g, q, n).values, [a * w for w in ws], q**n, g.degree
 
 
 def _mult(text, q):
     g = IntPoly.parse(text)
     gen = sums.multiplicative_generator(q)
-    roots = sums._split_roots(g, q)
+    roots = _roots(g, q)
     logs = [next(k for k in range(q - 1) if pow(gen, k, q) == r) for r in roots]
     t = np.arange(q - 1, dtype=np.int64)
     return mult_char_sum_grid(g, q).values, [t * s for s in logs], q - 1, g.degree
@@ -130,7 +153,7 @@ def _mult(text, q):
 def _multi(text, q, exponents):
     g = IntPoly.parse(text)
     tuples = np.array(list(itertools.product(range(q), repeat=len(exponents))), dtype=np.int64)
-    powers = [[pow(r, m, q) for m in exponents] for r in sums._split_roots(g, q)]
+    powers = [[pow(r, m, q) for m in exponents] for r in _roots(g, q)]
     values = multi_param_sum_samples(g, q, exponents, 0, 0, full_grid=True)
     return values, [tuples @ np.array(pw) for pw in powers], q, g.degree
 
