@@ -21,7 +21,7 @@ import warnings
 
 import numpy as np
 
-from . import limitlaw, relations, stats, sums
+from . import limitlaw, stats, sums
 from .arith import IntPoly, LaurentPoly, find_split_primes, hensel_roots
 from .errors import UltrashortError
 
@@ -179,12 +179,14 @@ def _cache_key(g: IntPoly, kind: str, v, exponents, coeff_cap, degree_bound) -> 
 
 def cache_get(directory: str, key: str):
     """The cached module, or None on a miss; a malformed entry is a miss."""
+    from .relations import RelationModule
+
     path = os.path.join(directory, key + ".json")
     if not os.path.exists(path):
         return None
     try:
         with open(path) as fh:
-            return relations.RelationModule.from_json_dict(json.load(fh))
+            return RelationModule.from_json_dict(json.load(fh))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"warning: ignoring corrupt cache entry {path}: {exc}", file=sys.stderr)
         return None
@@ -230,6 +232,8 @@ def cmd_roots(args) -> None:
 
 def _module(args, g: IntPoly, kind: str = "additive"):
     """The relation module of g that the flags name, through the disk cache."""
+    from . import relations
+
     v = _laurent(args.v) if getattr(args, "v", None) else None
     text = getattr(args, "exponents", None)
     # a joint module does not depend on the order of its exponents
@@ -262,8 +266,10 @@ def cmd_relations(args) -> None:
 
 
 def cmd_index(args) -> None:
+    from .relations import _coeff_cap, index_ind
+
     g = _poly(args)
-    ind = relations.index_ind(g, args.coeff_cap, args.degree_bound or None)
+    ind = index_ind(g, _coeff_cap(args.coeff_cap), args.degree_bound or None)
     _emit({"poly": str(g), "ind": ind}, args.out)
 
 
@@ -316,8 +322,10 @@ def cmd_limit(args) -> None:
     elif law.startswith("inv:"):
         if not args.poly:
             raise UsageError("--poly is required for --law inv:R")
+        from .relations import negation_pairing
+
         r, g = _law_int(law), _poly(args)
-        pairs = relations.negation_pairing(g)[0]  # unpaired roots are the rest
+        pairs = negation_pairing(g)[0]  # unpaired roots are the rest
         batch = limitlaw.involution_sum_samples(g.degree, pairs, r, args.count, args.seed)
     else:
         raise UsageError(f"unknown law {law!r} (sigma | st | st-sum:K | su:R | usp:R | inv:R)")
@@ -378,6 +386,8 @@ def cmd_prime_sweep(args) -> None:
     Exploratory only: whether these values equidistribute as the prime
     varies is an open question, so nothing is asserted about the output.
     """
+    if args.limit < 2:
+        raise UsageError(f"--limit {args.limit}: must be at least 2")
     g = _poly(args)
     qs = find_split_primes(g, 2, args.limit)
     zs = sums.prime_sweep_values(g, qs, args.a)
@@ -542,7 +552,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file (default: stdout)")
 
     def bounds(p, cache=True):
-        p.add_argument("--coeff-cap", type=int, default=relations.DEFAULT_COEFF_CAP)
+        # None is relations.DEFAULT_COEFF_CAP, read only by the commands that
+        # import relations, so the others do not load it (or mpmath)
+        p.add_argument("--coeff-cap", type=int, default=None)
         p.add_argument("--degree-bound", type=int, default=0,
                        help="user-asserted [K_g:Q] bound (default: d!)")
         if cache:

@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import sums
 from .arith import philox_generator
 from .errors import InvalidPairing, OutOfRangeParameter, TooLarge
-from .lattice import smith_normal_form as _snf
-from .relations import RelationModule
+
+if TYPE_CHECKING:
+    from .relations import RelationModule
 
 EXACT_MOMENT_CAP = 10**8
 
@@ -131,10 +133,12 @@ def _unit_points(theta: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def torus_subgroup(module: RelationModule) -> TorusSubgroup:
     """The support H = R^perp of the limit law, with its Haar sampler."""
+    from .lattice import smith_normal_form
+
     d = module.ambient_rank
     if module.rank == 0:
         return TorusSubgroup(d, np.eye(d), ())
-    snf = _snf([list(r) for r in module.basis])
+    snf = smith_normal_form([list(r) for r in module.basis])
     v = np.array(snf.V, dtype=np.float64)
     return TorusSubgroup(d, v, snf.invariant_factors)
 

@@ -100,9 +100,12 @@ def _degree_bound(g: IntPoly, degree_bound: int | None) -> int:
     return min(int(degree_bound), full)
 
 
-def _coeff_cap(coeff_cap: int) -> int:
-    """The largest sup-norm of a searched vector.  Below 1 no nonzero vector
-    is searched and every module would come out empty, so it is rejected."""
+def _coeff_cap(coeff_cap: int | None) -> int:
+    """The largest sup-norm of a searched vector, DEFAULT_COEFF_CAP for None.
+    Below 1 no nonzero vector is searched and every module would come out
+    empty, so it is rejected."""
+    if coeff_cap is None:
+        return DEFAULT_COEFF_CAP
     if coeff_cap < 1:
         raise OutOfRangeParameter(f"coeff_cap must be >= 1, got {coeff_cap}")
     return int(coeff_cap)

@@ -10,13 +10,17 @@ secondary, fuzzy instruments for the laws without exact handles.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from . import sums
 from .arith import IntPoly
 from .errors import OutOfRangeParameter
-from .relations import RelationModule, additive_relations
 from .sums import ConditionSet, SumGrid, uniformity_metric
+
+if TYPE_CHECKING:
+    from .relations import RelationModule
 
 
 def _moment_means(vals: np.ndarray, pairs) -> list[float]:
@@ -119,6 +123,8 @@ def stationarity_report(
     prime in [1000, 2000]).  The report lists each disagreement.
     """
     if module is None:
+        from .relations import additive_relations
+
         module = additive_relations(g)
     alphas = [[int(a) for a in alpha] for alpha in test_alphas]
     entries = []
@@ -236,6 +242,8 @@ def conditioning_experiment(
     The roots are found once for the values and every Weyl sum.
     """
     if module is None:
+        from .relations import additive_relations
+
         module = additive_relations(g)
     roots = sums._set_roots(g, q, n, A)
     values = sums._set_sums(A, roots)

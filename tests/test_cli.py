@@ -210,6 +210,19 @@ def test_relations_cache_key_depends_on_caps(tmp_path):
     assert len(list(cache.glob("*.json"))) == 2
 
 
+def test_relations_cache_entry_name_is_pinned(tmp_path):
+    """The default --coeff-cap and an explicit --coeff-cap 64 name one entry,
+    under the key that CACHE_VERSION 2 gave before the default was deferred."""
+    cache = tmp_path / "cache"
+    base = ["relations", "--poly", "X^3+X+3", "--cache-dir", str(cache)]
+    assert main(base) == 0
+    assert main(base + ["--coeff-cap", "64"]) == 0
+    assert cli.CACHE_VERSION == 2
+    assert [p.name for p in cache.iterdir()] == [
+        "2ffdb58833aa6356b95ba0251788d1bc282d0de286c29a00123dcbb4734f0933.json"
+    ]
+
+
 def test_module_commands_share_the_cache(tmp_path):
     cache = tmp_path / "cache"
     weyl = ["weylcheck", "--poly", "X^3+X+3", "--alpha", "1,1,1", "--primes", "30223",
@@ -677,6 +690,10 @@ BAD_CONFIGS = {
         (["weylcheck", "--poly", "X^3+X+3", "--alpha", ";", "--primes", "11"], "--alpha"),
         (["condition", "--poly", "X^3+X+3", "--prime", "30223", "--descriptor", "full",
           "--alpha", " ; "], "--alpha"),
+
+        (["prime-sweep", "--poly", "X^2-2", "--limit", "1"], "--limit 1"),
+        (["prime-sweep", "--poly", "X^2-2", "--limit", "0"], "--limit 0"),
+        (["prime-sweep", "--poly", "X^2-2", "--limit", "-5"], "--limit -5"),
     ],
     ids=["poly-dangling-sign", "poly-not-monic", "poly-not-separable", "v-dangling-sign",
          "alpha-not-int", "prime-range-two-fields", "exponents-not-int", "value-without-v",
@@ -684,7 +701,8 @@ BAD_CONFIGS = {
          "config-missing-file", "config-json-list", "config-poly-number", "config-count-float",
          "config-prime-float", "config-switch-string", "figure-missing-file", "figure-zero-bins",
          "figure-negative-range", "prime-range-negative-count", "weylcheck-alpha-no-vector",
-         "condition-alpha-no-vector"],
+         "condition-alpha-no-vector", "prime-sweep-limit-1", "prime-sweep-limit-0",
+         "prime-sweep-negative-limit"],
 )
 def test_malformed_flag_text_is_usage_error(argv, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -725,20 +743,68 @@ def test_readme_command_lines_parse():
             assert getattr(args, name) not in (None, ""), (line, name)
 
 
-def test_cli_import_loads_only_numpy_and_mpmath():
-    """A fresh interpreter imports the CLI with no third-party package but
-    the two runtime dependencies."""
+def test_cli_import_loads_only_numpy_and_not_the_certified_layer():
+    """A fresh interpreter imports the CLI with numpy as its one third-party
+    package: mpmath and the certified layer load only when a command needs
+    a relation module."""
     src = os.path.dirname(os.path.dirname(ultrashort.__file__))
     code = (
         "import sys; before = set(sys.modules); import ultrashort.cli; "
         "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
-        " - set(sys.stdlib_module_names) - {'ultrashort'}))"
+        " - set(sys.stdlib_module_names) - {'ultrashort'})); "
+        "print(sorted(m for m in sys.modules if m in "
+        "('ultrashort.relations', 'ultrashort.balls', 'ultrashort.lattice')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout.strip() == "['mpmath', 'numpy']"
+    assert out.stdout.splitlines() == ["['numpy']", "[]"]
+
+
+CERTIFIED_LAYER = ("mpmath", "ultrashort.relations", "ultrashort.balls", "ultrashort.lattice")
+
+
+@pytest.mark.parametrize(
+    "argv, loads_layer",
+    [
+        (["primes", "--poly", "X^3+X+3", "--lo", "30200", "--hi", "30250"], False),
+        (["roots", "--poly", "X^2-2", "--prime", "7", "--power", "2"], False),
+        (["sums", "--poly", "X^3+2X^2+3", "--prime", "30113", "--out", "fig_a.csv"], False),
+        (["figure", "in.csv"], False),
+        (["klsums", "--poly", "X^3-9X-1", "--prime", "59", "--out", "kl.csv"], False),
+        (["mults", "--poly", "X^3-1", "--prime", "13"], False),
+        (["limit", "--law", "st-sum:3", "--count", "1000", "--seed", "1"], False),
+        (["prime-sweep", "--poly", "X^2-2", "--a", "1", "--limit", "300"], False),
+        (["relations", "--poly", "X^3+X+3"], True),
+        (["index", "--poly", "X^3+X^2+2X+1"], True),
+        (["limit", "--law", "sigma", "--poly", "X^3+X+3", "--count", "1000"], True),
+        (["moments", "--poly", "X^3+X+3", "--prime", "30223"], True),
+        (["weylcheck", "--poly", "X^5-1", "--alpha", "1,1,1,1,1;1,0,0,0,0",
+          "--primes", "11,31,41"], True),
+        (["condition", "--poly", "X^3+X^2+2X+1", "--prime", "100189",
+          "--descriptor", "interval:0.5", "--alpha", "1,1,1"], True),
+    ],
+    ids=["primes", "roots", "sums", "figure", "klsums", "mults", "limit-st-sum", "prime-sweep",
+         "relations", "index", "limit-sigma", "moments", "weylcheck", "condition"],
+)
+def test_only_module_commands_load_the_certified_layer(argv, loads_layer, tmp_path):
+    """Each README command, at small inputs, run by cli.main in a fresh
+    interpreter: the commands that use no relation module leave mpmath,
+    relations, balls and lattice unloaded; the others load all four."""
+    (tmp_path / "in.csv").write_text("re,im\n0.5,0.25\n-1.0,2.0\n")
+    code = (
+        "import sys; from ultrashort.cli import main; code = main(sys.argv[1:]); "
+        f"print([m in sys.modules for m in {CERTIFIED_LAYER!r}], file=sys.stderr); "
+        "sys.exit(code)"
+    )
+    src = os.path.dirname(os.path.dirname(ultrashort.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == str([loads_layer] * len(CERTIFIED_LAYER))
 
 
 GRID_CSV = ["sums", "--poly", "X^3+X+3", "--prime", "30223", "--out", "g.csv"]
