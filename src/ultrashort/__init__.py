@@ -37,6 +37,7 @@ _LAZY = {
     "dominant_root_holds": "relations",
     "gamma_is_zero": "relations",
     "index_ind": "relations",
+    "index_relations": "relations",
     "joint_power_relations": "relations",
     "multiplicative_relations": "relations",
     "smith_normal_form": "lattice",

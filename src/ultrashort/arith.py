@@ -259,7 +259,7 @@ def _dense_coeffs(text: str) -> list[int]:
 
 
 def _parse_terms(text: str) -> list[tuple[int, int]]:
-    """Parse "2X^3-X^-2+5" into [(3, 2), (-2, -1), (0, 5)]."""
+    """Parse "2X^3-X^-2+5" into [(3, 2), (-2, -1), (0, 5)]; later terms need a sign."""
     s = text.replace(" ", "").replace("x", "X").replace("**", "^")
     if not s:
         raise ValueError("empty polynomial")
@@ -267,6 +267,8 @@ def _parse_terms(text: str) -> list[tuple[int, int]]:
     i = 0
     n = len(s)
     while i < n:
+        if terms and s[i] not in "+-":
+            raise ValueError(f"cannot parse polynomial {text!r}: no sign before {s[i:]!r}")
         sign = 1
         while i < n and s[i] in "+-":
             if s[i] == "-":

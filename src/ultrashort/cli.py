@@ -34,7 +34,7 @@ CACHE_ENV = "ULTRASHORT_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".ultrashort-cache"
 # Part of every cache key: raise it whenever the stored entry or the way a
 # module is computed changes, so entries written before become misses.
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +177,9 @@ def _cache_key(g: IntPoly, kind: str, v, exponents, coeff_cap, degree_bound) -> 
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def cache_get(directory: str, key: str):
-    """The cached module, or None on a miss; a malformed entry is a miss."""
+def cache_get(directory: str, key: str, d: int, kind: str):
+    """The cached module, or None on a miss.  An entry that from_json_dict
+    refuses, or that holds another d or kind, warns and is a miss."""
     from .relations import RelationModule
 
     path = os.path.join(directory, key + ".json")
@@ -186,7 +187,10 @@ def cache_get(directory: str, key: str):
         return None
     try:
         with open(path) as fh:
-            return RelationModule.from_json_dict(json.load(fh))
+            module = RelationModule.from_json_dict(json.load(fh))
+        if (module.ambient_rank, module.kind) != (d, kind):
+            raise ValueError(f"it holds a {module.kind} module of d = {module.ambient_rank}")
+        return module
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"warning: ignoring corrupt cache entry {path}: {exc}", file=sys.stderr)
         return None
@@ -242,11 +246,14 @@ def _module(args, g: IntPoly, kind: str = "additive"):
         raise UsageError("--v is required for kind=value")
     if kind == "joint" and exponents is None:
         raise UsageError("--exponents is required for kind=joint")
+    # the key names only what the kind reads, so that one module has one entry
+    v = {"value": v, "multiplicative": v or LaurentPoly.x()}.get(kind)
+    exponents = exponents if kind == "joint" else None
     bound = relations._degree_bound(g, args.degree_bound or None)
     cap = relations._coeff_cap(args.coeff_cap)
     key = _cache_key(g, kind, v, exponents, cap, bound)
     directory = args.cache_dir or os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR)
-    module = None if args.no_cache else cache_get(directory, key)
+    module = None if args.no_cache else cache_get(directory, key, g.degree, kind)
     if module is None:
         if kind == "additive":
             module = relations.additive_relations(g, cap, bound)
@@ -255,7 +262,7 @@ def _module(args, g: IntPoly, kind: str = "additive"):
         elif kind == "joint":
             module = relations.joint_power_relations(g, exponents, cap, bound)
         else:
-            module = relations.multiplicative_relations(g, v or LaurentPoly.x(), cap, bound)
+            module = relations.multiplicative_relations(g, v, cap, bound)
         if not args.no_cache:
             cache_put(directory, key, module)
     return module
@@ -266,10 +273,10 @@ def cmd_relations(args) -> None:
 
 
 def cmd_index(args) -> None:
-    from .relations import _coeff_cap, index_ind
+    from .relations import index_ind
 
     g = _poly(args)
-    ind = index_ind(g, _coeff_cap(args.coeff_cap), args.degree_bound or None)
+    ind = index_ind(g, args.coeff_cap, args.degree_bound or None)
     _emit({"poly": str(g), "ind": ind}, args.out)
 
 

@@ -5,7 +5,7 @@ kernel of alpha -> (sum alpha_i y_i) over one or more lists of algebraic
 integers y_i, computed by one engine (`_linear_relations`) from ball
 factories enclosing them: the sorted roots x_i (`_sorted_boxes`), the values
 v(x_i) scaled to algebraic integers (`_integral_value_balls`), the sorted
-roots with 1 appended (`index_ind`), or one factory x_i^m per exponent m,
+roots with 1 appended (`index_relations`), or one factory x_i^m per exponent m,
 so that a joint module is one detection over stacked columns.  All kinds,
 the multiplicative one with its log/arg columns and winding row included,
 share one detection path (`_detect_module`, the only code that builds LLL
@@ -473,10 +473,10 @@ def _zero_test(alpha, degree_bound, enclose) -> bool:
     (ball, base, n, tail) with dyadics base, tail >= 1 given as (m, e)
     (`_sum_enclosure`, `_product_enclosure`).  Each gamma is built from
     values at the roots that the Galois group of g's splitting field
-    permutes, except that an entry may be fixed (the constant 1 of
-    `index_ind`): sigma moves the value at root i to the value at root s(i)
-    for one permutation s fixing such entries, so each conjugate of gamma is
-    gamma's expression in a rearrangement of alpha, and gamma has at most
+    permutes, except that an entry may be fixed (the 1 of `index_relations`):
+    sigma moves the value at root i to the value at root s(i) for one
+    permutation s fixing such entries, so each conjugate of gamma is gamma's
+    expression in a rearrangement of alpha, and gamma has at most
     D = min(degree_bound, orbit(alpha)) conjugates.  A ball excluding 0
     decides False; a ball inside |z| < L/2 decides True.  The first level
     is 128 bits, which the base serves (`_boxes_at`).  Otherwise the
@@ -561,6 +561,11 @@ def gamma_is_zero(
 # relation modules
 
 
+# the certificate's fields, in JSON order, with their JSON types
+_CERTIFICATE = {"precision_bits": int, "degree_bound": int, "coeff_cap": int,
+                "stable_doublings": int, "cap_reached": bool}
+
+
 @dataclass(frozen=True)
 class RelationModule:
     """Sublattice of Z^d in row Hermite normal form, with its certificate."""
@@ -580,25 +585,28 @@ class RelationModule:
         return lattice.in_lattice([list(r) for r in self.basis], list(alpha))
 
     def to_json_dict(self) -> dict:
+        """The whole record: d, basis, the certificate, kind."""
         return {
             "d": self.ambient_rank,
             "basis": [list(row) for row in self.basis],
-            "precision_bits": int(self.certificate.get("precision_bits", 0)),
+            **self.certificate,
             "kind": self.kind,
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RelationModule":
-        d = int(data["d"])
-        basis = tuple(tuple(int(x) for x in row) for row in data["basis"])
-        if any(len(row) != d for row in basis):
-            raise ValueError("basis row has the wrong length")
-        return cls(
-            ambient_rank=d,
-            basis=basis,
-            kind=str(data["kind"]),
-            certificate={"precision_bits": int(data.get("precision_bits", 0))},
-        )
+        """The module whose to_json_dict is data; ValueError for a field of the
+        wrong JSON type, a row that is not d ints, or a basis not in HNF."""
+        for key, json_type in {"d": int, "basis": list, **_CERTIFICATE, "kind": str}.items():
+            if type(data[key]) is not json_type:
+                raise ValueError(f"{key} is not a JSON {json_type.__name__}")
+        d, rows = data["d"], data["basis"]
+        if any(type(row) is not list or len(row) != d or any(type(x) is not int for x in row)
+               for row in rows):
+            raise ValueError(f"a basis row is not a list of {d} integers")
+        if rows != lattice.hnf_rows(rows):
+            raise ValueError("basis is not in row Hermite normal form")
+        return cls(d, tuple(map(tuple, rows)), data["kind"], {k: data[k] for k in _CERTIFICATE})
 
 
 def _detect_module(dim, kind, columns, certify, coeff_cap, degree_bound, saturate=True):
@@ -650,14 +658,12 @@ def _detect_module(dim, kind, columns, certify, coeff_cap, degree_bound, saturat
         agreements = agreements + 1 if key == prev else 0
         prev = key
         if agreements >= _STABLE_DOUBLINGS:
-            lower = "norm bound (||alpha||_1 * M)^-(min(degree_bound, orbit(alpha)) - 1)"
             return RelationModule(dim, key, kind, {
                 "precision_bits": bits,
                 "degree_bound": degree_bound,
                 "coeff_cap": coeff_cap,
                 "stable_doublings": _STABLE_DOUBLINGS,
                 "cap_reached": capped,
-                "lower_bound": lower,
             })
         bits *= 2
     raise PrecisionExhausted("relation detection did not stabilize")
@@ -826,24 +832,26 @@ def _product_enclosure(g, v, alpha):
 
 
 @lru_cache(maxsize=None)
+def index_relations(
+    g: IntPoly, coeff_cap: int = DEFAULT_COEFF_CAP, degree_bound: int | None = None
+) -> RelationModule:
+    """HNF basis of {alpha in Z^(d+1) : sum alpha_i x_i + alpha_(d+1) = 0}, the
+    additive relation module of the augmented value list (x_1, ..., x_d, 1)."""
+    factories = [lambda bits: _sorted_boxes(g, bits) + [Ball(1)]]
+    return _linear_relations(g, factories, g.degree + 1, "index", coeff_cap, degree_bound)
+
+
 def index_ind(
-    g: IntPoly,
-    coeff_cap: int = DEFAULT_COEFF_CAP,
-    degree_bound: int | None = None,
+    g: IntPoly, coeff_cap: int = DEFAULT_COEFF_CAP, degree_bound: int | None = None
 ) -> int:
     """ind(g): nonnegative generator of the integers of the form sum alpha_i x_i.
 
-    Computed from an HNF basis of the additive relation module of the
-    augmented value list (x_1, ..., x_d, 1): a relation
-    sum alpha_i x_i + c = 0 exhibits -c as an attained integer, and the set
-    of attained integers is the gcd ideal of the basis' last coordinates.
+    A relation sum alpha_i x_i + c = 0 of `index_relations` exhibits -c as
+    an attained integer, and the set of attained integers is the gcd ideal
+    of the basis' last coordinates (math.gcd ignores signs and zeros, and
+    is 0 for none).
     """
-    module = _linear_relations(
-        g, [lambda bits: _sorted_boxes(g, bits) + [Ball(1)]], g.degree + 1, "index",
-        coeff_cap, degree_bound,
-    )
-    consts = [abs(row[-1]) for row in module.basis if row[-1] != 0]
-    return math.gcd(*consts) if consts else 0
+    return math.gcd(*(row[-1] for row in index_relations(g, coeff_cap, degree_bound).basis))
 
 
 def dominant_root_holds(g: IntPoly, degree_bound: int | None = None) -> bool:

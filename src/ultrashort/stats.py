@@ -105,12 +105,7 @@ def moment_table(grid: SumGrid, max_order: int) -> dict:
     }
 
 
-def stationarity_report(
-    g: IntPoly,
-    primes,
-    test_alphas,
-    module: RelationModule | None = None,
-) -> dict:
+def stationarity_report(g: IntPoly, primes, test_alphas, module: RelationModule) -> dict:
     """Exact full-grid Weyl values vs lattice membership, per (q, alpha).
 
     The full-grid Weyl value is 1 if sum alpha_i r_i = 0 mod q and 0
@@ -122,10 +117,6 @@ def stationarity_report(
     alpha = (0,1,1,0,0,1) in its lattice has Weyl value 0 at every split
     prime in [1000, 2000]).  The report lists each disagreement.
     """
-    if module is None:
-        from .relations import additive_relations
-
-        module = additive_relations(g)
     alphas = [[int(a) for a in alpha] for alpha in test_alphas]
     entries = []
     disagreements = []
@@ -229,22 +220,13 @@ def binned_l1_2d(a, b, bins: int, bound: float | None = None) -> float:
 
 
 def conditioning_experiment(
-    g: IntPoly,
-    q: int,
-    n: int,
-    A: ConditionSet,
-    test_alphas,
-    module: RelationModule | None = None,
+    g: IntPoly, q: int, n: int, A: ConditionSet, test_alphas, module: RelationModule
 ) -> dict:
     """Quantities of the conditioning setup: uniformity metric of A, the
     restricted Weyl sums for each alpha, and the first/second empirical
     moments of the restricted sum grid.  No asymptotic verdict is asserted.
     The roots are found once for the values and every Weyl sum.
     """
-    if module is None:
-        from .relations import additive_relations
-
-        module = additive_relations(g)
     roots = sums._set_roots(g, q, n, A)
     values = sums._set_sums(A, roots)
     weyl_entries = []

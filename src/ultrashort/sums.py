@@ -14,9 +14,9 @@ Weyl sums over the full parameter space never touch floating point at all:
 character orthogonality reduces them to an exact congruence.
 
 _split_roots_each is the one root source of sums, stats and cli.  Its order
--- the roots mod q as ascending integers, each Newton-lifted in place to
-q^n -- is the single labelling decision: grids add their terms in it, and
-the alpha of every Weyl check indexes it.
+-- the roots mod q^n as ascending integers, for n >= 2 not the order of the
+mod-q roots they lift -- is the single labelling decision: grids add their
+terms in it, and the alpha of every Weyl check indexes it.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def _split_roots_each(g: IntPoly, qs, n: int = 1):
     """Yield (q, roots of g mod q^n) for each q of qs in turn, errors
     included: the roots mod q of all of qs come from one roots_mod_primes
     batch, raise NotSplit unless there are deg g of them, and are
-    Newton-lifted to q^n in place."""
+    Newton-lifted to q^n, where RootList sorts them again."""
     for base in roots_mod_primes(g, qs):
         q, roots = base.modulus.q, list(base.roots)
         if len(roots) != g.degree:

@@ -192,7 +192,8 @@ def test_criterion_6_conditioning():
     g = IntPoly.parse("X^3+X^2+2X+1")
     q = _split_primes_from(g, 100000, 1, hi=110000)[0]
     half = make_condition_set(q, 1, "interval:0.5")
-    rep = conditioning_experiment(g, q, 1, half, [[1, 1, 1]])
+    module = additive_relations(g)
+    rep = conditioning_experiment(g, q, 1, half, [[1, 1, 1]], module)
     um = rep["uniformity_metric"]
     checks.append((abs(um - 0.6366) < 0.01, f"uniformity {um:.4f} = 0.6366 +- 0.01"))
     w = complex(rep["weyl"][0]["value_re"], rep["weyl"][0]["value_im"])
@@ -204,7 +205,7 @@ def test_criterion_6_conditioning():
     )
     image = make_condition_set(q, 1, "image:X^2")
     rep2 = conditioning_experiment(
-        g, q, 1, image, [[1, 0, 0], [0, 1, -1], [2, 1, 0], [1, 1, 1]]
+        g, q, 1, image, [[1, 0, 0], [0, 1, -1], [2, 1, 0], [1, 1, 1]], module
     )
     for entry in rep2["weyl"]:
         if entry["in_Rg"]:

@@ -111,6 +111,60 @@ def test_relations_cache_malformed_entry_is_a_miss(tmp_path, capsys, entry):
     assert json.loads(path.read_text())["basis"] == [[1, 1, 1]]
 
 
+MODULE_READERS = {
+    "relations": ["relations", "--poly", "X^3+X+3"],
+    "weylcheck": ["weylcheck", "--poly", "X^3+X+3", "--alpha", "1,1,1;1,-1,0",
+                  "--primes", "30211,30223"],
+    "moments": ["moments", "--poly", "X^3+X+3", "--prime", "30223", "--max-order", "3"],
+}
+CORRUPT_ENTRIES = {
+    "zero-row": {"basis": [[1, 1, 1], [0, 0, 0]]},
+    "not-hnf": {"basis": [[3, 3, 3], [1, 1, 1]]},
+    "missing-field": {"stable_doublings": None},
+    "cap-reached-string": {"cap_reached": "no"},
+    "wrong-d": {"d": 4, "basis": [[1, 1, 1, 1]]},
+    "wrong-kind": {"kind": "multiplicative"},
+}
+
+
+@pytest.mark.parametrize("corrupt", list(CORRUPT_ENTRIES))
+@pytest.mark.parametrize("command", list(MODULE_READERS))
+def test_a_bad_cache_entry_is_recomputed(command, corrupt, tmp_path, capsys):
+    """An entry that from_json_dict refuses, or that holds another d or
+    kind, warns, and the command prints the fresh module's output and
+    rewrites the entry."""
+    argv = MODULE_READERS[command] + ["--cache-dir", str(tmp_path / "cache")]
+    assert main(argv + ["--no-cache"]) == 0
+    want = capsys.readouterr().out
+    assert main(argv) == 0
+    path = next((tmp_path / "cache").glob("*.json"))
+    good = json.loads(path.read_text())
+    bad = {**good, **CORRUPT_ENTRIES[corrupt]}
+    path.write_text(json.dumps({k: v for k, v in bad.items() if v is not None}))
+    capsys.readouterr()
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert f"warning: ignoring corrupt cache entry {path}" in captured.err
+    assert captured.out == want
+    assert json.loads(path.read_text()) == good
+
+
+def test_one_module_has_one_cache_entry(tmp_path):
+    """Flags that a kind does not read stay out of the key, and the
+    multiplicative default v = X is keyed as X."""
+    cache = tmp_path / "cache"
+    runs = [
+        ["--poly", "X^3+X+3"],
+        ["--poly", "X^3+X+3", "--v", "X^2"],
+        ["--poly", "X^3+X+3", "--exponents=1,2"],
+        ["--poly", "X^3-1", "--kind", "multiplicative"],
+        ["--poly", "X^3-1", "--kind", "multiplicative", "--v", "X"],
+    ]
+    for flags in runs:
+        assert main(["relations", *flags, "--cache-dir", str(cache)]) == 0
+    assert len(list(cache.glob("*.json"))) == 2
+
+
 def test_cache_put_leaves_no_temp_file(tmp_path):
     from ultrashort.cli import cache_put
 
@@ -212,14 +266,14 @@ def test_relations_cache_key_depends_on_caps(tmp_path):
 
 def test_relations_cache_entry_name_is_pinned(tmp_path):
     """The default --coeff-cap and an explicit --coeff-cap 64 name one entry,
-    under the key that CACHE_VERSION 2 gave before the default was deferred."""
+    under the key of CACHE_VERSION 3, whose entries hold the whole record."""
     cache = tmp_path / "cache"
     base = ["relations", "--poly", "X^3+X+3", "--cache-dir", str(cache)]
     assert main(base) == 0
     assert main(base + ["--coeff-cap", "64"]) == 0
-    assert cli.CACHE_VERSION == 2
+    assert cli.CACHE_VERSION == 3
     assert [p.name for p in cache.iterdir()] == [
-        "2ffdb58833aa6356b95ba0251788d1bc282d0de286c29a00123dcbb4734f0933.json"
+        "1a2fd9bbc566dcf478438f08fe277b3a2b599ad2d427cf86841367323a66c710.json"
     ]
 
 
@@ -664,6 +718,9 @@ BAD_CONFIGS = {
         (["relations", "--poly", "2X^2+1"], "--poly"),
         (["relations", "--poly", "X^2"], "--poly"),
         (["relations", "--poly", "X^5-1", "--kind", "value", "--v", "X^-1+"], "--v"),
+        (["roots", "--poly", "X2+1", "--prime", "7"], "--poly"),
+        (["roots", "--poly", "X^3X+3", "--prime", "7"], "--poly"),
+        (["relations", "--poly", "X^5-1", "--kind", "value", "--v", "X2"], "--v"),
         (["weylcheck", "--poly", "X^3+X+3", "--alpha", "1,a", "--primes", "11"], "--alpha"),
         (["weylcheck", "--poly", "X^3+X+3", "--alpha", "1,1,1", "--prime-range", "1:2"],
          "--prime-range"),
@@ -696,6 +753,7 @@ BAD_CONFIGS = {
         (["prime-sweep", "--poly", "X^2-2", "--limit", "-5"], "--limit -5"),
     ],
     ids=["poly-dangling-sign", "poly-not-monic", "poly-not-separable", "v-dangling-sign",
+         "poly-unsigned-term", "poly-unsigned-x-term", "v-unsigned-term",
          "alpha-not-int", "prime-range-two-fields", "exponents-not-int", "value-without-v",
          "joint-without-exponents", "config-last",
          "config-missing-file", "config-json-list", "config-poly-number", "config-count-float",
@@ -840,7 +898,7 @@ GRID_CSV = ["sums", "--poly", "X^3+X+3", "--prime", "30223", "--out", "g.csv"]
         ([["mults", "--poly", "X^3-1", "--prime", "13"]], ["-"],
          "80cb0d5995469d30f517e87279cc8bd5a2b265647f0797bbd624f6d58dc743b0"),
         ([["relations", "--poly", "X^3-1", "--kind", "multiplicative", "--no-cache"]], ["-"],
-         "20911dd202cf4372105e762346d1e5caf132c81b71c58613a4671ccebc84e50d"),
+         "4b933f10b93039fbcbea0b5fc3f93bf1af26cd77f2b90813f3e9b64cbb2d94ac"),
         ([["condition", "--poly", "X^3+X^2+2X+1", "--prime", "100189",
            "--descriptor", "interval:0.5", "--alpha", "1,1,1"]], ["-"],
          "1321dd231459370a1c0c4dfc4797fe659e01cb2d90d19efc9951f2ff459b7424"),

@@ -1,6 +1,7 @@
 """Certified roots, relation lattices, ind(g), dominant-root criterion."""
 
 import itertools
+import json
 import math
 import os
 import random
@@ -21,11 +22,13 @@ from ultrashort.errors import (
     ZeroRootWithNegativeExponent,
 )
 from ultrashort.relations import (
+    RelationModule,
     additive_relations,
     certified_complex_roots,
     dominant_root_holds,
     gamma_is_zero,
     index_ind,
+    index_relations,
     joint_power_relations,
     multiplicative_relations,
     negation_pairing,
@@ -638,25 +641,6 @@ def test_galois_stability_of_basis_rows_mod_split_primes():
                 assert sum(a * r for a, r in zip(row, roots)) % q == 0, (text, q)
 
 
-def _index_module(g):
-    """The relation module index_ind(g) reads ind(g) from."""
-    import ultrashort.relations as R
-
-    modules = []
-    real = R._linear_relations
-
-    def spy(*args):
-        modules.append(real(*args))
-        return modules[-1]
-
-    R._linear_relations = spy
-    try:
-        index_ind.__wrapped__(g)
-    finally:
-        R._linear_relations = real
-    return modules[0]
-
-
 P = IntPoly.parse
 
 
@@ -675,7 +659,7 @@ P = IntPoly.parse
          False),
         ("multiplicative", lambda: multiplicative_relations(P("X^3-1"), X),
          [[1, 1, 0], [0, 3, 0], [0, 0, 1]], 6, True),
-        ("index", lambda: _index_module(P("X^3+X^2+2X+1")), [[1, 1, 1, 1]], 6, True),
+        ("index", lambda: index_relations(P("X^3+X^2+2X+1")), [[1, 1, 1, 1]], 6, True),
     ],
     ids=["X^3+X+3", "X^6-1", "X^7-1", "value-X^5-1", "joint-X^3-1", "mult-X^2-2",
          "mult-X^3-1", "index-X^3+X^2+2X+1"],
@@ -684,28 +668,62 @@ def test_certificates_are_pinned(kind, compute, basis, degree_bound, cap_reached
     # every field of the module and of its certificate: changes to how roots
     # are boxed and how zero tests are run must leave all of them as they are
     module = compute()
-    assert module.to_json_dict() == {
-        "d": len(basis[0]), "basis": basis, "precision_bits": 384, "kind": kind,
-    }
-    assert module.certificate == {
+    certificate = {
         "precision_bits": 384,
         "degree_bound": degree_bound,
         "coeff_cap": 64,
         "stable_doublings": 2,
         "cap_reached": cap_reached,
-        "lower_bound": "norm bound (||alpha||_1 * M)^-(min(degree_bound, orbit(alpha)) - 1)",
     }
+    assert module.certificate == certificate
+    data = module.to_json_dict()
+    assert data == {"d": len(basis[0]), "basis": basis, **certificate, "kind": kind}
+    assert list(data) == ["d", "basis", "precision_bits", "degree_bound", "coeff_cap",
+                          "stable_doublings", "cap_reached", "kind"]
+    # from_json_dict inverts to_json_dict field for field; == skips the certificate
+    back = RelationModule.from_json_dict(json.loads(json.dumps(data)))
+    assert back == module and back.certificate == module.certificate
+    assert list(back.certificate) == list(certificate)
 
 
 def test_relation_module_json_roundtrip():
-    from ultrashort.relations import RelationModule
-
     mod = additive_relations(IntPoly.parse("X^3+X+3"))
     data = mod.to_json_dict()
     back = RelationModule.from_json_dict(data)
     assert back.basis == mod.basis
     assert back.ambient_rank == mod.ambient_rank
     assert back.kind == "additive"
+    assert back.certificate == mod.certificate
+    assert back.to_json_dict() == data
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"basis": [[1, 1, 1], [0, 0, 0]]}, "Hermite"),
+        ({"basis": [[3, 3, 3], [1, 1, 1]]}, "Hermite"),
+        ({"basis": [[-1, -1, -1]]}, "Hermite"),
+        ({"basis": [[1, 1]]}, "3 integers"),
+        ({"basis": [[1, 1, 1.0]]}, "3 integers"),
+        ({"basis": [[1, 1, True]]}, "3 integers"),
+        ({"d": "3"}, "d is not"),
+        ({"cap_reached": "no"}, "cap_reached is not"),
+        ({"cap_reached": 1}, "cap_reached is not"),
+        ({"coeff_cap": True}, "coeff_cap is not"),
+        ({"kind": None}, "kind is not"),
+    ],
+)
+def test_from_json_dict_refuses_a_malformed_record(change, message):
+    data = {**additive_relations(IntPoly.parse("X^3+X+3")).to_json_dict(), **change}
+    with pytest.raises(ValueError, match=message):
+        RelationModule.from_json_dict(data)
+
+
+def test_from_json_dict_needs_every_field():
+    data = additive_relations(IntPoly.parse("X^3+X+3")).to_json_dict()
+    for key in data:
+        with pytest.raises(KeyError, match=key):
+            RelationModule.from_json_dict({k: v for k, v in data.items() if k != key})
 
 
 # ---------------------------------------------------------------------------

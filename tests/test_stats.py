@@ -124,7 +124,7 @@ def test_stationarity_entries_equal_full_set_weyl_sums():
     g = IntPoly.parse("X^5-1")
     alphas = [[1, 1, 1, 1, 1], [1, 0, 0, 0, 0], [2, -1, 0, 3, 1], [0, 0, 0, 0, 0]]
     primes = [11, 31, 41, 61]
-    rep = stationarity_report(g, primes, alphas)
+    rep = stationarity_report(g, primes, alphas, additive_relations(g))
     assert len(rep["entries"]) == len(primes) * len(alphas)
     for entry in rep["entries"]:
         q = entry["q"]
@@ -159,7 +159,8 @@ def test_stationarity_report_raises_in_prime_order(primes, alphas, error):
 
 def test_stationarity_report_fixture():
     g = IntPoly.parse("X^5-1")
-    rep = stationarity_report(g, [11, 31, 41], [[1, 1, 1, 1, 1], [1, 0, 0, 0, 0]])
+    rep = stationarity_report(g, [11, 31, 41], [[1, 1, 1, 1, 1], [1, 0, 0, 0, 0]],
+                              additive_relations(g))
     assert rep["disagreement_count"] == 0
     weyls = {(e["q"], tuple(e["alpha"])): e["weyl"] for e in rep["entries"]}
     for q in (11, 31, 41):
@@ -332,7 +333,7 @@ def test_conditioning_full_set_reduces_to_exact_weyl():
     g = IntPoly.parse("X^3+X+3")
     q = find_split_primes(g, 1000, 2000)[0]
     full = make_condition_set(q, 1, "full")
-    rep = conditioning_experiment(g, q, 1, full, [[1, 0, 0], [1, 1, 1]])
+    rep = conditioning_experiment(g, q, 1, full, [[1, 0, 0], [1, 1, 1]], additive_relations(g))
     by_alpha = {tuple(e["alpha"]): e for e in rep["weyl"]}
     assert by_alpha[1, 0, 0]["value_re"] == 0.0 and not by_alpha[1, 0, 0]["in_Rg"]
     assert by_alpha[1, 1, 1]["value_re"] == 1.0 and by_alpha[1, 1, 1]["in_Rg"]
@@ -368,7 +369,8 @@ def test_conditioning_quadratic_residue_image_bound():
     g = IntPoly.parse("X^3+2X^2+3")
     q = find_split_primes(g, 10000, 12000)[0]
     image = make_condition_set(q, 1, "image:X^2")
-    rep = conditioning_experiment(g, q, 1, image, [[1, 0, 0], [0, 1, 1], [2, -1, 0]])
+    rep = conditioning_experiment(g, q, 1, image, [[1, 0, 0], [0, 1, 1], [2, -1, 0]],
+                                  additive_relations(g))
     for entry in rep["weyl"]:
         if not entry["in_Rg"]:
             mod = abs(complex(entry["value_re"], entry["value_im"]))
@@ -382,7 +384,7 @@ def test_conditioning_interval_detects_non_equidistribution():
     g = IntPoly.parse("X^3+X^2+2X+1")
     q = find_split_primes(g, 30000, 40000)[0]
     half = make_condition_set(q, 1, "interval:0.5")
-    rep = conditioning_experiment(g, q, 1, half, [[1, 1, 1]])
+    rep = conditioning_experiment(g, q, 1, half, [[1, 1, 1]], additive_relations(g))
     assert abs(rep["uniformity_metric"] - 2 / math.pi) < 0.01
     entry = rep["weyl"][0]
     assert abs(abs(complex(entry["value_re"], entry["value_im"])) - 2 / math.pi) < 0.02

@@ -107,6 +107,18 @@ def test_split_roots_each_is_the_one_root_source():
     assert calls == [("sums", "_split_roots_each")]
 
 
+def test_lifted_roots_are_ascending_mod_q_power_not_in_mod_q_order():
+    """The roots mod q^n are sorted again after the lift: X^3+X+3 at q = 71
+    lifts [4, 20, 47] to [517, 1538, 2986], which are [20, 47, 4] mod 71."""
+    g = IntPoly.parse("X^3+X+3")
+    assert _roots(g, 71) == [4, 20, 47]
+    assert _roots(g, 71, 2) == [517, 1538, 2986]
+    for q in find_split_primes(g, 2, 2000)[:28]:
+        lifted = _roots(g, q, 2)
+        assert lifted == sorted(lifted)
+        assert sorted(r % q for r in lifted) == _roots(g, q)
+
+
 def test_additive_grid_threads_deterministic():
     g = IntPoly.parse("X^3+X+3")
     a = additive_sum_grid(g, 30223, threads=1)
