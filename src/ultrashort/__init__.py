@@ -15,6 +15,15 @@ and the commands that need no relation module do not load it.
 """
 
 import importlib
+import os
+
+# numpy's OpenBLAS starts a thread per core as it loads, and no code here
+# makes a threaded BLAS call: unless the caller chose a count, load it with
+# one, and take the variable back so that child processes do not inherit it
+if "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    importlib.import_module("numpy")
+    del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .arith import (
     IntPoly,

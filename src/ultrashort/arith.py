@@ -1,9 +1,9 @@
 """Exact integer, modular and polynomial arithmetic.
 
 Everything here is deterministic and allocation-free of global state: split
-prime search, root finding modulo primes (Cantor-Zassenhaus with a seeded
-PRNG derived from the inputs), Hensel lifting to prime powers, and the small
-helpers the sum kernels need (primitive roots, modular inverses, Philox streams).
+prime search, root finding modulo primes (Cantor-Zassenhaus), Hensel lifting
+to prime powers, and the small helpers the sum kernels need (primitive roots,
+modular inverses, Philox streams).
 
 No number field is ever represented; per the identification
 Z/q^nZ = O_g/p^n at totally split primes, all root data lives in plain
@@ -17,15 +17,15 @@ The split test takes c = 0, e = q: q splits g into d distinct linear factors
 iff X^q = X mod (g, q), and the band search feeds it the primes of one
 segment of a segmented sieve at a time.  Root finding takes a list of primes
 at once: X^q gives the linear part gcd(X^q - X, g), and Cantor-Zassenhaus
-splits it with columns (X + c)^((q - 1)/2) for random shifts c, leaving only
-gcd, remainder and quotient to coefficient lists over F_q.
+splits it with columns (X + c)^((q - 1)/2) for shifts c drawn from a
+philox_generator stream (the package's one random-number constructor),
+leaving only gcd, remainder and quotient to coefficient lists over F_q.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -539,11 +539,6 @@ def _poly_quotient(a: list[int], b: list[int], q: int) -> list[int]:
 _SHIFTS_PER_ROUND = 6
 
 
-def _derived_seed(g: IntPoly, q: int) -> int:
-    digest = hashlib.sha256(f"{g.key()}|{q}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def philox_generator(seed: int, op: str, index: int = 0) -> np.random.Generator:
     """Deterministic, splittable stream keyed by (seed, op, index)."""
     digest = hashlib.sha256(f"{seed}|{op}|{index}".encode()).digest()
@@ -558,8 +553,9 @@ def roots_mod_primes(g: IntPoly, qs):
     prime X^q, and gcd(X^q - X, g) is the product of the linear factors of g
     mod q.  Each call gives each prime with a factor f of degree >= 2 left
     _SHIFTS_PER_ROUND columns h = (X + c)^((q - 1)/2) mod g (X + c at q = 2),
-    c from a PRNG seeded by (g, q), and f splits by gcd(h - 1, f): f divides
-    g, so (h mod g) mod f = h mod f."""
+    c drawn for all unfinished primes at once from one Philox stream per
+    call, and f splits by gcd(h - 1, f): f divides g, so (h mod g) mod f = h mod f.
+    The roots come out sorted, whichever shifts split them."""
     checked, error = [], None
     try:
         for q in qs:
@@ -572,12 +568,14 @@ def roots_mod_primes(g: IntPoly, qs):
         error = exc
     roots = {int(q): [] for q in checked}
     factors = dict.fromkeys(roots)  # None until the round that finds X^q
-    rng = {q: random.Random(_derived_seed(g, q)) for q in roots}
+    rng = philox_generator(0, "cantor-zassenhaus")
     while factors:
+        highs = np.array([[q] for q in factors])
+        shifts = rng.integers(0, highs, (len(factors), _SHIFTS_PER_ROUND)).tolist()
         cols = []
-        for q, fs in factors.items():
+        for (q, fs), cs in zip(factors.items(), shifts):
             cols += [(q, 0, q)] if fs is None else []
-            cols += [(q, rng[q].randrange(q), (q - 1) // 2 or 1) for _ in range(_SHIFTS_PER_ROUND)]
+            cols += [(q, c, (q - 1) // 2 or 1) for c in cs]
         powers, xs = _power_columns(g, *(np.array(col, dtype=np.int64) for col in zip(*cols)))
         columns = zip(powers.T.tolist(), xs.T.tolist())
         for q, fs in list(factors.items()):
@@ -606,8 +604,8 @@ def roots_mod_primes(g: IntPoly, qs):
 def roots_mod_prime(g: IntPoly, q: int) -> RootList:
     """All roots of g modulo a prime q not dividing disc(g), sorted.
 
-    A batch of one for roots_mod_primes.  The internal PRNG is reseeded from
-    (g, q), so the output is reproducible.
+    A batch of one for roots_mod_primes, whose shifts come from one seeded
+    stream, so the output is reproducible.
     """
     return next(roots_mod_primes(g, [q]))
 

@@ -177,9 +177,10 @@ def _cache_key(g: IntPoly, kind: str, v, exponents, coeff_cap, degree_bound) -> 
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def cache_get(directory: str, key: str, d: int, kind: str):
+def cache_get(directory: str, key: str, check):
     """The cached module, or None on a miss.  An entry that from_json_dict
-    refuses, or that holds another d or kind, warns and is a miss."""
+    refuses, or on which check(module) raises ValueError, warns and is a
+    miss."""
     from .relations import RelationModule
 
     path = os.path.join(directory, key + ".json")
@@ -188,8 +189,7 @@ def cache_get(directory: str, key: str, d: int, kind: str):
     try:
         with open(path) as fh:
             module = RelationModule.from_json_dict(json.load(fh))
-        if (module.ambient_rank, module.kind) != (d, kind):
-            raise ValueError(f"it holds a {module.kind} module of d = {module.ambient_rank}")
+        check(module)
         return module
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"warning: ignoring corrupt cache entry {path}: {exc}", file=sys.stderr)
@@ -253,7 +253,11 @@ def _module(args, g: IntPoly, kind: str = "additive"):
     cap = relations._coeff_cap(args.coeff_cap)
     key = _cache_key(g, kind, v, exponents, cap, bound)
     directory = args.cache_dir or os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR)
-    module = None if args.no_cache else cache_get(directory, key, g.degree, kind)
+
+    def check(module):  # re-certify a cached basis with detection's row test
+        relations.check_cached_module(module, g, v, exponents, kind, bound)
+
+    module = None if args.no_cache else cache_get(directory, key, check)
     if module is None:
         if kind == "additive":
             module = relations.additive_relations(g, cap, bound)

@@ -3,13 +3,13 @@
 The additive, value, joint-power and ind(g) lattices are one object, the
 kernel of alpha -> (sum alpha_i y_i) over one or more lists of algebraic
 integers y_i, computed by one engine (`_linear_relations`) from ball
-factories enclosing them: the sorted roots x_i (`_sorted_boxes`), the values
-v(x_i) scaled to algebraic integers (`_integral_value_balls`), the sorted
-roots with 1 appended (`index_relations`), or one factory x_i^m per exponent m,
-so that a joint module is one detection over stacked columns.  All kinds,
-the multiplicative one with its log/arg columns and winding row included,
-share one detection path (`_detect_module`, the only code that builds LLL
-rows):
+factories enclosing them (`_row_test`): the sorted roots x_i
+(`_sorted_boxes`), the values v(x_i) scaled to algebraic integers
+(`_integral_value_balls`), the sorted roots with 1 appended (index), or one
+factory x_i^m per exponent m, so that a joint module is one detection over
+stacked columns.  All kinds, the multiplicative one with its log/arg
+columns and winding row included, share one detection path
+(`_detect_module`, the only code that builds LLL rows):
 
   1. detect candidate integer vectors with LLL on rows (e_i | scaled value
      columns) at an escalating scaling 2^B;
@@ -669,26 +669,58 @@ def _detect_module(dim, kind, columns, certify, coeff_cap, degree_bound, saturat
     raise PrecisionExhausted("relation detection did not stabilize")
 
 
-def _linear_relations(g, factories, dim, kind, coeff_cap, degree_bound) -> RelationModule:
-    """HNF basis of {alpha in Z^dim : sum alpha_i y_i = 0 for every factory}.
+def _row_test(g, v, exponents, kind, degree_bound):
+    """(factories, certify) of a kind: certify(alpha) decides by zero tests,
+    bounded by degree_bound, prod v(x_i)^alpha_i = 1 (multiplicative, no
+    factories) or sum alpha_i y_i = 0 for the algebraic integers y_i of each
+    factory mk(bits), a list the Galois action permutes (module docstring)."""
+    if kind == "multiplicative":
+        return [], lambda alpha: _zero_test(alpha, degree_bound, _product_enclosure(g, v, alpha))
+    if kind == "additive":
+        factories = [functools.partial(_sorted_boxes, g)]
+    elif kind == "index":
+        factories = [lambda bits: _sorted_boxes(g, bits) + [Ball(1)]]
+    else:
+        values = [v] if kind == "value" else map(LaurentPoly.monomial, exponents)
+        factories = [_integral_value_balls(g, w) for w in values]
 
-    Each factory mk(bits) encloses algebraic integers y_1..y_dim whose list
-    is permuted by the Galois action of g's splitting field, so the largest
-    |y_i| bounds every conjugate, and adds one (Re, Im) column pair to the
-    detection; a candidate is certified when the zero test of every factory
-    passes.  degree_bound defaults to d! with d = deg g.
-    """
+    def certify(alpha):
+        return all(_zero_test(alpha, degree_bound, _sum_enclosure(alpha, mk)) for mk in factories)
+
+    return factories, certify
+
+
+def _linear_relations(g, v, exponents, kind, coeff_cap, degree_bound) -> RelationModule:
+    """HNF basis of {alpha : sum alpha_i y_i = 0 for every factory of
+    `_row_test`}, each factory adding one (Re, Im) column pair to the
+    detection.  degree_bound defaults to d! with d = deg g."""
     degree_bound = _degree_bound(g, degree_bound)
     coeff_cap = _coeff_cap(coeff_cap)
+    factories, certify = _row_test(g, v, exponents, kind, degree_bound)
 
     def columns(bits):
         enclosed = zip(*(mk(2 * bits + 32) for mk in factories))
         return [[x for b in balls for x in (b.center.real, b.center.imag)] for balls in enclosed]
 
-    def certify(alpha):
-        return all(_zero_test(alpha, degree_bound, _sum_enclosure(alpha, mk)) for mk in factories)
-
+    dim = g.degree + (kind == "index")
     return _detect_module(dim, kind, columns, certify, coeff_cap, degree_bound)
+
+
+def check_cached_module(module, g, v, exponents, kind, degree_bound) -> None:
+    """ValueError unless module has this kind and length, each basis row
+    passes the row test detection runs (`_row_test`) at degree_bound, and a
+    linear kind's basis is saturated.  So a wrong relation or a multiple of
+    one is caught; a dropped relation, such as an emptied basis, is not."""
+    dim = g.degree + (kind == "index")
+    if (module.ambient_rank, module.kind) != (dim, kind):
+        raise ValueError(f"it holds a {module.kind} module of d = {module.ambient_rank}")
+    _, certify = _row_test(g, v, exponents, kind, _degree_bound(g, degree_bound))
+    rows = [list(row) for row in module.basis]
+    for row in rows:
+        if not certify(row):
+            raise ValueError(f"basis row {row} is not a {kind} relation")
+    if kind != "multiplicative" and lattice.saturate_rows(rows) != rows:
+        raise ValueError("basis is not saturated")
 
 
 @lru_cache(maxsize=None)
@@ -698,9 +730,7 @@ def additive_relations(
     degree_bound: int | None = None,
 ) -> RelationModule:
     """HNF basis of {alpha in Z^d : sum alpha_i x_i = 0}, roots in box order."""
-    return _linear_relations(
-        g, [functools.partial(_sorted_boxes, g)], g.degree, "additive", coeff_cap, degree_bound
-    )
+    return _linear_relations(g, None, None, "additive", coeff_cap, degree_bound)
 
 
 def _integral_value_balls(g: IntPoly, v: LaurentPoly):
@@ -731,9 +761,7 @@ def value_relations(
     """HNF basis of {alpha : sum alpha_i v(x_i) = 0}."""
     if v.is_constant:
         raise OutOfRangeParameter("v must be nonconstant")
-    return _linear_relations(
-        g, [_integral_value_balls(g, v)], g.degree, "value", coeff_cap, degree_bound
-    )
+    return _linear_relations(g, v, None, "value", coeff_cap, degree_bound)
 
 
 @lru_cache(maxsize=None)
@@ -749,8 +777,7 @@ def joint_power_relations(
     exponents = tuple(int(m) for m in exponents)
     if not exponents or len(set(exponents)) != len(exponents):
         raise OutOfRangeParameter("exponents must be a nonempty distinct list")
-    factories = [_integral_value_balls(g, LaurentPoly.monomial(m)) for m in exponents]
-    return _linear_relations(g, factories, g.degree, "joint", coeff_cap, degree_bound)
+    return _linear_relations(g, None, exponents, "joint", coeff_cap, degree_bound)
 
 
 @lru_cache(maxsize=None)
@@ -771,20 +798,16 @@ def multiplicative_relations(
     coeff_cap = _coeff_cap(coeff_cap)
 
     # reject v vanishing at a root (certified, using the integralized values)
-    mk_int = _integral_value_balls(g, v)
+    _, is_zero = _row_test(g, v, None, "value", degree_bound)
     for i in range(d):
-        probe = [0] * d
-        probe[i] = 1
-        if _zero_test(probe, degree_bound, _sum_enclosure(probe, mk_int)):
+        if is_zero([int(j == i) for j in range(d)]):
             raise VanishingValue(f"v vanishes at root #{i} of g")
 
     def columns(bits):
         values = [eval_laurent_ball(v.terms, b).center for b in _sorted_boxes(g, 2 * bits + 32)]
         return [[mpmath.log(abs(c)), mpmath.arg(c)] for c in values] + [[0, 2 * mpmath.pi]]
 
-    def certify(alpha):
-        return _zero_test(alpha, degree_bound, _product_enclosure(g, v, alpha))
-
+    _, certify = _row_test(g, v, None, "multiplicative", degree_bound)
     return _detect_module(d, "multiplicative", columns, certify, coeff_cap, degree_bound,
                           saturate=False)
 
@@ -837,8 +860,7 @@ def index_relations(
 ) -> RelationModule:
     """HNF basis of {alpha in Z^(d+1) : sum alpha_i x_i + alpha_(d+1) = 0}, the
     additive relation module of the augmented value list (x_1, ..., x_d, 1)."""
-    factories = [lambda bits: _sorted_boxes(g, bits) + [Ball(1)]]
-    return _linear_relations(g, factories, g.degree + 1, "index", coeff_cap, degree_bound)
+    return _linear_relations(g, None, None, "index", coeff_cap, degree_bound)
 
 
 def index_ind(

@@ -219,6 +219,35 @@ def test_cantor_zassenhaus_large_prime():
     assert roots == roots_mod_prime(g, q).roots
 
 
+def test_philox_generator_is_the_one_random_stream():
+    """No module of the package imports random or builds a generator except
+    arith.philox_generator, so every seeded output, the Cantor-Zassenhaus
+    shifts included, comes from one kind of stream."""
+    import ast
+    import os
+
+    makers = {"Random", "Generator", "default_rng", "RandomState", "Philox"}
+    found = []
+    package = os.path.dirname(arith.__file__)
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        inside = [f for f in tree.body if isinstance(f, ast.FunctionDef)
+                  and (name, f.name) == ("arith.py", "philox_generator")]
+        allowed = {id(node) for f in inside for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found += [(name, "import " + a.name) for a in node.names if a.name == "random"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "random":
+                found.append((name, "from random import"))
+            elif isinstance(node, ast.Call) and id(node) not in allowed:
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                found += [(name, callee)] if callee in makers else []
+    assert found == []
+
+
 @pytest.mark.parametrize("text", ["X-5", "X^3+X+3", "X^3-9X-1", "X^5-1", "X^5-X-1"])
 def test_batched_roots_match_brute_force_and_single_calls(text):
     g = IntPoly.parse(text)
@@ -237,18 +266,19 @@ def test_batched_roots_match_brute_force_and_single_calls(text):
 
 def test_batched_roots_on_the_object_dtype_path():
     # a prime above isqrt(2^63 - 1) puts every column of the batch in Python
-    # integers, small primes included
+    # integers, small primes included; 2^63 - 165, a split prime, still takes
+    # its shifts from the stream's int64 draws
     g = IntPoly.parse("X^3+X+3")
     big_split = find_split_primes(g, 2**40, 2**40 + 2000)[0]
     big_other = next(q for q in range(2**40, 2**40 + 2000) if is_prime(q) and q != big_split)
-    qs = [2, 31, 37, big_split, big_other, 101]
+    qs = [2, 31, 37, big_split, big_other, 101, 2**63 - 165]
     batch = list(roots_mod_primes(g, qs))
     for q, rl in zip(qs, batch):
         assert rl.roots == roots_mod_prime(g, q).roots
         assert all(g.eval_mod(r, q) == 0 for r in rl.roots)
         if q < 1000:
             assert rl.roots == _brute_roots(g, q)
-    assert len(batch[3].roots) == 3
+    assert len(batch[3].roots) == len(batch[-1].roots) == 3
 
 
 def test_batched_roots_raise_where_a_loop_of_calls_would():

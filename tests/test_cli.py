@@ -124,15 +124,17 @@ CORRUPT_ENTRIES = {
     "cap-reached-string": {"cap_reached": "no"},
     "wrong-d": {"d": 4, "basis": [[1, 1, 1, 1]]},
     "wrong-kind": {"kind": "multiplicative"},
+    "not-a-relation": {"basis": [[1, 0, 2]]},
+    "not-saturated": {"basis": [[2, 2, 2]]},
 }
 
 
 @pytest.mark.parametrize("corrupt", list(CORRUPT_ENTRIES))
 @pytest.mark.parametrize("command", list(MODULE_READERS))
 def test_a_bad_cache_entry_is_recomputed(command, corrupt, tmp_path, capsys):
-    """An entry that from_json_dict refuses, or that holds another d or
-    kind, warns, and the command prints the fresh module's output and
-    rewrites the entry."""
+    """An entry that from_json_dict refuses, that holds another d or kind,
+    or whose basis fails detection's row test or saturation, warns, and the
+    command prints the fresh module's output and rewrites the entry."""
     argv = MODULE_READERS[command] + ["--cache-dir", str(tmp_path / "cache")]
     assert main(argv + ["--no-cache"]) == 0
     want = capsys.readouterr().out
@@ -142,6 +144,46 @@ def test_a_bad_cache_entry_is_recomputed(command, corrupt, tmp_path, capsys):
     bad = {**good, **CORRUPT_ENTRIES[corrupt]}
     path.write_text(json.dumps({k: v for k, v in bad.items() if v is not None}))
     capsys.readouterr()
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert f"warning: ignoring corrupt cache entry {path}" in captured.err
+    assert captured.out == want
+    assert json.loads(path.read_text()) == good
+
+
+@pytest.mark.parametrize("basis,alpha", [([[1, 0, 2]], "1,1,1;1,0,2"), ([[2, 2, 2]], "1,1,1")])
+def test_a_cached_basis_is_recertified(basis, alpha, tmp_path, capsys):
+    """A well-formed HNF entry whose row is no relation, or a multiple of
+    one, fails the row test detection runs: weylcheck warns, recomputes the
+    module and reports no disagreement."""
+    cache = tmp_path / "cache"
+    argv = ["weylcheck", "--poly", "X^3+X+3", "--alpha", alpha, "--primes", "30223",
+            "--cache-dir", str(cache)]
+    assert main(argv) == 0
+    path = next(cache.glob("*.json"))
+    good = json.loads(path.read_text())
+    path.write_text(json.dumps({**good, "basis": basis}))
+    capsys.readouterr()
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert f"warning: ignoring corrupt cache entry {path}" in captured.err
+    assert json.loads(captured.out)["disagreement_count"] == 0
+    assert json.loads(path.read_text()) == good
+
+
+def test_a_cached_multiplicative_basis_is_recertified(tmp_path, capsys):
+    # the multiplicative module of X^3-1 is not saturated, (1, 1, 0) and
+    # (0, 3, 0) among its rows, so only the row test can refuse (1, 0, 0)
+    cache = tmp_path / "cache"
+    argv = ["relations", "--poly", "X^3-1", "--kind", "multiplicative", "--cache-dir", str(cache)]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    path = next(cache.glob("*.json"))
+    good = json.loads(path.read_text())
+    assert good["basis"] == [[1, 1, 0], [0, 3, 0], [0, 0, 1]]
+    assert main(argv) == 0
+    assert capsys.readouterr() == (want, "")
+    path.write_text(json.dumps({**good, "basis": [[1, 0, 0], [0, 3, 0], [0, 0, 1]]}))
     assert main(argv) == 0
     captured = capsys.readouterr()
     assert f"warning: ignoring corrupt cache entry {path}" in captured.err
@@ -820,7 +862,25 @@ def test_cli_import_loads_only_numpy_and_not_the_certified_layer():
     assert out.stdout.splitlines() == ["['numpy']", "[]"]
 
 
-CERTIFIED_LAYER = ("mpmath", "ultrashort.relations", "ultrashort.balls", "ultrashort.lattice")
+@pytest.mark.skipif(not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+                    reason="counts the threads in /proc/self/task, and needs two CPUs")
+def test_cli_import_starts_no_blas_threads_unless_asked():
+    """numpy's OpenBLAS loads with one thread, and the variable that asked
+    for it is gone again; an explicit OPENBLAS_NUM_THREADS is kept."""
+    src = os.path.dirname(os.path.dirname(ultrashort.__file__))
+    code = (
+        "import os, ultrashort.cli; "
+        "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+    for extra, want in [({}, "1 None"), ({"OPENBLAS_NUM_THREADS": "2"}, "2 2")]:
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**env, **extra})
+        assert out.stdout.strip() == want
+
+
+CERTIFIED_LAYER =("mpmath", "ultrashort.relations", "ultrashort.balls", "ultrashort.lattice")
 
 
 @pytest.mark.parametrize(
