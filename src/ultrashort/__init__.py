@@ -49,6 +49,7 @@ _LAZY = {
     "index_relations": "relations",
     "joint_power_relations": "relations",
     "multiplicative_relations": "relations",
+    "relation_module": "relations",
     "smith_normal_form": "lattice",
     "value_relations": "relations",
 }

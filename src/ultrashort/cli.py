@@ -246,11 +246,8 @@ def _module(args, g: IntPoly, kind: str = "additive"):
         raise UsageError("--v is required for kind=value")
     if kind == "joint" and exponents is None:
         raise UsageError("--exponents is required for kind=joint")
-    # the key names only what the kind reads, so that one module has one entry
-    v = {"value": v, "multiplicative": v or LaurentPoly.x()}.get(kind)
-    exponents = exponents if kind == "joint" else None
-    bound = relations._degree_bound(g, args.degree_bound or None)
-    cap = relations._coeff_cap(args.coeff_cap)
+    kind, v, exponents, cap, bound = relations.module_inputs(
+        g, kind, v, exponents, args.coeff_cap, args.degree_bound or None)
     key = _cache_key(g, kind, v, exponents, cap, bound)
     directory = args.cache_dir or os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR)
 
@@ -259,14 +256,7 @@ def _module(args, g: IntPoly, kind: str = "additive"):
 
     module = None if args.no_cache else cache_get(directory, key, check)
     if module is None:
-        if kind == "additive":
-            module = relations.additive_relations(g, cap, bound)
-        elif kind == "value":
-            module = relations.value_relations(g, v, cap, bound)
-        elif kind == "joint":
-            module = relations.joint_power_relations(g, exponents, cap, bound)
-        else:
-            module = relations.multiplicative_relations(g, v, cap, bound)
+        module = relations.relation_module(g, kind, v, exponents, cap, bound)
         if not args.no_cache:
             cache_put(directory, key, module)
     return module
@@ -576,13 +566,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--lo", type=int)
     p.add_argument("--hi", type=int)
-    p.set_defaults(_required=["poly", "lo", "hi"])
+    p.set_defaults(run=cmd_primes, _required=["poly", "lo", "hi"])
 
     p = sub.add_parser("roots", help="roots of g mod q^n")
     common(p)
     p.add_argument("--prime", type=int)
     p.add_argument("--power", type=int, default=1)
-    p.set_defaults(_required=["poly", "prime"])
+    p.set_defaults(run=cmd_roots, _required=["poly", "prime"])
 
     p = sub.add_parser("relations", help="certified relation module")
     common(p)
@@ -591,32 +581,32 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["additive", "value", "joint", "multiplicative"])
     p.add_argument("--v", help="Laurent polynomial, e.g. X+X^-1")
     p.add_argument("--exponents", help="comma list for kind=joint, e.g. 1,-1")
-    p.set_defaults(_required=["poly"])
+    p.set_defaults(run=cmd_relations, _required=["poly"])
 
     p = sub.add_parser("index", help="ind(g)")
     common(p)
     bounds(p, cache=False)
-    p.set_defaults(_required=["poly"])
+    p.set_defaults(run=cmd_index, _required=["poly"])
 
     p = sub.add_parser("sums", help="full additive-character grid")
     common(p)
     p.add_argument("--prime", type=int)
     p.add_argument("--power", type=int, default=1)
     p.add_argument("--v", help="Laurent polynomial (default X)")
-    p.set_defaults(_required=["poly", "prime"])
+    p.set_defaults(run=cmd_sums, _required=["poly", "prime"])
 
     p = sub.add_parser("klsums", help="Kloosterman trace-sum grid")
     common(p)
     p.add_argument("--prime", type=int)
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--mode", default="dilate", choices=["dilate", "translate"])
-    p.set_defaults(_required=["poly", "prime"])
+    p.set_defaults(run=cmd_klsums, _required=["poly", "prime"])
 
     p = sub.add_parser("mults", help="multiplicative-character grid")
     common(p)
     p.add_argument("--prime", type=int)
     p.add_argument("--v", help="Laurent polynomial (default X)")
-    p.set_defaults(_required=["poly", "prime"])
+    p.set_defaults(run=cmd_mults, _required=["poly", "prime"])
 
     p = sub.add_parser("limit", help="sample a limit law")
     common(p)
@@ -625,6 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--law", default="sigma",
                    help="sigma | st | st-sum:K | su:R | usp:R | inv:R (sigma, inv:R need --poly)")
     p.add_argument("--count", type=int, default=100000)
+    p.set_defaults(run=cmd_limit)
 
     p = sub.add_parser("moments", help="empirical vs exact mixed moments")
     common(p)
@@ -632,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime", type=int)
     p.add_argument("--power", type=int, default=1)
     p.add_argument("--max-order", type=int, default=4)
-    p.set_defaults(_required=["poly", "prime"])
+    p.set_defaults(run=cmd_moments, _required=["poly", "prime"])
 
     p = sub.add_parser("weylcheck", help="exact Weyl stationarity report")
     common(p)
@@ -640,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", help='vectors "1,1,1;1,0,0"')
     p.add_argument("--primes", help="comma list of primes")
     p.add_argument("--prime-range", help='"lo:hi:count" split primes')
-    p.set_defaults(_required=["poly", "alpha"])
+    p.set_defaults(run=cmd_weylcheck, _required=["poly", "alpha"])
 
     p = sub.add_parser("condition", help="conditioning experiment")
     common(p)
@@ -650,38 +641,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--descriptor",
                    help="full | interval:A | image:F | subgroup:M")
     p.add_argument("--alpha", help='vectors "1,1,1;1,0,0"')
-    p.set_defaults(_required=["poly", "prime", "descriptor", "alpha"])
+    p.set_defaults(run=cmd_condition, _required=["poly", "prime", "descriptor", "alpha"])
 
     p = sub.add_parser("prime-sweep", help="sigma(U_p(a)) over split p <= T")
     common(p)
     p.add_argument("--a", type=int, default=1)
     p.add_argument("--limit", type=int)
-    p.set_defaults(_required=["poly", "limit"])
+    p.set_defaults(run=cmd_prime_sweep, _required=["poly", "limit"])
 
     p = sub.add_parser("figure", help="render a CSV as an SVG figure")
     p.add_argument("input")
     p.add_argument("--out")
     p.add_argument("--bins", type=int, default=60)
     p.add_argument("--range", type=float, default=0.0)
+    p.set_defaults(run=cmd_figure)
 
     return parser
-
-
-_DISPATCH = {
-    "primes": cmd_primes,
-    "roots": cmd_roots,
-    "relations": cmd_relations,
-    "index": cmd_index,
-    "sums": cmd_sums,
-    "klsums": cmd_klsums,
-    "mults": cmd_mults,
-    "limit": cmd_limit,
-    "moments": cmd_moments,
-    "weylcheck": cmd_weylcheck,
-    "condition": cmd_condition,
-    "prime-sweep": cmd_prime_sweep,
-    "figure": cmd_figure,
-}
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
@@ -738,7 +713,7 @@ def main(argv=None) -> int:
         for name in getattr(args, "_required", []):
             if getattr(args, name, None) in (None, ""):
                 raise UsageError(f"--{name.replace('_', '-')} is required")
-        _DISPATCH[args.command](args)
+        args.run(args)
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,15 +1,18 @@
 """Certified complex roots of g and the lattices of relations among them.
 
-The additive, value, joint-power and ind(g) lattices are one object, the
-kernel of alpha -> (sum alpha_i y_i) over one or more lists of algebraic
-integers y_i, computed by one engine (`_linear_relations`) from ball
-factories enclosing them (`_row_test`): the sorted roots x_i
-(`_sorted_boxes`), the values v(x_i) scaled to algebraic integers
-(`_integral_value_balls`), the sorted roots with 1 appended (index), or one
-factory x_i^m per exponent m, so that a joint module is one detection over
-stacked columns.  All kinds, the multiplicative one with its log/arg
-columns and winding row included, share one detection path
-(`_detect_module`, the only code that builds LLL rows):
+Every relation module comes from one entry, `relation_module`, keyed by
+`module_inputs`, the one normaliser of what a kind reads.  Each kind is
+defined once (`_KINDS`): its vector length, LLL value columns, row test,
+input checks and whether its module is saturated; detection and
+`check_cached_module` both read it.  The additive, value, joint-power and
+ind(g) lattices are one object (`_linear_kind`), the kernel of alpha ->
+(sum alpha_i y_i) over one or more lists of algebraic integers y_i enclosed
+by ball factories: the sorted roots x_i (`_sorted_boxes`), the values
+v(x_i) scaled to algebraic integers (`_integral_value_balls`), the sorted
+roots with 1 appended (index), or one factory x_i^m per exponent m, so that
+a joint module is one detection over stacked columns.  All kinds, the
+multiplicative one with its log/arg columns and winding row included, share
+one detection path (`_detect_module`, the only code that builds LLL rows):
 
   1. detect candidate integer vectors with LLL on rows (e_i | scaled value
      columns) at an escalating scaling 2^B;
@@ -98,17 +101,6 @@ def _degree_bound(g: IntPoly, degree_bound: int | None) -> int:
     if degree_bound < 1:
         raise OutOfRangeParameter(f"degree_bound must be >= 1, got {degree_bound}")
     return min(int(degree_bound), full)
-
-
-def _coeff_cap(coeff_cap: int | None) -> int:
-    """The largest sup-norm of a searched vector, DEFAULT_COEFF_CAP for None.
-    Below 1 no nonzero vector is searched and every module would come out
-    empty, so it is rejected."""
-    if coeff_cap is None:
-        return DEFAULT_COEFF_CAP
-    if coeff_cap < 1:
-        raise OutOfRangeParameter(f"coeff_cap must be >= 1, got {coeff_cap}")
-    return int(coeff_cap)
 
 
 def _orbit_size(alpha) -> int:
@@ -619,8 +611,8 @@ def _detect_module(dim, kind, columns, certify, coeff_cap, degree_bound, saturat
     workprec(4 bits + 128); no other code builds LLL rows.  certify(alpha)
     runs the zero tests, bounded by degree_bound, that the certificate
     records.  Saturation is sound only for kernels of maps into torsion-free
-    groups (the additive kinds); multiplicative relation lattices may be
-    strictly smaller than their saturation, so those callers disable it.
+    groups (the linear kinds); multiplicative relation lattices may be
+    strictly smaller than their saturation, so their definition disables it.
     """
     bits = _DETECTION_START_BITS
     prev = None
@@ -669,68 +661,77 @@ def _detect_module(dim, kind, columns, certify, coeff_cap, degree_bound, saturat
     raise PrecisionExhausted("relation detection did not stabilize")
 
 
-def _row_test(g, v, exponents, kind, degree_bound):
-    """(factories, certify) of a kind: certify(alpha) decides by zero tests,
-    bounded by degree_bound, prod v(x_i)^alpha_i = 1 (multiplicative, no
-    factories) or sum alpha_i y_i = 0 for the algebraic integers y_i of each
-    factory mk(bits), a list the Galois action permutes (module docstring)."""
-    if kind == "multiplicative":
-        return [], lambda alpha: _zero_test(alpha, degree_bound, _product_enclosure(g, v, alpha))
-    if kind == "additive":
-        factories = [functools.partial(_sorted_boxes, g)]
-    elif kind == "index":
-        factories = [lambda bits: _sorted_boxes(g, bits) + [Ball(1)]]
-    else:
-        values = [v] if kind == "value" else map(LaurentPoly.monomial, exponents)
-        factories = [_integral_value_balls(g, w) for w in values]
-
-    def certify(alpha):
-        return all(_zero_test(alpha, degree_bound, _sum_enclosure(alpha, mk)) for mk in factories)
-
-    return factories, certify
+# ---------------------------------------------------------------------------
+# the kinds: one definition each, read by detection and by the cache check
 
 
-def _linear_relations(g, v, exponents, kind, coeff_cap, degree_bound) -> RelationModule:
-    """HNF basis of {alpha : sum alpha_i y_i = 0 for every factory of
-    `_row_test`}, each factory adding one (Re, Im) column pair to the
-    detection.  degree_bound defaults to d! with d = deg g."""
-    degree_bound = _degree_bound(g, degree_bound)
-    coeff_cap = _coeff_cap(coeff_cap)
-    factories, certify = _row_test(g, v, exponents, kind, degree_bound)
+def _linear_kind(dim, factories, degree_bound):
+    """A kind's definition is (dim, columns, certify, saturated): its vector
+    length, the real values of each LLL row at 2^bits, its row test and
+    whether its module is saturated.  A linear kind's row test is sum
+    alpha_i y_i = 0 for the y_i of every factory mk(bits) (module
+    docstring), one (Re, Im) column pair each; a kernel of a map into a
+    torsion-free group is saturated."""
 
     def columns(bits):
         enclosed = zip(*(mk(2 * bits + 32) for mk in factories))
         return [[x for b in balls for x in (b.center.real, b.center.imag)] for balls in enclosed]
 
-    dim = g.degree + (kind == "index")
-    return _detect_module(dim, kind, columns, certify, coeff_cap, degree_bound)
+    def certify(alpha):
+        return all(_zero_test(alpha, degree_bound, _sum_enclosure(alpha, mk)) for mk in factories)
+
+    return dim, columns, certify, True
 
 
-def check_cached_module(module, g, v, exponents, kind, degree_bound) -> None:
-    """ValueError unless module has this kind and length, each basis row
-    passes the row test detection runs (`_row_test`) at degree_bound, and a
-    linear kind's basis is saturated.  So a wrong relation or a multiple of
-    one is caught; a dropped relation, such as an emptied basis, is not."""
-    dim = g.degree + (kind == "index")
-    if (module.ambient_rank, module.kind) != (dim, kind):
-        raise ValueError(f"it holds a {module.kind} module of d = {module.ambient_rank}")
-    _, certify = _row_test(g, v, exponents, kind, _degree_bound(g, degree_bound))
-    rows = [list(row) for row in module.basis]
-    for row in rows:
-        if not certify(row):
-            raise ValueError(f"basis row {row} is not a {kind} relation")
-    if kind != "multiplicative" and lattice.saturate_rows(rows) != rows:
-        raise ValueError("basis is not saturated")
+def _additive_kind(g, v, exponents, degree_bound):
+    """sum alpha_i x_i = 0, roots in box order."""
+    return _linear_kind(g.degree, [functools.partial(_sorted_boxes, g)], degree_bound)
 
 
-@lru_cache(maxsize=None)
-def additive_relations(
-    g: IntPoly,
-    coeff_cap: int = DEFAULT_COEFF_CAP,
-    degree_bound: int | None = None,
-) -> RelationModule:
-    """HNF basis of {alpha in Z^d : sum alpha_i x_i = 0}, roots in box order."""
-    return _linear_relations(g, None, None, "additive", coeff_cap, degree_bound)
+def _index_kind(g, v, exponents, degree_bound):
+    """sum alpha_i x_i + alpha_(d+1) = 0: the roots with 1 appended."""
+    return _linear_kind(g.degree + 1, [lambda bits: _sorted_boxes(g, bits) + [Ball(1)]],
+                        degree_bound)
+
+
+def _value_kind(g, v, exponents, degree_bound):
+    """sum alpha_i v(x_i) = 0, for a nonconstant v."""
+    if v is None or v.is_constant:
+        raise OutOfRangeParameter("v must be nonconstant")
+    return _linear_kind(g.degree, [_integral_value_balls(g, v)], degree_bound)
+
+
+def _joint_kind(g, v, exponents, degree_bound):
+    """sum alpha_i x_i^m = 0 for every m in exponents: one detection over
+    the stacked columns of the x^m (x^0 gives (1, 0))."""
+    if not exponents or len(set(exponents)) != len(exponents):
+        raise OutOfRangeParameter("exponents must be a nonempty distinct list")
+    factories = [_integral_value_balls(g, LaurentPoly.monomial(m)) for m in exponents]
+    return _linear_kind(g.degree, factories, degree_bound)
+
+
+def _multiplicative_kind(g, v, exponents, degree_bound):
+    """prod v(x_i)^alpha_i = 1, for a v that vanishes at no root: columns
+    log|v(x_i)| and arg v(x_i), and a row (0, 2*pi) whose unreported winding
+    coordinate absorbs argument wrap-arounds; not saturated."""
+    d = g.degree
+    _, _, is_zero, _ = _linear_kind(d, [_integral_value_balls(g, v)], degree_bound)
+    for i in range(d):
+        if is_zero([int(j == i) for j in range(d)]):
+            raise VanishingValue(f"v vanishes at root #{i} of g")
+
+    def columns(bits):
+        values = [eval_laurent_ball(v.terms, b).center for b in _sorted_boxes(g, 2 * bits + 32)]
+        return [[mpmath.log(abs(c)), mpmath.arg(c)] for c in values] + [[0, 2 * mpmath.pi]]
+
+    def certify(alpha):
+        return _zero_test(alpha, degree_bound, _product_enclosure(g, v, alpha))
+
+    return d, columns, certify, False
+
+
+_KINDS = {"additive": _additive_kind, "value": _value_kind, "joint": _joint_kind,
+          "multiplicative": _multiplicative_kind, "index": _index_kind}
 
 
 def _integral_value_balls(g: IntPoly, v: LaurentPoly):
@@ -749,67 +750,6 @@ def _integral_value_balls(g: IntPoly, v: LaurentPoly):
         return [eval_laurent_ball(v.terms, b) * clear for b in _sorted_boxes(g, bits)]
 
     return mk
-
-
-@lru_cache(maxsize=None)
-def value_relations(
-    g: IntPoly,
-    v: LaurentPoly,
-    coeff_cap: int = DEFAULT_COEFF_CAP,
-    degree_bound: int | None = None,
-) -> RelationModule:
-    """HNF basis of {alpha : sum alpha_i v(x_i) = 0}."""
-    if v.is_constant:
-        raise OutOfRangeParameter("v must be nonconstant")
-    return _linear_relations(g, v, None, "value", coeff_cap, degree_bound)
-
-
-@lru_cache(maxsize=None)
-def joint_power_relations(
-    g: IntPoly,
-    exponents: tuple[int, ...],
-    coeff_cap: int = DEFAULT_COEFF_CAP,
-    degree_bound: int | None = None,
-) -> RelationModule:
-    """HNF basis of {alpha : sum alpha_j x_j^m = 0 for every m in exponents}:
-    one detection over the stacked (Re, Im) columns of the x^m (x^0 gives
-    (1, 0)), certified by the zero test of every exponent."""
-    exponents = tuple(int(m) for m in exponents)
-    if not exponents or len(set(exponents)) != len(exponents):
-        raise OutOfRangeParameter("exponents must be a nonempty distinct list")
-    return _linear_relations(g, None, exponents, "joint", coeff_cap, degree_bound)
-
-
-@lru_cache(maxsize=None)
-def multiplicative_relations(
-    g: IntPoly,
-    v: LaurentPoly,
-    coeff_cap: int = DEFAULT_COEFF_CAP,
-    degree_bound: int | None = None,
-) -> RelationModule:
-    """HNF basis of {alpha : prod v(x_i)^alpha_i = 1}.
-
-    Detection adds one extra lattice row carrying 2*pi so that a winding
-    integer can absorb argument wrap-arounds; the winding coordinate is not
-    part of the reported vectors.
-    """
-    d = g.degree
-    degree_bound = _degree_bound(g, degree_bound)
-    coeff_cap = _coeff_cap(coeff_cap)
-
-    # reject v vanishing at a root (certified, using the integralized values)
-    _, is_zero = _row_test(g, v, None, "value", degree_bound)
-    for i in range(d):
-        if is_zero([int(j == i) for j in range(d)]):
-            raise VanishingValue(f"v vanishes at root #{i} of g")
-
-    def columns(bits):
-        values = [eval_laurent_ball(v.terms, b).center for b in _sorted_boxes(g, 2 * bits + 32)]
-        return [[mpmath.log(abs(c)), mpmath.arg(c)] for c in values] + [[0, 2 * mpmath.pi]]
-
-    _, certify = _row_test(g, v, None, "multiplicative", degree_bound)
-    return _detect_module(d, "multiplicative", columns, certify, coeff_cap, degree_bound,
-                          saturate=False)
 
 
 def _product_enclosure(g, v, alpha):
@@ -854,13 +794,93 @@ def _product_enclosure(g, v, alpha):
     return enclose
 
 
+def module_inputs(g: IntPoly, kind: str, v=None, exponents=None, coeff_cap=None,
+                  degree_bound=None) -> tuple:
+    """(kind, v, exponents, coeff_cap, degree_bound) as the kind reads them,
+    the one key of a module in memory, on disk and in `check_cached_module`:
+    v for "value", v or X for "multiplicative", the exponents as ints for
+    "joint", else None; the largest sup-norm searched, DEFAULT_COEFF_CAP for
+    None and at least 1 (else no vector is searched), and `_degree_bound`."""
+    if kind not in _KINDS:
+        raise OutOfRangeParameter(f"unknown relation kind {kind!r}")
+    if coeff_cap is not None and coeff_cap < 1:
+        raise OutOfRangeParameter(f"coeff_cap must be >= 1, got {coeff_cap}")
+    if kind == "multiplicative" and v is None:
+        v = LaurentPoly.x()
+    return (kind, v if kind in ("value", "multiplicative") else None,
+            tuple(int(m) for m in exponents or ()) if kind == "joint" else None,
+            DEFAULT_COEFF_CAP if coeff_cap is None else int(coeff_cap),
+            _degree_bound(g, degree_bound))
+
+
+def relation_module(g: IntPoly, kind: str, v=None, exponents=None, coeff_cap=None,
+                    degree_bound=None) -> RelationModule:
+    """The certified relation module of g of one kind: "additive", "value"
+    (needs v), "joint" (needs exponents), "multiplicative" (v defaults to X)
+    or "index".  The one entry of detection, cached in memory under what
+    `module_inputs` returns (`_detected_module`)."""
+    return _detected_module(g, *module_inputs(g, kind, v, exponents, coeff_cap, degree_bound))
+
+
 @lru_cache(maxsize=None)
+def _detected_module(g, kind, v, exponents, coeff_cap, degree_bound) -> RelationModule:
+    dim, columns, certify, saturated = _KINDS[kind](g, v, exponents, degree_bound)
+    return _detect_module(dim, kind, columns, certify, coeff_cap, degree_bound, saturated)
+
+
+def check_cached_module(module, g, v, exponents, kind, degree_bound) -> None:
+    """ValueError unless module has the kind's length, each basis row passes
+    its row test at degree_bound, and the basis of a saturated kind is
+    saturated, as the definition detection reads says.  So a wrong relation
+    or a multiple of one is caught; a dropped relation, such as an emptied
+    basis, is not."""
+    kind, v, exponents, _, degree_bound = module_inputs(g, kind, v, exponents, None, degree_bound)
+    dim, _, certify, saturated = _KINDS[kind](g, v, exponents, degree_bound)
+    if (module.ambient_rank, module.kind) != (dim, kind):
+        raise ValueError(f"it holds a {module.kind} module of d = {module.ambient_rank}")
+    rows = [list(row) for row in module.basis]
+    for row in rows:
+        if not certify(row):
+            raise ValueError(f"basis row {row} is not a {kind} relation")
+    if saturated and lattice.saturate_rows(rows) != rows:
+        raise ValueError("basis is not saturated")
+
+
+def additive_relations(
+    g: IntPoly, coeff_cap: int = DEFAULT_COEFF_CAP, degree_bound: int | None = None
+) -> RelationModule:
+    """HNF basis of {alpha in Z^d : sum alpha_i x_i = 0}, roots in box order."""
+    return relation_module(g, "additive", None, None, coeff_cap, degree_bound)
+
+
+def value_relations(
+    g: IntPoly, v: LaurentPoly, coeff_cap: int = DEFAULT_COEFF_CAP, degree_bound: int | None = None
+) -> RelationModule:
+    """HNF basis of {alpha : sum alpha_i v(x_i) = 0}."""
+    return relation_module(g, "value", v, None, coeff_cap, degree_bound)
+
+
+def joint_power_relations(
+    g: IntPoly, exponents, coeff_cap: int = DEFAULT_COEFF_CAP, degree_bound: int | None = None
+) -> RelationModule:
+    """HNF basis of {alpha : sum alpha_j x_j^m = 0 for every m in exponents}."""
+    return relation_module(g, "joint", None, exponents, coeff_cap, degree_bound)
+
+
+def multiplicative_relations(
+    g: IntPoly, v: LaurentPoly | None, coeff_cap: int = DEFAULT_COEFF_CAP,
+    degree_bound: int | None = None,
+) -> RelationModule:
+    """HNF basis of {alpha : prod v(x_i)^alpha_i = 1}, v = X for None."""
+    return relation_module(g, "multiplicative", v, None, coeff_cap, degree_bound)
+
+
 def index_relations(
     g: IntPoly, coeff_cap: int = DEFAULT_COEFF_CAP, degree_bound: int | None = None
 ) -> RelationModule:
     """HNF basis of {alpha in Z^(d+1) : sum alpha_i x_i + alpha_(d+1) = 0}, the
     additive relation module of the augmented value list (x_1, ..., x_d, 1)."""
-    return _linear_relations(g, None, None, "index", coeff_cap, degree_bound)
+    return relation_module(g, "index", None, None, coeff_cap, degree_bound)
 
 
 def index_ind(

@@ -191,6 +191,45 @@ def test_a_cached_multiplicative_basis_is_recertified(tmp_path, capsys):
     assert json.loads(path.read_text()) == good
 
 
+# a well-formed HNF basis per kind whose last row is no relation, and one
+# that spans a sublattice of index 2 of the module, so is not saturated
+DOCTORED_BASES = {
+    "value": (["--poly", "X^5-1", "--kind", "value", "--v", "X+X^-1"], {
+        "not-a-relation": [[1, 1, 0, 2, 1], [0, 2, 0, 2, 1], [0, 0, 1, 0, 0]],
+        "not-saturated": [[1, 1, 0, 2, 1], [0, 2, 0, 2, 1], [0, 0, 2, -2, 0]],
+    }),
+    "joint": (["--poly", "X^3-1", "--kind", "joint", "--exponents=1,-1"], {
+        "not-a-relation": [[1, 0, 2]],
+        "not-saturated": [[2, 2, 2]],
+    }),
+}
+
+
+@pytest.mark.parametrize("doctored", ["not-a-relation", "not-saturated"])
+@pytest.mark.parametrize("kind", list(DOCTORED_BASES))
+def test_a_cached_value_or_joint_basis_is_recertified(kind, doctored, tmp_path, capsys):
+    """The value and joint kinds' cached bases go through their own row test
+    and saturation check: a doctored entry warns, and the command prints
+    the fresh module and rewrites the entry."""
+    flags, bases = DOCTORED_BASES[kind]
+    argv = ["relations", *flags, "--cache-dir", str(tmp_path / "cache")]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    path = next((tmp_path / "cache").glob("*.json"))
+    good = json.loads(path.read_text())
+    assert good["basis"] != bases[doctored]
+    path.write_text(json.dumps({**good, "basis": bases[doctored]}))
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    reason = f"is not a {kind} relation" if doctored == "not-a-relation" else "not saturated"
+    assert f"warning: ignoring corrupt cache entry {path}" in captured.err
+    assert reason in captured.err
+    assert captured.out == want
+    assert json.loads(path.read_text()) == good
+    assert main(argv) == 0
+    assert capsys.readouterr() == (want, "")
+
+
 def test_one_module_has_one_cache_entry(tmp_path):
     """Flags that a kind does not read stay out of the key, and the
     multiplicative default v = X is keyed as X."""
@@ -698,6 +737,16 @@ def test_config_defaults_and_flag_precedence(tmp_path):
                  "--out", str(out)]) == 0
     assert json.loads(out.read_text())["q"] == 13
     assert main([f"--config={cfg}", "roots", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["q"] == 7
+
+
+def test_a_config_key_named_run_is_ignored(tmp_path):
+    # run is where each subcommand keeps its function, not a flag, so a
+    # config key of that name is ignored like any other key naming no flag
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"run": "figure", "poly": "X^3-1", "prime": 7}))
+    out = tmp_path / "r.json"
+    assert main(["--config", str(cfg), "roots", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["q"] == 7
 
 

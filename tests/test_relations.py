@@ -25,13 +25,16 @@ from ultrashort.relations import (
     RelationModule,
     additive_relations,
     certified_complex_roots,
+    check_cached_module,
     dominant_root_holds,
     gamma_is_zero,
     index_ind,
     index_relations,
     joint_power_relations,
+    module_inputs,
     multiplicative_relations,
     negation_pairing,
+    relation_module,
     value_relations,
 )
 
@@ -152,6 +155,13 @@ def test_newton_from_the_stable_base_stops_once_converged(g, monkeypatch):
         assert 1 <= min(per_root) and max(per_root) <= 3, (bits, per_root)
 
 
+def _detect_uncached(g, kind, *args):
+    """relation_module(g, kind, *args), detected afresh past its memory cache."""
+    import ultrashort.relations as R
+
+    return R._detected_module.__wrapped__(g, *R.module_inputs(g, kind, *args))
+
+
 def _fresh_box_caches(monkeypatch):
     """Empty the box and root-order caches for this test only."""
     import functools
@@ -199,7 +209,7 @@ def test_no_radius_is_certified_twice_or_below_the_base(certified_radii):
     # dominant-root criterion; the base (2^-128 for X^7-1) comes first and
     # serves every coarser request
     g = IntPoly.parse("X^7-1")
-    assert additive_relations.__wrapped__(g).basis == ((1,) * 7,)
+    assert _detect_uncached(g, "additive").basis == ((1,) * 7,)
     roots = certified_complex_roots(g, 128)
     assert gamma_is_zero([1] * 7, roots)
     assert not gamma_is_zero([1] * 6 + [0], roots)
@@ -487,7 +497,7 @@ def test_zero_test_refines_while_a_value_to_invert_meets_zero(monkeypatch):
     monkeypatch.setattr(R, "_product_enclosure", counting)
     g = IntPoly.parse("X^2-2")
     asked = _boxes_asked(monkeypatch)
-    module = multiplicative_relations.__wrapped__(g, LaurentPoly(((0, -p), (1, q))))
+    module = _detect_uncached(g, "multiplicative", LaurentPoly(((0, -p), (1, q))))
     assert module.basis == ((1, 1),)
     assert raised and max(asked) > R._base_bits(g)
 
@@ -620,12 +630,12 @@ def test_additive_relations_stable_under_higher_start_precision():
     mod = additive_relations(g)
     old = R._DETECTION_START_BITS
     R._DETECTION_START_BITS = old * 2
-    additive_relations.cache_clear()
+    R._detected_module.cache_clear()
     try:
         again = additive_relations(g)
     finally:
         R._DETECTION_START_BITS = old
-        additive_relations.cache_clear()
+        R._detected_module.cache_clear()
     assert mod.basis == again.basis
 
 
@@ -762,6 +772,105 @@ def test_value_relations_preconditions():
         value_relations(IntPoly.parse("X^2-X"), LaurentPoly.parse("X^-1"))
 
 
+def test_joint_exponents_may_be_a_list():
+    g = IntPoly.parse("X^3-1")
+    from_list = joint_power_relations(g, [1, -1])
+    from_tuple = joint_power_relations(g, (1, -1))
+    assert from_list is from_tuple  # one memory-cache entry
+    assert from_list.basis == ((1, 1, 1),)
+
+
+def test_multiplicative_v_defaults_to_x():
+    g = IntPoly.parse("X^3-1")
+    module = multiplicative_relations(g, None)
+    assert module is multiplicative_relations(g, X)
+    assert module.basis == ((1, 1, 0), (0, 3, 0), (0, 0, 1))
+
+
+def test_value_relations_need_a_v():
+    with pytest.raises(OutOfRangeParameter):
+        value_relations(IntPoly.parse("X^3-1"), None)
+    with pytest.raises(OutOfRangeParameter):
+        relation_module(IntPoly.parse("X^3-1"), "value")
+
+
+def test_an_unknown_kind_is_out_of_range():
+    with pytest.raises(OutOfRangeParameter):
+        relation_module(IntPoly.parse("X^3-1"), "cubic")
+
+
+def test_module_inputs_keep_only_what_the_kind_reads():
+    g = IntPoly.parse("X^3-1")
+    v = LaurentPoly.parse("X^2")
+    assert module_inputs(g, "additive", v, [1]) == ("additive", None, None, 64, 6)
+    assert module_inputs(g, "value", v, [1], 5, 100) == ("value", v, None, 5, 6)
+    assert module_inputs(g, "joint", v, [2, 1], None, 2) == ("joint", None, (2, 1), 64, 2)
+    assert module_inputs(g, "multiplicative") == ("multiplicative", X, None, 64, 6)
+    assert module_inputs(g, "index", v) == ("index", None, None, 64, 6)
+
+
+# one module of each kind: (g, kind, v, exponents)
+EVERY_KIND = {
+    "additive": ("X^3+X+3", "additive", None, None),
+    "value": ("X^5-1", "value", LaurentPoly.parse("X+X^-1"), None),
+    "joint": ("X^3-1", "joint", None, [1, -1]),
+    "multiplicative": ("X^3-1", "multiplicative", None, None),
+    "index": ("X^3+X^2+2X+1", "index", None, None),
+}
+
+
+@pytest.mark.parametrize("kind", list(EVERY_KIND))
+def test_the_cache_check_reads_each_kinds_definition(kind):
+    """check_cached_module accepts the module relation_module detects and
+    refuses it with its first row changed, by the kind's own row test."""
+    text, kind, v, exponents = EVERY_KIND[kind]
+    g = IntPoly.parse(text)
+    module = relation_module(g, kind, v, exponents)
+    assert module.rank >= 1
+    check_cached_module(module, g, v, exponents, kind, None)
+    first, *rest = module.basis
+    doctored = RelationModule(module.ambient_rank, ((first[0] + 1, *first[1:]), *rest), kind)
+    with pytest.raises(ValueError, match=f"is not a {kind} relation"):
+        check_cached_module(doctored, g, v, exponents, kind, None)
+
+
+def test_one_relation_module_entry():
+    """Only the memory-cached body of relation_module runs detection, only
+    relation_module reaches that body, and cli reaches relations through
+    public names other than the per-kind *_relations functions."""
+    import ast
+
+    package = os.path.dirname(ultrashort.__file__)
+    callers = {"_detect_module": set(), "_detected_module": set()}
+    cli_names = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Call):
+                        callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                        if callee in callers:
+                            callers[callee].add((name, func.name))
+        if name == "cli.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) and getattr(node.value, "id", "") == "relations":
+                    cli_names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom) and node.module == "relations":
+                    cli_names.update(a.name for a in node.names)
+                elif isinstance(node, ast.Name) and node.id == "_DISPATCH":
+                    cli_names.add(node.id)
+    assert callers == {
+        "_detect_module": {("relations.py", "_detected_module")},
+        "_detected_module": {("relations.py", "relation_module")},
+    }
+    assert "relation_module" in cli_names
+    assert [n for n in cli_names if n.startswith("_") or n.endswith("_relations")] == []
+
+
 def test_joint_power_relations_examples():
     assert joint_power_relations(IntPoly.parse("X^3-1"), (1, -1)).basis == ((1, 1, 1),)
     assert joint_power_relations(IntPoly.parse("X^3+2X^2+3"), (1,)).rank == 0
@@ -776,25 +885,25 @@ def test_joint_module_is_one_detection_that_reports_its_cap(monkeypatch):
 
     g = IntPoly.parse("X^3+2X^2+3")
     calls = []
-    real = R._linear_relations
+    real = R._detect_module
 
     def spy(*args):
-        calls.append(args[3])
+        calls.append(args[1])
         return real(*args)
 
     def forbidden(*args):
         raise AssertionError("a joint module is not an intersection")
 
-    monkeypatch.setattr(R, "_linear_relations", spy)
+    monkeypatch.setattr(R, "_detect_module", spy)
     monkeypatch.setattr(lattice_module, "intersect_rows", forbidden)
-    joint = joint_power_relations.__wrapped__(g, (1,))
+    joint = _detect_uncached(g, "joint", None, (1,))
     assert calls == ["joint"]
     assert joint.rank == 0 and joint.certificate["cap_reached"] is True
     assert value_relations(g, X).certificate["cap_reached"] is True
     # x^0 = 1 is one more column pair, (1, 0): the relations with sum 0
-    assert joint_power_relations.__wrapped__(IntPoly.parse("X^3+X+3"), (0,)).basis == (
+    assert _detect_uncached(IntPoly.parse("X^3+X+3"), "joint", None, (0,)).basis == (
         (1, 0, -1), (0, 1, -1))
-    assert joint_power_relations.__wrapped__(IntPoly.parse("X^3-1"), (0, 1)).rank == 0
+    assert _detect_uncached(IntPoly.parse("X^3-1"), "joint", None, (0, 1)).rank == 0
 
 
 def test_joint_is_contained_in_each_factor():
